@@ -6,14 +6,20 @@ against adaptive quadrature before anything downstream relies on it.
 """
 
 import math
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import zeta as scipy_zeta
 
+import medlattice
 from medlattice import (
     FrequencyIndex,
     ProductWeights,
@@ -66,11 +72,38 @@ class TestRiemannZeta:
         tail = M ** (1.0 - q) / (q - 1.0) + 0.5 * M ** (-q) + q * M ** (-q - 1.0) / 12.0
         assert abs(riemann_zeta(q) - (partial + tail)) < 1e-11 * riemann_zeta(q)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 300.0, exclude_min=True))
+    @example(1.0 + 1e-12)
+    @example(1.0 + 1e-6)
+    @example(1.001)
+    @example(13.97)
+    @example(300.0)
+    def test_against_scipy(self, q):
+        """Euler-Maclaurin matches scipy.special.zeta on (1, 300]."""
+        assert abs(riemann_zeta(q) - scipy_zeta(q, 1)) <= 4e-15 * scipy_zeta(q, 1)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             riemann_zeta(1.0)
         with pytest.raises(ValueError):
             riemann_zeta(0.5)
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_scipy(self):
+        """scipy is a test-only dependency: the package never imports it."""
+        env = dict(os.environ)
+        src = str(Path(medlattice.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, medlattice, medlattice.experiment\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestProductWeights:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from medlattice import (
@@ -177,6 +179,68 @@ class TestEstimator:
         k = np.arange(13)[:, None]
         expected = (k * np.asarray(z.z)[None, :] / 13.0 + np.asarray(delta.delta)) % 1.0
         assert np.max(np.abs(seen["pts"] - expected)) < 1e-14
+
+
+_SMALL_PRIMES = [p for p in range(2, 128) if all(p % q for q in range(2, p))]
+
+
+def _direct_sum(f, config, z, delta, h):
+    """(1/N) sum_k f(x_k) exp(-2 pi i h.x_k) over x_k = {k z / N + delta}.
+
+    k z is reduced mod N in exact integers before the division, so the nodes
+    carry no rounding from the unreduced products k z_j.
+    """
+    k = np.arange(config.N)[:, None]
+    nodes = ((k * np.asarray(z.z)[None, :]) % config.N / config.N + np.asarray(delta.delta)) % 1.0
+    phases = np.exp(-2j * np.pi * (nodes @ np.asarray(h.components, dtype=float)))
+    return complex(np.mean(f(nodes) * phases))
+
+
+@st.composite
+def _lattice_case(draw):
+    N = draw(st.sampled_from(_SMALL_PRIMES))
+    d = draw(st.integers(1, 3))
+    z = GeneratingVector([draw(st.integers(1, N - 1)) for _ in range(d)])
+    delta = RandomShift([draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)])
+    # negative components and |h_j| >= N both occur
+    comp = st.integers(-2 * N, 2 * N)
+    targets = [
+        FrequencyIndex([draw(comp) for _ in range(d)])
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    mode = np.asarray([draw(st.integers(-N, N)) for _ in range(d)], dtype=float)
+    if draw(st.booleans()):
+        f = lambda pts: np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0] * (1 - pts[:, -1])
+    else:
+        f = lambda pts: np.exp(2j * np.pi * (pts @ mode)) * (1 + 0.5j * pts[:, 0])
+    return LatticeConfig(N, d), z, delta, targets, f
+
+
+class TestFFTAgainstDirectSum:
+    @settings(max_examples=200, deadline=None)
+    @given(_lattice_case())
+    def test_matches_direct_sum(self, case):
+        """The FFT-and-gather estimator equals the defining direct sum."""
+        config, z, delta, targets, f = case
+        out = estimate_coefficients(f, config, z, delta, targets)
+        assert set(out) == set(targets)
+        for h in targets:
+            assert abs(out[h] - _direct_sum(f, config, z, delta, h)) < 1e-12
+
+    def test_rejects_oversized_N_before_evaluating(self):
+        """N above 2^31 raises ValueError without evaluating f."""
+        calls = []
+
+        def f(pts):
+            calls.append(pts.shape)
+            return np.ones(pts.shape[0])
+
+        config = LatticeConfig(2147483659, 1)
+        with pytest.raises(ValueError):
+            estimate_coefficients(
+                f, config, GeneratingVector([1]), RandomShift([0.0]), [FrequencyIndex([1])]
+            )
+        assert calls == []
 
 
 class TestAliasing:
