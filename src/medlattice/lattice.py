@@ -13,16 +13,19 @@ transform of the node values:
     exp(-2*pi*i * h.Delta) * fft(f(x))[h.z mod N] / N.
 
 One FFT plus a gather serves all targets, at cost O(N log N + |A|*d) per
-lattice instead of O(N*|A|) for the direct sums.  All randomness flows
-through counter-based Philox streams keyed by (master_seed, repetition,
-purpose) so repetitions are independent of execution order and
-bit-reproducible under any thread count.
+lattice instead of O(N*|A|) for the direct sums.  Lattices of one size are
+transformed together, a block of rows per FFT call, so the length-N
+transform is planned once per block rather than once per lattice.
+
+All randomness flows through counter-based Philox streams keyed by tuples
+such as (master_seed, repetition, purpose), so repetitions are independent of
+execution order and bit-reproducible under any thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +53,11 @@ PURPOSE_SHIFT = 1
 # largest supported lattice size: below it the node products k*z_j and the
 # residue terms (h_j mod N)*z_j are at most (N-1)^2 < 2^62, inside int64
 _MAX_N = 2**31
+
+# bytes of node values transformed per batched FFT call: one call per block
+# plans the length-N transform once for all its rows, and at N >= 65537 a
+# block holds a single lattice, so memory stays O(N) for large lattices
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -98,16 +106,18 @@ class RandomShift:
         return len(self.delta)
 
 
-def rng_stream(master_seed: int, repetition: int, purpose: int) -> np.random.Generator:
-    """Counter-based stream keyed by (master_seed, repetition, purpose).
+def rng_stream(*key: int) -> np.random.Generator:
+    """Counter-based stream keyed by a tuple of non-negative ints.
 
-    Distinct key triples give statistically independent Philox streams, so
-    repetition r can be generated on any worker in any order with identical
-    results.
+    ``run`` keys its streams (master_seed, repetition, purpose).  Distinct
+    keys give statistically independent Philox streams, so repetition r can
+    be generated on any worker in any order with identical results.
     """
-    if master_seed < 0 or repetition < 0 or purpose < 0:
+    if not key:
+        raise ValueError("stream key must have at least one component")
+    if any(k < 0 for k in key):
         raise ValueError("stream key components must be non-negative")
-    seq = np.random.SeedSequence([int(master_seed), int(repetition), int(purpose)])
+    seq = np.random.SeedSequence([int(k) for k in key])
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -134,10 +144,15 @@ def roots_of_unity(N: int) -> np.ndarray:
 
 
 def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShift) -> np.ndarray:
+    # in-place steps: this runs while a whole FFT block is held, so it keeps
+    # few length-N arrays alive at once
     k = np.arange(config.N, dtype=np.int64)
-    zz = np.asarray(z.z, dtype=np.int64)
-    frac = (k[:, None] * zz[None, :]) % config.N
-    nodes = frac.astype(float) / config.N + np.asarray(delta.delta, dtype=float)[None, :]
+    frac = np.multiply.outer(k, np.asarray(z.z, dtype=np.int64))
+    frac %= config.N
+    nodes = frac.astype(float)
+    del frac
+    nodes /= config.N
+    nodes += np.asarray(delta.delta, dtype=float)
     nodes -= np.floor(nodes)
     return nodes
 
@@ -145,61 +160,85 @@ def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShif
 def estimate_coefficients(
     f_eval: Callable[[np.ndarray], np.ndarray],
     config: LatticeConfig,
-    z: GeneratingVector,
-    delta: RandomShift,
+    lattices: Sequence[Tuple[GeneratingVector, RandomShift]],
     targets: Iterable[FrequencyIndex],
-) -> Dict[FrequencyIndex, complex]:
-    """Estimate the Fourier coefficients of f at every target frequency.
+) -> np.ndarray:
+    """Estimate the Fourier coefficients of f at every target on every lattice.
 
-    f is evaluated exactly once on the full batch of N shifted lattice nodes
-    and transformed by one length-N FFT; each target h then costs its
-    residue m = h.z mod N, computed exactly in int64, a gather of the FFT
-    entry m and a multiplication by the shift phase exp(-2*pi*i*h.Delta).
-    The cost is O(N log N + |targets|*d) for any number of targets.
+    f is evaluated exactly once per lattice, on the full batch of its N
+    shifted nodes.  The node values of up to max(1, 2^20 // (16*N)) lattices,
+    1 MiB of complex128, fill the rows of one block, which is transformed by
+    one batched length-N FFT; each target h then costs its residue
+    m = h.z mod N, computed exactly in int64, a gather of the row's entry m
+    and a multiplication by the shift phase exp(-2*pi*i*h.Delta).  The cost is
+    O(N log N + |targets|*d) per lattice for any number of targets.  Every
+    row of a batched transform equals the one-row transform bit for bit, so
+    a lattice's estimates do not depend on which others share its call.
 
     Parameters
     ----------
     f_eval : callable
-        Maps an (N, d) array of points in [0,1)^d to N (real or complex)
-        values.
+        Maps an (N, d) array of points in [0,1)^d to N finite (real or
+        complex) values.  A non-finite value raises ``ValueError``.
     config : LatticeConfig
         N must not exceed 2^31, which keeps every integer product inside
         int64.
+    lattices : sequence of (GeneratingVector, RandomShift)
+        Nonempty; row i of the result belongs to ``lattices[i]``.
     targets : iterable of FrequencyIndex
         Nonempty collection of frequencies.
 
     Returns
     -------
-    dict
-        FrequencyIndex -> complex estimate.
+    ndarray
+        complex128 of shape (len(lattices), len(targets)); entry [i, j] is
+        the estimate at ``targets[j]`` from ``lattices[i]``.
     """
+    lattices = list(lattices)
     targets = list(targets)
+    if not lattices:
+        raise ValueError("lattices must be nonempty")
     if not targets:
         raise ValueError("targets must be nonempty")
     N, d = config.N, config.dim
     if N > _MAX_N:
         raise ValueError(f"N = {N} exceeds the supported lattice size 2^31")
-    if len(z) != d or len(delta) != d:
-        raise ValueError("z and delta must match the lattice dimension")
-    if any(not (1 <= c <= N - 1) for c in z.z):
-        raise ValueError("generating vector components must lie in {1,...,N-1}")
+    for z, delta in lattices:
+        if len(z) != d or len(delta) != d:
+            raise ValueError("z and delta must match the lattice dimension")
+        if any(not (1 <= c <= N - 1) for c in z.z):
+            raise ValueError("generating vector components must lie in {1,...,N-1}")
     H = np.array([tuple(h) for h in targets], dtype=np.int64)
     if H.shape != (len(targets), d):
         raise ValueError("targets must match the lattice dimension")
-
-    nodes = _lattice_nodes(config, z, delta)
-    vals = np.asarray(f_eval(nodes))
-    if vals.shape != (N,):
-        raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
-    spectrum = np.fft.fft(vals.astype(np.complex128, copy=False)) / N
-
-    # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
     H_mod = H % N
-    m = np.zeros(len(targets), dtype=np.int64)
-    for j, zj in enumerate(z.z):
-        m = (m + H_mod[:, j] * zj) % N
-    phase = np.exp(-2j * np.pi * (H.astype(float) @ np.asarray(delta.delta, dtype=float)))
-    return dict(zip(targets, (phase * spectrum[m]).tolist()))
+    H_float = H.astype(float)
+
+    out = np.empty((len(lattices), len(targets)), dtype=np.complex128)
+    rows = min(len(lattices), max(1, _BLOCK_BYTES // (16 * N)))
+    block = np.empty((rows, N), dtype=np.complex128)
+    for start in range(0, len(lattices), rows):
+        chunk = lattices[start:start + rows]
+        spectra = block[: len(chunk)]
+        for row, (z, delta) in enumerate(chunk):
+            vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
+            if vals.shape != (N,):
+                raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
+            bad = N - np.count_nonzero(np.isfinite(vals))
+            if bad:
+                raise ValueError(
+                    f"f_eval returned {bad} non-finite values on lattice row {start + row}"
+                )
+            spectra[row] = vals
+        np.fft.fft(spectra, axis=-1, out=spectra)
+        for row, (z, delta) in enumerate(chunk):
+            # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
+            m = np.zeros(len(targets), dtype=np.int64)
+            for j, zj in enumerate(z.z):
+                m = (m + H_mod[:, j] * zj) % N
+            phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
+            out[start + row] = phase * (spectra[row, m] / N)
+    return out
 
 
 def dual_membership(ell, config: LatticeConfig, z: GeneratingVector) -> bool:

@@ -19,7 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,9 @@ _PURPOSE_VERIFY_GENVEC = 2
 _PURPOSE_VERIFY_SHIFT = 3
 
 _REL_CONSISTENCY = 1e-9
+
+# coarse-lattice radius at which epsilon(h) truncates the Korobov norm
+_NORM_RADIUS = 2**12
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,14 @@ def complex_median(values: Sequence[complex]) -> complex:
     return complex(re, im)
 
 
+def _draw_lattice(config: LatticeConfig, key: tuple, genvec_purpose: int, shift_purpose: int):
+    """The (z, delta) pair drawn from the streams keyed (*key, purpose)."""
+    return (
+        draw_generating_vector(config, rng_stream(*key, genvec_purpose)),
+        draw_shift(config, rng_stream(*key, shift_purpose)),
+    )
+
+
 def _rep_seed_fingerprint(master_seed: int, r: int) -> int:
     return int(np.random.SeedSequence([master_seed, r, PURPOSE_GENVEC]).generate_state(1)[0])
 
@@ -192,10 +203,11 @@ def run(
     """Run the full algorithm: R repetitions, one median per frequency.
 
     The repetitions form a parallel map with a deterministic reduce: each
-    repetition's randomness is keyed by its index, all R estimate vectors
-    are collected into repetition-indexed storage, and only then are the
-    medians taken.  The output is therefore bit-identical for any
-    ``workers`` value.
+    repetition's randomness is keyed by its index, the R lattices are split
+    into contiguous slices whose estimates fill repetition-indexed rows, and
+    only then are the medians taken.  A lattice's estimates do not depend on
+    the slice or FFT block it lands in, so the output is bit-identical for
+    any ``workers`` value.
 
     Parameters
     ----------
@@ -205,7 +217,8 @@ def run(
     problem, weights
         Smoothness parameters and product weights defining A_d(N_star).
     workers : int
-        Thread count for the repetition map.
+        Thread count for the repetition map; each thread estimates one
+        contiguous slice of the R lattices.
     cap : int
         Index-set memory guard.
 
@@ -218,10 +231,15 @@ def run(
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights, cap=cap)
     config = LatticeConfig(params.N, problem.dim)
     targets = cross.indices
+    lattices = [
+        _draw_lattice(config, (params.master_seed, r), PURPOSE_GENVEC, PURPOSE_SHIFT)
+        for r in range(params.R)
+    ]
+    ests = np.empty((params.R, len(targets)), dtype=np.complex128)  # row r from repetition r
 
-    def one_repetition(r: int) -> Tuple[np.ndarray, int]:
-        # evaluations are counted per repetition, never in state shared
-        # between worker threads, and summed after the map
+    def estimate_slice(lo: int, hi: int) -> int:
+        # evaluations are counted per slice, never in state shared between
+        # worker threads, and summed after the map
         points = 0
 
         def counted(X):
@@ -229,18 +247,17 @@ def run(
             points += X.shape[0]
             return f_eval(X)
 
-        z = draw_generating_vector(config, rng_stream(params.master_seed, r, PURPOSE_GENVEC))
-        delta = draw_shift(config, rng_stream(params.master_seed, r, PURPOSE_SHIFT))
-        est = estimate_coefficients(counted, config, z, delta, targets)
-        return np.array([est[h] for h in targets], dtype=np.complex128), points
+        ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], targets)
+        return points
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_repetition, range(params.R)))
+    slices = max(1, min(workers, params.R))
+    bounds = [params.R * s // slices for s in range(slices + 1)]
+    if slices > 1:
+        with ThreadPoolExecutor(max_workers=slices) as pool:
+            counts = list(pool.map(estimate_slice, bounds[:-1], bounds[1:]))
     else:
-        results = [one_repetition(r) for r in range(params.R)]
-    ests = np.vstack([row for row, _ in results])  # (R, |A|), row r from repetition r
-    eval_count = sum(points for _, points in results)
+        counts = [estimate_slice(0, params.R)]
+    eval_count = sum(counts)
 
     k = params.R // 2
     med_re = np.partition(ests.real, k, axis=0)[k]
@@ -334,7 +351,7 @@ def epsilon_bound(
     problem: SmoothnessParams,
     weights: ProductWeights,
     tail_radius: int = 8,
-    norm_radius: int = 2**12,
+    norm_radius: int = _NORM_RADIUS,
 ) -> float:
     """The per-frequency concentration threshold epsilon(h).
 
@@ -349,6 +366,19 @@ def epsilon_bound(
     """
     h = h if isinstance(h, FrequencyIndex) else FrequencyIndex(h)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, norm_radius)
+    return _epsilon(h, f, params, problem, norm_sq, tail_radius)
+
+
+def _epsilon(
+    h: FrequencyIndex,
+    f: SpectralOracle,
+    params: AlgorithmParams,
+    problem: SmoothnessParams,
+    norm_sq: float,
+    tail_radius: int,
+) -> float:
+    """epsilon(h) given the truncated squared Korobov norm, which does not
+    depend on h, so a caller with many probes computes it once."""
     tail = _aliasing_tail_sq(h, f, params.N, tail_radius)
     lead = norm_sq / (params.N_star ** (2.0 * problem.alpha) * (params.N - 1))
     factor = 1.0 / params.tau + log(params.N_star)
@@ -361,7 +391,7 @@ def epsilon_bound(
                 f"aliasing tail at radius {tail_radius} not converged: "
                 f"epsilon moves from {eps_half:.6e} (radius {tail_radius // 2}) "
                 f"to {eps:.6e}",
-                stacklevel=2,
+                stacklevel=3,
             )
     return eps
 
@@ -418,6 +448,43 @@ class ConcentrationReport:
         return all(r.vacuous for r in self.results)
 
 
+def _probes(f, params, problem, weights, indices, tail_radius):
+    """The probe frequencies with their epsilon(h) and true coefficients."""
+    if indices is not None:
+        probes = [h if isinstance(h, FrequencyIndex) else FrequencyIndex(h) for h in indices]
+    else:
+        cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
+        probes = _default_probe_indices(cross, problem, weights)
+    norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
+    eps = [_epsilon(h, f, params, problem, norm_sq, tail_radius) for h in probes]
+    truth = [f.coefficient(h) for h in probes]
+    return probes, eps, truth
+
+
+def _report(probes, eps, threshold_factor, bound, estimates, truth, kind):
+    """The report counting, per probe, the rows of ``estimates`` whose
+    squared error exceeds threshold_factor * epsilon(h)^2."""
+    thresholds = [threshold_factor * e ** 2 for e in eps]
+    failures = [0] * len(probes)
+    for row in estimates.tolist():
+        for i, est in enumerate(row):
+            if abs(est - truth[i]) ** 2 > thresholds[i]:
+                failures[i] += 1
+    results = tuple(
+        ProbeResult(
+            h=h,
+            epsilon=e,
+            threshold_sq=t,
+            bound=bound,
+            failures=n,
+            trials=len(estimates),
+            vacuous=bound >= 1.0,
+        )
+        for h, e, t, n in zip(probes, eps, thresholds, failures)
+    )
+    return ConcentrationReport(results=results, kind=kind)
+
+
 def verify_concentration(
     f: SpectralOracle,
     params: AlgorithmParams,
@@ -438,46 +505,16 @@ def verify_concentration(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
-    probes = (
-        [h if isinstance(h, FrequencyIndex) else FrequencyIndex(h) for h in indices]
-        if indices is not None
-        else _default_probe_indices(cross, problem, weights)
-    )
+    probes, eps, truth = _probes(f, params, problem, weights, indices, tail_radius)
     config = LatticeConfig(params.N, problem.dim)
-    eps = {
-        h: epsilon_bound(h, f, params, problem, weights, tail_radius=tail_radius)
-        for h in probes
-    }
-    truth = {h: f.coefficient(h) for h in probes}
-    bound = lemma_bound_single(params)
-    vacuous = bound >= 1.0
-
-    failures = {h: 0 for h in probes}
-    for t in range(trials):
-        z = draw_generating_vector(
-            config, rng_stream(params.master_seed, t, _PURPOSE_VERIFY_GENVEC)
+    lattices = [
+        _draw_lattice(
+            config, (params.master_seed, t), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
         )
-        delta = draw_shift(
-            config, rng_stream(params.master_seed, t, _PURPOSE_VERIFY_SHIFT)
-        )
-        est = estimate_coefficients(f.evaluate, config, z, delta, probes)
-        for h in probes:
-            if abs(est[h] - truth[h]) ** 2 > eps[h] ** 2:
-                failures[h] += 1
-    results = tuple(
-        ProbeResult(
-            h=h,
-            epsilon=eps[h],
-            threshold_sq=eps[h] ** 2,
-            bound=bound,
-            failures=failures[h],
-            trials=trials,
-            vacuous=vacuous,
-        )
-        for h in probes
-    )
-    return ConcentrationReport(results=results, kind="single")
+        for t in range(trials)
+    ]
+    ests = estimate_coefficients(f.evaluate, config, lattices, probes)  # (trials, |probes|)
+    return _report(probes, eps, 1.0, lemma_bound_single(params), ests, truth, "single")
 
 
 def verify_median_amplification(
@@ -498,57 +535,21 @@ def verify_median_amplification(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
-    probes = (
-        [h if isinstance(h, FrequencyIndex) else FrequencyIndex(h) for h in indices]
-        if indices is not None
-        else _default_probe_indices(cross, problem, weights)
-    )
+    probes, eps, truth = _probes(f, params, problem, weights, indices, tail_radius)
     config = LatticeConfig(params.N, problem.dim)
-    eps = {
-        h: epsilon_bound(h, f, params, problem, weights, tail_radius=tail_radius)
-        for h in probes
-    }
-    truth = {h: f.coefficient(h) for h in probes}
-    bound = lemma_bound_amplified(params)
-    vacuous = bound >= 1.0
-
-    failures = {h: 0 for h in probes}
-    for t in range(trials):
-        per_rep = np.empty((params.R, len(probes)), dtype=np.complex128)
-        for r in range(params.R):
-            key = [params.master_seed, t, r]
-            z = draw_generating_vector(
-                config,
-                np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(key + [_PURPOSE_VERIFY_GENVEC]))
-                ),
-            )
-            delta = draw_shift(
-                config,
-                np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(key + [_PURPOSE_VERIFY_SHIFT]))
-                ),
-            )
-            est = estimate_coefficients(f.evaluate, config, z, delta, probes)
-            per_rep[r] = [est[h] for h in probes]
-        for i, h in enumerate(probes):
-            med = complex_median(per_rep[:, i])
-            if abs(med - truth[h]) ** 2 > 2.0 * eps[h] ** 2:
-                failures[h] += 1
-    results = tuple(
-        ProbeResult(
-            h=h,
-            epsilon=eps[h],
-            threshold_sq=2.0 * eps[h] ** 2,
-            bound=bound,
-            failures=failures[h],
-            trials=trials,
-            vacuous=vacuous,
+    lattices = [
+        _draw_lattice(
+            config, (params.master_seed, t, r), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
         )
-        for h in probes
+        for t in range(trials)
+        for r in range(params.R)
+    ]
+    ests = estimate_coefficients(f.evaluate, config, lattices, probes)
+    ests = ests.reshape(trials, params.R, len(probes))
+    medians = np.array(
+        [[complex_median(ests[t, :, i]) for i in range(len(probes))] for t in range(trials)]
     )
-    return ConcentrationReport(results=results, kind="median")
+    return _report(probes, eps, 2.0, lemma_bound_amplified(params), medians, truth, "median")
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from medlattice import (
     estimate_coefficients,
     rng_stream,
 )
-from medlattice.lattice import PURPOSE_GENVEC, PURPOSE_SHIFT, roots_of_unity
+from medlattice.lattice import _BLOCK_BYTES, PURPOSE_GENVEC, PURPOSE_SHIFT, roots_of_unity
 
 
 class TestStreams:
@@ -42,6 +42,17 @@ class TestStreams:
             rng_stream(-1, 0, 0)
         with pytest.raises(ValueError):
             rng_stream(0, -1, 0)
+        with pytest.raises(ValueError):
+            rng_stream(0, 1, 2, -3)
+
+    def test_four_part_key_is_the_seed_sequence_of_the_key(self):
+        """rng_stream(s, t, r, p) draws what the median harness's inline
+        Philox(SeedSequence([s, t, r, p])) construction drew."""
+        key = [20240801, 5, 17, PURPOSE_SHIFT]
+        inline = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+        assert np.array_equal(
+            rng_stream(*key).integers(0, 2**63, size=8), inline.integers(0, 2**63, size=8)
+        )
 
 
 class TestDrawGeneratingVector:
@@ -116,37 +127,37 @@ class TestEstimator:
 
     def test_constant_at_zero_mode(self):
         config, z, delta = self._setup()
-        out = estimate_coefficients(
-            lambda pts: np.ones(pts.shape[0]), config, z, delta, [FrequencyIndex([0, 0])]
+        (out,) = estimate_coefficients(
+            lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [FrequencyIndex([0, 0])]
         )
-        assert abs(out[FrequencyIndex([0, 0])] - 1.0) < 1e-14
+        assert abs(out[0] - 1.0) < 1e-14
 
     def test_exponential_mode_recovered(self):
         """f = e^{2 pi i h.x} estimated at the same h gives exactly 1."""
         config, z, delta = self._setup()
         h = FrequencyIndex([3, -2])
         hv = np.array([3.0, -2.0])
-        out = estimate_coefficients(
-            lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, z, delta, [h]
+        (out,) = estimate_coefficients(
+            lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, [(z, delta)], [h]
         )
-        assert abs(out[h] - 1.0) < 1e-12
+        assert abs(out[0] - 1.0) < 1e-12
 
     def test_full_cancellation(self):
         """Constant input at a non-dual frequency sums a full set of N-th roots."""
         config, z, delta = self._setup()
         h = FrequencyIndex([1, 0])
         assert not dual_membership(h, config, z)
-        out = estimate_coefficients(
-            lambda pts: np.ones(pts.shape[0]), config, z, delta, [h]
+        (out,) = estimate_coefficients(
+            lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [h]
         )
-        assert abs(out[h]) < 1e-10
+        assert abs(out[0]) < 1e-10
 
     def test_conjugate_symmetry(self):
         config, z, delta = self._setup(N=241)
         f = lambda pts: np.cos(2 * np.pi * pts[:, 0]) + pts[:, 1] * (1 - pts[:, 1])
         targets = [FrequencyIndex([2, 1]), FrequencyIndex([-2, -1])]
-        out = estimate_coefficients(f, config, z, delta, targets)
-        assert abs(out[targets[1]] - out[targets[0]].conjugate()) < 1e-12
+        (out,) = estimate_coefficients(f, config, [(z, delta)], targets)
+        assert abs(out[1] - out[0].conjugate()) < 1e-12
 
     def test_single_batched_evaluation(self):
         """f sees exactly one batch of exactly N nodes however many targets."""
@@ -158,13 +169,13 @@ class TestEstimator:
 
         config, z, delta = self._setup(N=61)
         targets = [FrequencyIndex([i, 0]) for i in range(-5, 6)]
-        estimate_coefficients(f, config, z, delta, targets)
+        estimate_coefficients(f, config, [(z, delta)], targets)
         assert calls == [(61, 2)]
 
     def test_rejects_empty_targets(self):
         config, z, delta = self._setup()
         with pytest.raises(ValueError):
-            estimate_coefficients(lambda pts: np.ones(pts.shape[0]), config, z, delta, [])
+            estimate_coefficients(lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [])
 
     def test_nodes_shifted_correctly(self):
         """Estimator sees {k z / N + delta} mod 1: check via a recorded batch."""
@@ -175,7 +186,7 @@ class TestEstimator:
             return np.ones(pts.shape[0])
 
         config, z, delta = self._setup(N=13)
-        estimate_coefficients(f, config, z, delta, [FrequencyIndex([0, 0])])
+        estimate_coefficients(f, config, [(z, delta)], [FrequencyIndex([0, 0])])
         k = np.arange(13)[:, None]
         expected = (k * np.asarray(z.z)[None, :] / 13.0 + np.asarray(delta.delta)) % 1.0
         assert np.max(np.abs(seen["pts"] - expected)) < 1e-14
@@ -200,8 +211,13 @@ def _direct_sum(f, config, z, delta, h):
 def _lattice_case(draw):
     N = draw(st.sampled_from(_SMALL_PRIMES))
     d = draw(st.integers(1, 3))
-    z = GeneratingVector([draw(st.integers(1, N - 1)) for _ in range(d)])
-    delta = RandomShift([draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)])
+    lattices = [
+        (
+            GeneratingVector([draw(st.integers(1, N - 1)) for _ in range(d)]),
+            RandomShift([draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)]),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
     # negative components and |h_j| >= N both occur
     comp = st.integers(-2 * N, 2 * N)
     targets = [
@@ -213,19 +229,73 @@ def _lattice_case(draw):
         f = lambda pts: np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0] * (1 - pts[:, -1])
     else:
         f = lambda pts: np.exp(2j * np.pi * (pts @ mode)) * (1 + 0.5j * pts[:, 0])
-    return LatticeConfig(N, d), z, delta, targets, f
+    return LatticeConfig(N, d), lattices, targets, f
 
 
 class TestFFTAgainstDirectSum:
     @settings(max_examples=200, deadline=None)
     @given(_lattice_case())
     def test_matches_direct_sum(self, case):
-        """The FFT-and-gather estimator equals the defining direct sum."""
-        config, z, delta, targets, f = case
-        out = estimate_coefficients(f, config, z, delta, targets)
-        assert set(out) == set(targets)
-        for h in targets:
-            assert abs(out[h] - _direct_sum(f, config, z, delta, h)) < 1e-12
+        """Every row of the FFT-and-gather estimator equals the defining
+        direct sum on its lattice, and the one-lattice call bit for bit."""
+        config, lattices, targets, f = case
+        out = estimate_coefficients(f, config, lattices, targets)
+        assert out.shape == (len(lattices), len(targets))
+        for row, (z, delta) in zip(out, lattices):
+            for j, h in enumerate(targets):
+                assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
+            single = estimate_coefficients(f, config, [(z, delta)], targets)
+            assert row.tobytes() == single[0].tobytes()
+
+    def test_rows_span_blocks_bitwise(self):
+        """A call spanning several FFT blocks evaluates f once per lattice on
+        its (N, d) nodes, and each row equals the one-lattice call bit for
+        bit, so results do not depend on how lattices are grouped."""
+        N, d, count = 10903, 2, 7
+        assert count > _BLOCK_BYTES // (16 * N)
+        config = LatticeConfig(N, d)
+        lattices = [
+            (
+                draw_generating_vector(config, rng_stream(3, r, PURPOSE_GENVEC)),
+                draw_shift(config, rng_stream(3, r, PURPOSE_SHIFT)),
+            )
+            for r in range(count)
+        ]
+        targets = [FrequencyIndex([a, b]) for a in range(-3, 4) for b in (-1, 0, 2)]
+        calls = []
+
+        def f(pts):
+            calls.append(pts.shape)
+            return np.cos(2 * np.pi * pts[:, 0]) + pts[:, 1] ** 2
+
+        out = estimate_coefficients(f, config, lattices, targets)
+        assert calls == [(N, d)] * count
+        for row, lattice in zip(out, lattices):
+            single = estimate_coefficients(f, config, [lattice], targets)
+            assert row.tobytes() == single[0].tobytes()
+
+    def test_non_finite_value_raises(self):
+        """One NaN at one node of the second lattice raises, naming the
+        count and the row."""
+        config = LatticeConfig(101, 2)
+        lattices = [
+            (
+                draw_generating_vector(config, rng_stream(8, r, PURPOSE_GENVEC)),
+                draw_shift(config, rng_stream(8, r, PURPOSE_SHIFT)),
+            )
+            for r in range(3)
+        ]
+        calls = []
+
+        def f(pts):
+            vals = np.ones(pts.shape[0])
+            if len(calls) == 1:
+                vals[17] = np.nan
+            calls.append(pts.shape)
+            return vals
+
+        with pytest.raises(ValueError, match="1 non-finite values on lattice row 1"):
+            estimate_coefficients(f, config, lattices, [FrequencyIndex([0, 0])])
 
     def test_rejects_oversized_N_before_evaluating(self):
         """N above 2^31 raises ValueError without evaluating f."""
@@ -238,7 +308,7 @@ class TestFFTAgainstDirectSum:
         config = LatticeConfig(2147483659, 1)
         with pytest.raises(ValueError):
             estimate_coefficients(
-                f, config, GeneratingVector([1]), RandomShift([0.0]), [FrequencyIndex([1])]
+                f, config, [(GeneratingVector([1]), RandomShift([0.0]))], [FrequencyIndex([1])]
             )
         assert calls == []
 
@@ -277,12 +347,12 @@ class TestAliasing:
             h_src = FrequencyIndex([a + b for a, b in zip(h, ell)])
             assert dual_membership(FrequencyIndex([a - b for a, b in zip(h_src, h)]), config, z)
             hv = np.asarray(list(h_src), dtype=float)
-            out = estimate_coefficients(
-                lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, z, delta, [h]
+            (out,) = estimate_coefficients(
+                lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, [(z, delta)], [h]
             )
             diff = np.asarray(list(h_src), dtype=float) - np.asarray(list(h), dtype=float)
             expected = np.exp(2j * np.pi * float(diff @ np.asarray(delta.delta)))
-            assert abs(out[h] - expected) < 1e-10
+            assert abs(out[0] - expected) < 1e-10
 
             # a non-dual offset must vanish
             h_far = FrequencyIndex([c + 1 for c in h_src])
@@ -290,10 +360,10 @@ class TestAliasing:
                 FrequencyIndex([a - b for a, b in zip(h_far, h)]), config, z
             ):
                 hv2 = np.asarray(list(h_far), dtype=float)
-                out2 = estimate_coefficients(
-                    lambda pts: np.exp(2j * np.pi * (pts @ hv2)), config, z, delta, [h]
+                (out2,) = estimate_coefficients(
+                    lambda pts: np.exp(2j * np.pi * (pts @ hv2)), config, [(z, delta)], [h]
                 )
-                assert abs(out2[h]) < 1e-10
+                assert abs(out2[0]) < 1e-10
 
 
 class TestDualMembership:

@@ -218,6 +218,19 @@ class TestRun:
         assert serial.coefficients == threaded.coefficients
         assert serial.provenance.rep_seeds == threaded.provenance.rep_seeds
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_value_raises(self, workers):
+        """A NaN at one node raises instead of poisoning a repetition."""
+
+        def f(pts):
+            vals = np.ones(pts.shape[0])
+            vals[5] = np.nan
+            return vals
+
+        ap = params_for(12, D1, W1)
+        with pytest.raises(ValueError, match="1 non-finite values"):
+            run(f, ap, D1, W1, workers=workers)
+
     def test_conjugate_symmetry_real_input(self):
         ap = params_for(14, D2, W2, seed=7)
         approx = run(function_f2(2).evaluate, ap, D2, W2)
@@ -325,6 +338,19 @@ class TestEpsilonBound:
         vals = [epsilon_bound(h, f, ap, D2, W2, tail_radius=r) for r in (2, 4, 8)]
         assert abs(vals[1] - vals[2]) / vals[2] < 1e-6
         assert vals[0] <= vals[1] + 1e-15 and vals[1] <= vals[2] + 1e-15
+
+
+    @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
+    def test_harness_epsilon_is_epsilon_bound(self, harness):
+        """The harnesses compute the norm once per call; each probe's epsilon
+        still equals epsilon_bound(h, ...) exactly."""
+        ap = params_for(14, D2, W2, R=3, seed=5)
+        f = function_f2(2)
+        for tail_radius in (8, 3):
+            rep = harness(f, ap, D2, W2, trials=2, tail_radius=tail_radius)
+            assert len(tuple(rep)) > 1
+            for r in rep:
+                assert r.epsilon == epsilon_bound(r.h, f, ap, D2, W2, tail_radius=tail_radius)
 
 
 class TestVerifyConcentration:
