@@ -42,6 +42,7 @@ __all__ = [
     "draw_generating_vector",
     "draw_shift",
     "roots_of_unity",
+    "NonFiniteValueError",
     "estimate_coefficients",
     "dual_membership",
 ]
@@ -143,6 +144,15 @@ def roots_of_unity(N: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(N) / N)
 
 
+class NonFiniteValueError(ValueError):
+    """f returned ``count`` non-finite values on ``lattices[row]`` of a call."""
+
+    def __init__(self, count: int, row: int):
+        super().__init__(f"f_eval returned {count} non-finite values on lattice row {row}")
+        self.count = count
+        self.row = row
+
+
 def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShift) -> np.ndarray:
     # in-place steps: this runs while a whole FFT block is held, so it keeps
     # few length-N arrays alive at once
@@ -179,7 +189,8 @@ def estimate_coefficients(
     ----------
     f_eval : callable
         Maps an (N, d) array of points in [0,1)^d to N finite (real or
-        complex) values.  A non-finite value raises ``ValueError``.
+        complex) values.  A non-finite value raises ``NonFiniteValueError``,
+        a ``ValueError`` carrying the count and the lattice's row.
     config : LatticeConfig
         N must not exceed 2^31, which keeps every integer product inside
         int64.
@@ -226,11 +237,9 @@ def estimate_coefficients(
                 raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
             bad = N - np.count_nonzero(np.isfinite(vals))
             if bad:
-                raise ValueError(
-                    f"f_eval returned {bad} non-finite values on lattice row {start + row}"
-                )
+                raise NonFiniteValueError(bad, start + row)
             spectra[row] = vals
-        np.fft.fft(spectra, axis=-1, out=spectra)
+        np.fft.fft(spectra, axis=-1, out=spectra)  # out= needs numpy >= 2.0
         for row, (z, delta) in enumerate(chunk):
             # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
             m = np.zeros(len(targets), dtype=np.int64)

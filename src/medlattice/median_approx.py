@@ -36,6 +36,7 @@ from .lattice import (
     PURPOSE_GENVEC,
     PURPOSE_SHIFT,
     LatticeConfig,
+    NonFiniteValueError,
     draw_generating_vector,
     draw_shift,
     estimate_coefficients,
@@ -247,7 +248,13 @@ def run(
             points += X.shape[0]
             return f_eval(X)
 
-        ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], targets)
+        try:
+            ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], targets)
+        except NonFiniteValueError as err:
+            # the estimator counts rows within this slice
+            raise ValueError(
+                f"f returned {err.count} non-finite values in repetition {lo + err.row}"
+            ) from err
         return points
 
     slices = max(1, min(workers, params.R))

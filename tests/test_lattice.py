@@ -22,7 +22,13 @@ from medlattice import (
     estimate_coefficients,
     rng_stream,
 )
-from medlattice.lattice import _BLOCK_BYTES, PURPOSE_GENVEC, PURPOSE_SHIFT, roots_of_unity
+from medlattice.lattice import (
+    _BLOCK_BYTES,
+    PURPOSE_GENVEC,
+    PURPOSE_SHIFT,
+    NonFiniteValueError,
+    roots_of_unity,
+)
 
 
 class TestStreams:
@@ -294,8 +300,10 @@ class TestFFTAgainstDirectSum:
             calls.append(pts.shape)
             return vals
 
-        with pytest.raises(ValueError, match="1 non-finite values on lattice row 1"):
+        with pytest.raises(ValueError, match="1 non-finite values on lattice row 1") as info:
             estimate_coefficients(f, config, lattices, [FrequencyIndex([0, 0])])
+        assert isinstance(info.value, NonFiniteValueError)
+        assert (info.value.count, info.value.row) == (1, 1)
 
     def test_rejects_oversized_N_before_evaluating(self):
         """N above 2^31 raises ValueError without evaluating f."""

@@ -36,6 +36,7 @@ from medlattice import (
 )
 from medlattice import test_function_f2 as function_f2
 from medlattice.korobov import SpectralOracle
+from medlattice.lattice import PURPOSE_SHIFT, LatticeConfig, draw_shift, rng_stream
 from medlattice.median_approx import (
     AlgorithmParams,
     MedianApproximation,
@@ -220,15 +221,21 @@ class TestRun:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_value_raises(self, workers):
-        """A NaN at one node raises instead of poisoning a repetition."""
+        """A NaN at one node of the last repetition raises, naming the count
+        and that repetition; at workers=2 it lies in the second slice."""
+        ap = params_for(12, D1, W1)
+        last = ap.R - 1
+        # node 0 of a lattice is its shift, which identifies the repetition
+        shift = draw_shift(LatticeConfig(ap.N, 1), rng_stream(ap.master_seed, last, PURPOSE_SHIFT))
 
         def f(pts):
             vals = np.ones(pts.shape[0])
-            vals[5] = np.nan
+            if tuple(pts[0]) == shift.delta:
+                vals[5] = np.nan
             return vals
 
-        ap = params_for(12, D1, W1)
-        with pytest.raises(ValueError, match="1 non-finite values"):
+        assert ap.R > 2
+        with pytest.raises(ValueError, match=f"1 non-finite values in repetition {last}$"):
             run(f, ap, D1, W1, workers=workers)
 
     def test_conjugate_symmetry_real_input(self):
