@@ -167,27 +167,23 @@ def _run_master_seed(seed: int, budget_index: int, run_index: int) -> int:
     return int(state[0])
 
 
-def _selections_for(config: ExperimentConfig) -> Dict[int, SelectedParams]:
-    problem = config.problem()
-    weights = config.resolved_weights()
-    return {
-        M: select_params(BudgetSpec(M, config.delta), problem, weights)
-        for M in config.budgets
-    }
-
-
-def run_experiment(config: ExperimentConfig) -> List[ExperimentRecord]:
+def run_experiment(
+    config: ExperimentConfig,
+    selections: Optional[Dict[int, SelectedParams]] = None,
+) -> List[ExperimentRecord]:
     """Run the full budget grid and write the CSV if an output path is set.
 
     Infeasible budgets (N_star < 1) still produce records, flagged
     feasible=False with an empty error field, so the emitted grid always
-    matches the requested one.
+    matches the requested one.  A dict passed as ``selections`` receives
+    each budget's parameter selection, which the CSV header reports.
     """
     problem = config.problem()
     weights = config.resolved_weights()
     oracle = config.oracle()
     records: List[ExperimentRecord] = []
-    selections: Dict[int, SelectedParams] = {}
+    if selections is None:
+        selections = {}
 
     for bi, M_max in enumerate(config.budgets):
         sp = select_params(BudgetSpec(M_max, config.delta), problem, weights)
@@ -606,9 +602,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         return 0
 
-    records = run_experiment(config)
+    selections: Dict[int, SelectedParams] = {}
+    records = run_experiment(config, selections)
     if not config.out:
-        sys.stdout.write(emit_csv(config, records, _selections_for(config)))
+        sys.stdout.write(emit_csv(config, records, selections))
     feasible = [r for r in records if r.feasible and r.squared_L2_error is not None]
     usable = [r for r in feasible if r.squared_L2_error > 0]
     if len(usable) >= 3:

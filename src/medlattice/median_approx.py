@@ -18,6 +18,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from math import log
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -70,6 +71,11 @@ _REL_CONSISTENCY = 1e-9
 
 # coarse-lattice radius at which epsilon(h) truncates the Korobov norm
 _NORM_RADIUS = 2**12
+
+# bytes of work arrays evaluate holds per chunk of points: the chunk's
+# per-coordinate phase tables and its prefix sums, so memory does not grow
+# with the number of points
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,8 @@ class MedianApproximation:
 
     ``coefficients`` is keyed exactly by the members of ``index_set``;
     ``eval_count`` records the number of function evaluations, always R*N.
+    ``evaluate`` reads the coefficients once, on its first call, so they
+    must not change afterwards.
     """
 
     index_set: HyperbolicCross
@@ -163,6 +171,81 @@ class MedianApproximation:
     def __post_init__(self):
         if set(self.coefficients) != set(self.index_set.indices):
             raise ValueError("coefficients must be keyed exactly by the index-set members")
+
+    @cached_property
+    def _plan(self) -> "_EvaluationPlan":
+        # built on the first evaluate call; not a field, so equality, repr
+        # and the saved file do not see it
+        return _EvaluationPlan(self.index_set, self.coefficients)
+
+
+class _EvaluationPlan:
+    """One approximation's coefficients laid out for ``evaluate``.
+
+    With e(t) = exp(2*pi*i*t), the sum over A is grouped by the prefix
+    p = (h_1..h_{d-1}) of each frequency:
+
+        sum_h c_h e(h.x) = sum_p prod_{j<d} e(p_j x_j) * sum_k S[p, k] e(k x_d),
+
+    where k runs over -K_d..K_d.  A point then needs only the tables e(k x_j)
+    for |k| <= K_j = max |h_j|, not one exponential per frequency.
+    """
+
+    def __init__(self, index_set: HyperbolicCross, coefficients):
+        d = index_set.params.dim
+        # (|A|, d) frequencies and aligned coefficients, in index-set order;
+        # A is not empty
+        self.H = np.array([h.components for h in index_set.indices], dtype=np.int64)
+        self.c = np.array([coefficients[h] for h in index_set.indices], dtype=np.complex128)
+        self.radii = np.abs(self.H).max(axis=0)
+        prefixes, prefix_of = np.unique(self.H[:, :-1], axis=0, return_inverse=True)
+        K_d = self.radii[-1]
+        self.S = np.zeros((len(prefixes), 2 * K_d + 1), dtype=np.complex128)
+        self.S[prefix_of.reshape(-1), self.H[:, -1] + K_d] = self.c
+        # column of prefix p's component j in coordinate j's table
+        self.prefix_columns = [prefixes[:, j] + self.radii[j] for j in range(d - 1)]
+        # 2*pi*k for k = 1..K_j, per coordinate
+        self.angles = [2.0 * math.pi * np.arange(1, K + 1) for K in self.radii]
+        self.residual_tol = 1e-9 * np.abs(self.c).sum()
+        # a chunk's tables plus two (points, prefixes) arrays
+        self.bytes_per_point = 16 * (int(np.sum(2 * self.radii + 1)) + 2 * len(prefixes))
+
+    @property
+    def chunk_rows(self) -> int:
+        """Points per chunk, so that a chunk's work arrays take about _CHUNK_BYTES."""
+        return max(1, _CHUNK_BYTES // self.bytes_per_point)
+
+    def sums(self, pts: np.ndarray) -> np.ndarray:
+        """sum_h c_h e(h.x) at each row x of the (n, d) chunk ``pts``."""
+        G = _phase_table(pts[:, -1], self.angles[-1]) @ self.S.T  # (n, prefixes)
+        for j, columns in enumerate(self.prefix_columns):
+            G *= _phase_table(pts[:, j], self.angles[j])[:, columns]
+        return G.sum(axis=1)
+
+
+def _phase_table(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The (len(x), 2K+1) table of e(k x) for k = -K..K, given the K angles
+    2*pi*k for k = 1..K."""
+    K = len(angles)
+    table = np.empty((len(x), 2 * K + 1), dtype=np.complex128)
+    theta = x[:, None] * angles
+    table[:, K] = 1.0
+    table.real[:, K + 1:] = np.cos(theta)
+    table.imag[:, K + 1:] = np.sin(theta)
+    np.conjugate(table[:, K + 1:][:, ::-1], out=table[:, :K])
+    return table
+
+
+def _median(values: np.ndarray, axis: int) -> np.ndarray:
+    """Componentwise median along ``axis``, whose length must be odd: the
+    middle order statistic of the real and of the imaginary parts, each found
+    by selection (no full sort)."""
+    k = values.shape[axis] // 2
+    re = np.take(np.partition(values.real, k, axis=axis), k, axis=axis)
+    im = np.take(np.partition(values.imag, k, axis=axis), k, axis=axis)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 def complex_median(values: Sequence[complex]) -> complex:
@@ -175,10 +258,7 @@ def complex_median(values: Sequence[complex]) -> complex:
     n = vals.shape[0]
     if n == 0 or n % 2 == 0:
         raise ValueError("complex_median requires an odd number of values")
-    k = n // 2
-    re = np.partition(vals.real, k)[k]
-    im = np.partition(vals.imag, k)[k]
-    return complex(re, im)
+    return complex(_median(vals, axis=0))
 
 
 def _draw_lattice(config: LatticeConfig, key: tuple, genvec_purpose: int, shift_purpose: int):
@@ -266,12 +346,7 @@ def run(
         counts = [estimate_slice(0, params.R)]
     eval_count = sum(counts)
 
-    k = params.R // 2
-    med_re = np.partition(ests.real, k, axis=0)[k]
-    med_im = np.partition(ests.imag, k, axis=0)[k]
-    coefficients = {
-        h: complex(med_re[i], med_im[i]) for i, h in enumerate(targets)
-    }
+    coefficients = dict(zip(targets, _median(ests, axis=0).tolist()))
 
     expected = params.R * params.N
     if eval_count != expected:
@@ -301,27 +376,39 @@ def evaluate(approx: MedianApproximation, x):
     functions the imaginary part is pure noise; it is checked against
     1e-9 * sum |c_h| and a violation raises, since it indicates a broken
     coefficient map rather than roundoff.
+
+    The points are taken in chunks of fixed memory.  Per chunk, the cost is
+    one cosine and one sine per point and per k = 1..K_j of each coordinate
+    j (K_j = max |h_j| over A), plus about |A| to (2K_d+1) * #prefixes
+    multiply-adds per point; see ``_EvaluationPlan``.  A point's value does
+    not depend on the batch it comes in.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     d = approx.index_set.params.dim
     if pts.shape[-1] != d:
         raise ValueError(f"points have dimension {pts.shape[-1]}, expected {d}")
-    items = list(approx.coefficients.items())
-    if not items:
-        out = np.zeros(pts.shape[0])
-        return float(out[0]) if np.ndim(x) == 1 else out
-    H = np.array([list(h.components) for h, _ in items], dtype=float)  # (m, d)
-    c = np.array([v for _, v in items], dtype=np.complex128)
-    phases = np.exp(2j * math.pi * (pts @ H.T))  # (n, m)
-    vals = phases @ c
-    tol = 1e-9 * np.abs(c).sum()
-    worst = np.abs(vals.imag).max()
-    if worst > tol:
-        raise ValueError(
-            f"imaginary residual {worst:.3e} exceeds {tol:.3e}; "
-            "coefficients are not conjugate-symmetric"
-        )
-    out = vals.real
+    out = np.zeros(pts.shape[0])
+    if approx.coefficients:
+        plan = approx._plan
+        rows = plan.chunk_rows
+        worst = 0.0
+        for lo in range(0, len(pts), rows):
+            chunk = pts[lo:lo + rows]
+            size = len(chunk)
+            if size == 1:
+                # numpy hands a one-row matrix product to another BLAS
+                # routine than longer ones, which rounds differently; a
+                # second copy of the point keeps its value the same in every
+                # batch
+                chunk = np.repeat(chunk, 2, axis=0)
+            vals = plan.sums(chunk)[:size]
+            worst = max(worst, float(np.abs(vals.imag).max()))
+            out[lo:lo + size] = vals.real
+        if worst > plan.residual_tol:
+            raise ValueError(
+                f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "
+                "coefficients are not conjugate-symmetric"
+            )
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
@@ -472,11 +559,8 @@ def _report(probes, eps, threshold_factor, bound, estimates, truth, kind):
     """The report counting, per probe, the rows of ``estimates`` whose
     squared error exceeds threshold_factor * epsilon(h)^2."""
     thresholds = [threshold_factor * e ** 2 for e in eps]
-    failures = [0] * len(probes)
-    for row in estimates.tolist():
-        for i, est in enumerate(row):
-            if abs(est - truth[i]) ** 2 > thresholds[i]:
-                failures[i] += 1
+    exceeded = np.abs(estimates - np.asarray(truth)) ** 2 > np.asarray(thresholds)
+    failures = exceeded.sum(axis=0).tolist()
     results = tuple(
         ProbeResult(
             h=h,
@@ -552,10 +636,7 @@ def verify_median_amplification(
         for r in range(params.R)
     ]
     ests = estimate_coefficients(f.evaluate, config, lattices, probes)
-    ests = ests.reshape(trials, params.R, len(probes))
-    medians = np.array(
-        [[complex_median(ests[t, :, i]) for i in range(len(probes))] for t in range(trials)]
-    )
+    medians = _median(ests.reshape(trials, params.R, len(probes)), axis=1)
     return _report(probes, eps, 2.0, lemma_bound_amplified(params), medians, truth, "median")
 
 

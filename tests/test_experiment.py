@@ -366,6 +366,23 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out.startswith("#function=exp\n")
 
+    def test_main_selects_once_per_budget(self, capsys, monkeypatch):
+        """The stdout CSV header reuses the grid loop's selections."""
+        import medlattice.experiment as experiment
+
+        calls = []
+
+        def counting(budget, *args, **kwargs):
+            calls.append(budget.M_max)
+            return select(budget, *args, **kwargs)
+
+        select = experiment.select_params
+        monkeypatch.setattr(experiment, "select_params", counting)
+        assert main(["--function", "exp", "--budgets", "12,14"]) == 0
+        assert calls == [2**12, 2**14]
+        out = capsys.readouterr().out
+        assert "\n#select.4096=N=241;" in out and "\n#select.16384=N=863;" in out
+
     def test_main_fig3_with_svg(self, tmp_path):
         out = tmp_path / "fig3.csv"
         svg = tmp_path / "fig3.svg"

@@ -5,11 +5,12 @@ Monte-Carlo verification harnesses.
 """
 
 import math
+import tracemalloc
 from math import log
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlattice import (
@@ -34,13 +35,17 @@ from medlattice import (
     verify_concentration,
     verify_median_amplification,
 )
+from medlattice import median_approx
 from medlattice import test_function_f2 as function_f2
+from medlattice.index_set import HyperbolicCross
 from medlattice.korobov import SpectralOracle
 from medlattice.lattice import PURPOSE_SHIFT, LatticeConfig, draw_shift, rng_stream
 from medlattice.median_approx import (
     AlgorithmParams,
     MedianApproximation,
     Provenance,
+    _median,
+    _report,
     lemma_bound_amplified,
     lemma_bound_single,
 )
@@ -76,6 +81,41 @@ def single_mode_oracle(h0):
     )
 
 
+@st.composite
+def conjugate_symmetric_coefficients(draw):
+    """{frequency tuple: coefficient} with c_{-h} = conj(c_h), d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    coeffs = {(0,) * d: complex(draw(parts))}
+    for h in draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=30)):
+        if h not in coeffs:
+            c = complex(draw(parts), draw(parts))
+            coeffs[h] = c
+            coeffs[tuple(-v for v in h)] = c.conjugate()
+    return coeffs
+
+
+def approximation_from(coeffs):
+    """A MedianApproximation over exactly the frequencies of ``coeffs``."""
+    d = len(next(iter(coeffs)))
+    problem = SmoothnessParams(2.5, d)
+    weights = ProductWeights([1.0] * d)
+    cross = HyperbolicCross(
+        L=1.0,
+        params=problem,
+        weights=weights,
+        indices=tuple(FrequencyIndex(h) for h in sorted(coeffs)),
+    )
+    return MedianApproximation(
+        index_set=cross,
+        coefficients={FrequencyIndex(h): c for h, c in coeffs.items()},
+        provenance=Provenance(
+            params=params_for(12, D1, W1), problem=problem, weights=weights, rep_seeds=()
+        ),
+        eval_count=0,
+    )
+
+
 odd_complex_lists = st.lists(
     st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6),
     min_size=1,
@@ -86,6 +126,21 @@ odd_complex_lists = st.lists(
 class TestComplexMedian:
     def test_worked_example(self):
         assert complex_median([1 + 1j, 2 + 3j, 5 + 2j]) == 2 + 2j
+
+    @given(seed=st.integers(0, 2**32 - 1), axis=st.integers(0, 2))
+    def test_along_an_axis_matches_sorting(self, seed, axis):
+        """_median, which run and the amplification harness use, takes the
+        middle sorted real and imaginary part of every lane."""
+        rng = np.random.default_rng(seed)
+        shape = [int(v) for v in rng.integers(1, 5, size=3)]
+        shape[axis] = 2 * shape[axis] - 1
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _median(values, axis)
+        lanes = np.moveaxis(values, axis, -1)
+        k = shape[axis] // 2
+        for idx in np.ndindex(lanes.shape[:-1]):
+            lane = lanes[idx]
+            assert got[idx] == complex(sorted(lane.real)[k], sorted(lane.imag)[k])
 
     def test_single_value(self):
         assert complex_median([3.5 - 1.25j]) == 3.5 - 1.25j
@@ -321,6 +376,88 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="imaginary"):
             evaluate(bad, np.array([0.37]))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=conjugate_symmetric_coefficients(),
+        rows=st.integers(2, 9),
+        full_chunks=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_sum(self, data, rows, full_chunks, seed):
+        """Against Re sum_h c_h e^{2 pi i h.x} over several chunks, the last
+        one partial."""
+        approx = approximation_from(data)
+        H = np.array(list(data), dtype=float)
+        c = np.array(list(data.values()))
+        d = H.shape[1]
+        rng = np.random.default_rng(seed)
+        n = rows * full_chunks + int(rng.integers(1, rows))
+        X = rng.uniform(-1.0, 2.0, (n, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point
+            )
+            assert approx._plan.chunk_rows == rows
+            got = evaluate(approx, X)
+        want = (np.exp(2j * np.pi * (X @ H.T)) @ c).real
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(c).sum()
+
+    def test_single_point_equals_batch_bitwise(self):
+        ap = params_for(14, D2, W2, seed=11)
+        approx = run(function_f2(2).evaluate, ap, D2, W2)
+        rows = approx._plan.chunk_rows
+        X = np.random.default_rng(4).random((2 * rows + 1, 2))
+        batch = evaluate(approx, X)
+        singles = np.array([evaluate(approx, x) for x in X])
+        assert np.array_equal(singles, batch)
+        # the batch ends in a one-point chunk; other chunk boundaries too
+        assert np.array_equal(evaluate(approx, X[rows - 1:]), batch[rows - 1:])
+
+    def test_imaginary_residual_after_the_first_chunk(self):
+        """Coefficients without their conjugate partners raise even when the
+        first chunk's points, at x = 0, have no imaginary part."""
+        ap = params_for(12, D1, W1)
+        cross = enumerate_hyperbolic_cross(ap.N_star, D1, W1)
+        coeffs = {h: 0j for h in cross}
+        coeffs[FrequencyIndex([1])] = 1.0 + 0j
+        bad = MedianApproximation(
+            index_set=cross,
+            coefficients=coeffs,
+            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            eval_count=ap.R * ap.N,
+        )
+        rows = bad._plan.chunk_rows
+        X = np.zeros((2 * rows + 1, 1))
+        assert np.array_equal(evaluate(bad, X), np.ones(len(X)))
+        for late in (rows, 2 * rows):
+            X[late] = 0.37
+            with pytest.raises(ValueError, match="imaginary"):
+                evaluate(bad, X)
+            X[late] = 0.0
+
+    def test_memory_bounded(self):
+        """One 65536-point call on |A| = 149 frequencies stays far below the
+        16 * 65536 * 149 bytes of a dense (points, frequencies) matrix."""
+        ap = params_for(18, D2, W2)
+        cross = enumerate_hyperbolic_cross(ap.N_star, D2, W2)
+        assert len(cross) == 149
+        f = function_f2(2)
+        approx = MedianApproximation(
+            index_set=cross,
+            coefficients={h: f.coefficient(h) for h in cross},
+            provenance=Provenance(params=ap, problem=D2, weights=W2, rep_seeds=()),
+            eval_count=ap.R * ap.N,
+        )
+        X = np.random.default_rng(5).random((65536, 2))
+        tracemalloc.start()
+        try:
+            evaluate(approx, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestEpsilonBound:
     def test_finite_modes_no_tail(self):
@@ -416,6 +553,47 @@ class TestVerifyMedianAmplification:
         rep = verify_median_amplification(function_f2(1), ap, D1, W1, trials=10)
         assert rep.vacuous()
         assert rep.kind == "median"
+
+
+class TestExceedanceCounts:
+    @given(seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([1.0, 2.0]))
+    def test_report_matches_loop(self, seed, factor):
+        rng = np.random.default_rng(seed)
+        rows, probes = rng.integers(1, 12), rng.integers(1, 6)
+        estimates = rng.normal(size=(rows, probes)) + 1j * rng.normal(size=(rows, probes))
+        truth = [complex(v) for v in rng.normal(size=probes)]
+        eps = [float(v) for v in rng.uniform(0.2, 2.0, size=probes)]
+        report = _report(
+            [FrequencyIndex([i]) for i in range(probes)], eps, factor, 0.5, estimates, truth, "single"
+        )
+        for i, r in enumerate(report):
+            expected = sum(
+                abs(complex(est) - truth[i]) ** 2 > factor * eps[i] ** 2 for est in estimates[:, i]
+            )
+            assert r.failures == expected and r.trials == rows
+
+    def test_failure_counts_at_a_fixed_seed(self):
+        """Both harnesses on f2 plus pseudo-random node noise, which every
+        probe sees: the per-probe failure counts the harnesses reported before
+        the exceedance count and the median were vectorised."""
+        f = function_f2(2)
+
+        def noisy(X):
+            cells = np.floor(X * 2**20).astype(np.int64) @ np.arange(1, 3)
+            return f.evaluate(X) + 2.0 * ((cells * 2654435761 % 1009) / 1009 - 0.5)
+
+        oracle = SpectralOracle(
+            dim=2,
+            coefficient=f.coefficient,
+            l2_norm_sq=f.l2_norm_sq,
+            evaluate=noisy,
+            factor_coefficient=f.factor_coefficient,
+        )
+        ap = params_for(14, D2, W2, R=5, seed=8)
+        single = verify_concentration(oracle, ap, D2, W2, trials=100)
+        median = verify_median_amplification(oracle, ap, D2, W2, trials=20)
+        assert [r.failures for r in single] == [53, 77, 81, 83, 81, 81, 83, 81, 77]
+        assert [r.failures for r in median] == [3, 10, 4, 3, 7, 7, 3, 4, 10]
 
 
 class TestSerialization:
