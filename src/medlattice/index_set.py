@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from math import exp, log
 from typing import Iterator, Sequence
@@ -39,6 +40,11 @@ __all__ = [
 _LOG_SLACK = 1e-9
 
 _DEFAULT_CAP = 10**8
+
+# every live HyperbolicCross, keyed by the arguments that enumerated it, so
+# that runs on one problem share one index set; an entry disappears with the
+# last reference to its cross
+_LIVE_CROSSES = weakref.WeakValueDictionary()
 
 
 def _log_costs(params: SmoothnessParams, weights: ProductWeights):
@@ -106,6 +112,10 @@ def enumerate_hyperbolic_cross(
     gamma_j); candidates are emitted in ascending component order, which
     makes the overall output lexicographic.
 
+    While a cross enumerated from the same (L, params, weights, cap) is
+    still referenced anywhere, that cross is returned instead of a new one;
+    it is immutable, so its users can share it.
+
     Args:
         L: truncation radius; L < 1 returns the empty set.
         params: SmoothnessParams (alpha, dim).
@@ -119,10 +129,19 @@ def enumerate_hyperbolic_cross(
     Raises:
         ValueError: when the projected cardinality exceeds ``cap``.
     """
+    weights.require(params.dim)
+    key = (float(L), params, weights, cap)
+    cross = _LIVE_CROSSES.get(key)
+    if cross is None:
+        cross = _enumerate(float(L), params, weights, cap)
+        _LIVE_CROSSES[key] = cross
+    return cross
+
+
+def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap: int):
     d = params.dim
-    weights.require(d)
     if L < 1.0:
-        return HyperbolicCross(L=float(L), params=params, weights=weights, indices=())
+        return HyperbolicCross(L=L, params=params, weights=weights, indices=())
 
     projected = bound_basic(L, 1.0, params, weights)
     if projected > cap:
@@ -151,7 +170,7 @@ def enumerate_hyperbolic_cross(
     recurse(0, log_budget + _LOG_SLACK)
     if len(out) > cap:
         raise ValueError(f"enumerated {len(out)} indices, exceeding the cap {cap}")
-    return HyperbolicCross(L=float(L), params=params, weights=weights, indices=tuple(out))
+    return HyperbolicCross(L=L, params=params, weights=weights, indices=tuple(out))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,10 @@ transform of the node values:
 One FFT plus a gather serves all targets, at cost O(N log N + |A|*d) per
 lattice instead of O(N*|A|) for the direct sums.  Lattices of one size are
 transformed together, a block of rows per FFT call, so the length-N
-transform is planned once per block rather than once per lattice.
+transform is planned once per block rather than once per lattice.  When f is
+real, the lattices at positions 2k and 2k+1 of a call share one row as the
+real and the imaginary part of u + i*v, and the two spectra are separated
+after the transform, so a real pair costs one transform instead of two.
 
 All randomness flows through counter-based Philox streams keyed by tuples
 such as (master_seed, repetition, purpose), so repetitions are independent of
@@ -176,14 +179,25 @@ def estimate_coefficients(
     """Estimate the Fourier coefficients of f at every target on every lattice.
 
     f is evaluated exactly once per lattice, on the full batch of its N
-    shifted nodes.  The node values of up to max(1, 2^20 // (16*N)) lattices,
-    1 MiB of complex128, fill the rows of one block, which is transformed by
-    one batched length-N FFT; each target h then costs its residue
-    m = h.z mod N, computed exactly in int64, a gather of the row's entry m
-    and a multiplication by the shift phase exp(-2*pi*i*h.Delta).  The cost is
-    O(N log N + |targets|*d) per lattice for any number of targets.  Every
-    row of a batched transform equals the one-row transform bit for bit, so
-    a lattice's estimates do not depend on which others share its call.
+    shifted nodes.  Node values fill the rows of a block of
+    max(1, 2^20 // (16*N)) rows, 1 MiB of complex128, which is transformed
+    by one batched length-N FFT.  The lattices are paired (2k, 2k+1) by
+    their position in the call.  When f returns real values on both
+    lattices of a pair, they share one row, the first as its real part u and
+    the second as its imaginary part v; every other lattice (one whose
+    values are complex, the partner of such a lattice, and the last one of
+    an odd count) takes a row alone.
+
+    Each target h then costs its residue m = h.z mod N, computed exactly in
+    int64, a gather from the transformed row Y and a multiplication by the
+    shift phase exp(-2*pi*i*h.Delta).  A lone row is read at m; a shared
+    row is read at m and -m mod N and unpacked as
+    U[m] = (Y[m] + conj(Y[-m]))/2 for the first lattice and
+    V[m] = (Y[m] - conj(Y[-m]))/(2i) for the second.  The cost is
+    O(N log N + |targets|*d) per lattice for any number of targets, and half
+    the transforms for real f.  Every row of a batched transform equals the
+    one-row transform bit for bit, so a lattice's estimates depend only on
+    its own pair, never on the block or on the rest of the call.
 
     Parameters
     ----------
@@ -195,7 +209,8 @@ def estimate_coefficients(
         N must not exceed 2^31, which keeps every integer product inside
         int64.
     lattices : sequence of (GeneratingVector, RandomShift)
-        Nonempty; row i of the result belongs to ``lattices[i]``.
+        Nonempty; row i of the result belongs to ``lattices[i]``, and
+        ``lattices[2k]`` and ``lattices[2k+1]`` form a pair.
     targets : iterable of FrequencyIndex
         Nonempty collection of frequencies.
 
@@ -228,25 +243,61 @@ def estimate_coefficients(
     out = np.empty((len(lattices), len(targets)), dtype=np.complex128)
     rows = min(len(lattices), max(1, _BLOCK_BYTES // (16 * N)))
     block = np.empty((rows, N), dtype=np.complex128)
-    for start in range(0, len(lattices), rows):
-        chunk = lattices[start:start + rows]
-        spectra = block[: len(chunk)]
-        for row, (z, delta) in enumerate(chunk):
-            vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
-            if vals.shape != (N,):
-                raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
-            bad = N - np.count_nonzero(np.isfinite(vals))
-            if bad:
-                raise NonFiniteValueError(bad, start + row)
-            spectra[row] = vals
+    # per filled row of the block: its first lattice, and whether that
+    # lattice's real values share the row with the next one's as u + i*v
+    firsts, packed = [], []
+    waiting = False  # the last row holds lattice i-1 alone, real, i-1 even
+
+    def transform_and_gather():
+        spectra = block[: len(firsts)]
         np.fft.fft(spectra, axis=-1, out=spectra)  # out= needs numpy >= 2.0
-        for row, (z, delta) in enumerate(chunk):
-            # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
-            m = np.zeros(len(targets), dtype=np.int64)
-            for j, zj in enumerate(z.z):
-                m = (m + H_mod[:, j] * zj) % N
-            phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
-            out[start + row] = phase * (spectra[row, m] / N)
+        for row, (first, pair) in enumerate(zip(firsts, packed)):
+            for part in range(1 + pair):
+                z, delta = lattices[first + part]
+                # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
+                m = np.zeros(len(targets), dtype=np.int64)
+                for j, zj in enumerate(z.z):
+                    m = (m + H_mod[:, j] * zj) % N
+                Y = spectra[row, m]
+                if pair:
+                    # Y = U + i*V for the spectra U, V of the two real
+                    # sequences; U[m] = (Y[m] + conj(Y[-m]))/2 and
+                    # V[m] = (Y[m] - conj(Y[-m]))/(2i)
+                    mirror = np.conj(spectra[row, (N - m) % N])
+                    Y = (Y + mirror) * 0.5 if part == 0 else (Y - mirror) * -0.5j
+                phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
+                out[first + part] = phase * (Y / N)
+        firsts.clear()
+        packed.clear()
+
+    for i, (z, delta) in enumerate(lattices):
+        vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
+        if vals.shape != (N,):
+            raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
+        bad = N - np.count_nonzero(np.isfinite(vals))
+        if bad:
+            raise NonFiniteValueError(bad, i)
+        real = not np.iscomplexobj(vals)
+        if real and waiting:
+            # the second real lattice of a pair: the imaginary half of the
+            # row its partner opened
+            block[len(firsts) - 1].imag = vals
+            packed[-1] = True
+        else:
+            if len(firsts) == rows:
+                transform_and_gather()
+            row = block[len(firsts)]
+            if real:
+                row.real = vals
+                row.imag = 0.0
+            else:
+                row[:] = vals
+            firsts.append(i)
+            packed.append(False)
+        waiting = real and i % 2 == 0
+        del vals
+    if firsts:
+        transform_and_gather()
     return out
 
 

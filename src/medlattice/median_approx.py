@@ -286,9 +286,11 @@ def run(
     The repetitions form a parallel map with a deterministic reduce: each
     repetition's randomness is keyed by its index, the R lattices are split
     into contiguous slices whose estimates fill repetition-indexed rows, and
-    only then are the medians taken.  A lattice's estimates do not depend on
-    the slice or FFT block it lands in, so the output is bit-identical for
-    any ``workers`` value.
+    only then are the medians taken.  The estimator transforms repetitions
+    2k and 2k+1 together, so the slice bounds are even numbers (or R) and
+    no pair straddles two slices.  A lattice's estimates depend only on its
+    pair, not on the slice or FFT block it lands in, so the output is
+    bit-identical for any ``workers`` value.
 
     Parameters
     ----------
@@ -299,7 +301,8 @@ def run(
         Smoothness parameters and product weights defining A_d(N_star).
     workers : int
         Thread count for the repetition map; each thread estimates one
-        contiguous slice of the R lattices.
+        contiguous slice of whole pairs of the R lattices, so at most
+        (R + 1) // 2 threads run.
     cap : int
         Index-set memory guard.
 
@@ -337,8 +340,11 @@ def run(
             ) from err
         return points
 
-    slices = max(1, min(workers, params.R))
-    bounds = [params.R * s // slices for s in range(slices + 1)]
+    # slices hold whole pairs (2k, 2k+1), which the estimator transforms
+    # together, so a slice bound never falls inside a pair
+    pairs = (params.R + 1) // 2
+    slices = max(1, min(workers, pairs))
+    bounds = [min(params.R, 2 * (pairs * s // slices)) for s in range(slices + 1)]
     if slices > 1:
         with ThreadPoolExecutor(max_workers=slices) as pool:
             counts = list(pool.map(estimate_slice, bounds[:-1], bounds[1:]))

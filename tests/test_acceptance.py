@@ -11,6 +11,8 @@ passing.
 
 import bisect
 import math
+import os
+import time
 from math import log
 
 import numpy as np
@@ -295,6 +297,35 @@ class TestConcentration:
         assert _verdict(
             capsys, ok, "5 amplification (d=1 supplement)",
             f"rates R=1:{rates[1]} R=3:{rates[3]} R=5:{rates[5]}{note}",
+        )
+
+
+    @pytest.mark.skipif(
+        os.environ.get("MEDLATTICE_SLOW") != "1",
+        reason="about 150 s; set MEDLATTICE_SLOW=1 to run",
+    )
+    def test_5_amplified_bound_where_informative(self, capsys):
+        """Exceedance of 2*epsilon(h)^2 by the R-fold median stays under the
+        amplified bound + 3 sigma (200 trials) at d=1, M=2^22, where that
+        bound is below one, unlike the N=241 setting of the check above."""
+        sel = select_params(BudgetSpec(2**22, 0.01), D1_F2, W1)
+        params = AlgorithmParams.from_problem(
+            N=sel.N_max, R=sel.R, tau=sel.tau_star,
+            master_seed=42, problem=D1_F2, weights=W1,
+        )
+        start = time.perf_counter()
+        report = verify_median_amplification(function_f2(1), params, D1_F2, W1, trials=200)
+        wall = time.perf_counter() - start
+        probes = list(report)
+        ok = True
+        for probe in probes:
+            assert not probe.vacuous
+            sigma = math.sqrt(probe.bound * (1.0 - probe.bound) / probe.trials)
+            ok &= probe.rate <= probe.bound + 3.0 * sigma
+        assert _verdict(
+            capsys, ok, "5 amplification (d=1, 2^22)",
+            f"N={params.N}, R={params.R}, rates {[p.rate for p in probes]} "
+            f"vs bound {probes[0].bound:.4f} + 3sigma, {wall:.0f} s",
         )
 
 

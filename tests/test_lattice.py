@@ -243,22 +243,28 @@ class TestFFTAgainstDirectSum:
     @given(_lattice_case())
     def test_matches_direct_sum(self, case):
         """Every row of the FFT-and-gather estimator equals the defining
-        direct sum on its lattice, and the one-lattice call bit for bit."""
+        direct sum on its lattice.  Rows equal the call on their own pair
+        (2k, 2k+1) bit for bit when f is real, and the one-lattice call when
+        f is complex or the lattice is an odd trailing one."""
         config, lattices, targets, f = case
         out = estimate_coefficients(f, config, lattices, targets)
         assert out.shape == (len(lattices), len(targets))
         for row, (z, delta) in zip(out, lattices):
             for j, h in enumerate(targets):
                 assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
-            single = estimate_coefficients(f, config, [(z, delta)], targets)
-            assert row.tobytes() == single[0].tobytes()
+        group = 1 if np.iscomplexobj(f(np.zeros((1, config.dim)))) else 2
+        for start in range(0, len(lattices), group):
+            alone = estimate_coefficients(f, config, lattices[start:start + group], targets)
+            assert out[start:start + group].tobytes() == alone.tobytes()
 
     def test_rows_span_blocks_bitwise(self):
         """A call spanning several FFT blocks evaluates f once per lattice on
-        its (N, d) nodes, and each row equals the one-lattice call bit for
-        bit, so results do not depend on how lattices are grouped."""
-        N, d, count = 10903, 2, 7
-        assert count > _BLOCK_BYTES // (16 * N)
+        its (N, d) nodes, and each row equals the call on its own pair bit
+        for bit (the odd trailing lattice, alone in the second block: the
+        one-lattice call), so results do not depend on how pairs are
+        grouped into blocks."""
+        N, d, count = 10903, 2, 13
+        assert count > 2 * (_BLOCK_BYTES // (16 * N))
         config = LatticeConfig(N, d)
         lattices = [
             (
@@ -276,9 +282,9 @@ class TestFFTAgainstDirectSum:
 
         out = estimate_coefficients(f, config, lattices, targets)
         assert calls == [(N, d)] * count
-        for row, lattice in zip(out, lattices):
-            single = estimate_coefficients(f, config, [lattice], targets)
-            assert row.tobytes() == single[0].tobytes()
+        for start in range(0, count, 2):
+            pair = estimate_coefficients(f, config, lattices[start:start + 2], targets)
+            assert out[start:start + 2].tobytes() == pair.tobytes()
 
     def test_non_finite_value_raises(self):
         """One NaN at one node of the second lattice raises, naming the
@@ -304,6 +310,65 @@ class TestFFTAgainstDirectSum:
             estimate_coefficients(f, config, lattices, [FrequencyIndex([0, 0])])
         assert isinstance(info.value, NonFiniteValueError)
         assert (info.value.count, info.value.row) == (1, 1)
+
+    def test_mixed_real_and_complex_values(self):
+        """f complex on some lattices and real on others: packed rows for
+        real pairs, lone rows for the complex lattices, their real partners
+        and the odd trailing one, with a real lattice closing a full block
+        whose complex partner opens the next; every row equals the direct
+        sum."""
+        N, d, count = 10903, 2, 15
+        config = LatticeConfig(N, d)
+        lattices = [
+            (
+                draw_generating_vector(config, rng_stream(4, r, PURPOSE_GENVEC)),
+                draw_shift(config, rng_stream(4, r, PURPOSE_SHIFT)),
+            )
+            for r in range(count)
+        ]
+        # five packed pairs and lone lattice 10 fill the first block's six
+        # rows; 11 and 12 are complex, so 13 and the trailing 14 are alone
+        assert _BLOCK_BYTES // (16 * N) == 6
+        complex_shifts = {lattices[r][1].delta for r in (11, 12)}
+        mode = np.array([2.0, -1.0])
+
+        def f(pts):
+            # node 0 of a lattice is its shift, which identifies the lattice
+            vals = np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0] * (1 - pts[:, 1])
+            if tuple(pts[0]) in complex_shifts:
+                return vals * (1 + 0.5j * pts[:, 1])
+            return vals
+
+        targets = [FrequencyIndex([a, b]) for a in (-2, 0, 2, 5) for b in (-1, 1, N + 3)]
+        out = estimate_coefficients(f, config, lattices, targets)
+        for row, (z, delta) in zip(out, lattices):
+            for j, h in enumerate(targets):
+                assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
+
+    def test_non_finite_value_in_a_packed_pair(self):
+        """A NaN in the second lattice of a packed pair, in the second
+        block, names that lattice's row, not its partner's or the block's."""
+        N, d = 10903, 2
+        config = LatticeConfig(N, d)
+        lattices = [
+            (
+                draw_generating_vector(config, rng_stream(9, r, PURPOSE_GENVEC)),
+                draw_shift(config, rng_stream(9, r, PURPOSE_SHIFT)),
+            )
+            for r in range(15)
+        ]
+        bad_shift = lattices[13][1].delta
+
+        def f(pts):
+            vals = np.cos(2 * np.pi * pts[:, 0])
+            if tuple(pts[0]) == bad_shift:
+                vals[40] = np.nan
+                vals[41] = np.inf
+            return vals
+
+        with pytest.raises(NonFiniteValueError, match="2 non-finite values on lattice row 13$") as info:
+            estimate_coefficients(f, config, lattices, [FrequencyIndex([1, 0])])
+        assert (info.value.count, info.value.row) == (2, 13)
 
     def test_rejects_oversized_N_before_evaluating(self):
         """N above 2^31 raises ValueError without evaluating f."""

@@ -4,8 +4,10 @@ median, the repetition loop, the error functional epsilon(h), and the two
 Monte-Carlo verification harnesses.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 from math import log
 
 import numpy as np
@@ -35,7 +37,7 @@ from medlattice import (
     verify_concentration,
     verify_median_amplification,
 )
-from medlattice import median_approx
+from medlattice import index_set, median_approx
 from medlattice import test_function_f2 as function_f2
 from medlattice.index_set import HyperbolicCross
 from medlattice.korobov import SpectralOracle
@@ -292,6 +294,52 @@ class TestRun:
         assert ap.R > 2
         with pytest.raises(ValueError, match=f"1 non-finite values in repetition {last}$"):
             run(f, ap, D1, W1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_value_in_an_odd_repetition(self, workers):
+        """A NaN in repetition R-2, the second lattice of the pair
+        (R-3, R-2), names that repetition at every worker count."""
+        ap = params_for(12, D1, W1)
+        odd = ap.R - 2
+        assert odd % 2 == 1
+        shift = draw_shift(LatticeConfig(ap.N, 1), rng_stream(ap.master_seed, odd, PURPOSE_SHIFT))
+
+        def f(pts):
+            vals = np.cos(2 * np.pi * pts[:, 0])
+            if tuple(pts[0]) == shift.delta:
+                vals[7] = np.nan
+            return vals
+
+        with pytest.raises(ValueError, match=f"1 non-finite values in repetition {odd}$"):
+            run(f, ap, D1, W1, workers=workers)
+
+    def test_coefficients_bitwise_across_workers(self):
+        """For odd R, the coefficients are bitwise equal at workers 1, 2, 3
+        and 8: every slice holds whole pairs of repetitions."""
+        ap = params_for(14, D2, W2, seed=20240807)
+        assert ap.R % 2 == 1
+        f = function_f2(2)
+        outputs = []
+        for workers in (1, 2, 3, 8):
+            approx = run(f.evaluate, ap, D2, W2, workers=workers)
+            outputs.append(np.array([approx.coefficients[h] for h in approx.index_set]).tobytes())
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_runs_share_one_live_index_set(self):
+        """Two runs on one problem share one index set, which is freed with
+        its last user; a cap violation still raises and stores nothing."""
+        ap = params_for(12, D1, W1, seed=3)
+        f = function_f2(1)
+        first = run(f.evaluate, ap, D1, W1)
+        second = run(f.evaluate, ap, D1, W1, workers=2)
+        assert second.index_set is first.index_set
+        cross = weakref.ref(first.index_set)
+        del first, second
+        gc.collect()
+        assert cross() is None
+        with pytest.raises(ValueError, match="exceeds the cap 1"):
+            run(f.evaluate, ap, D1, W1, cap=1)
+        assert (float(ap.N_star), D1, W1, 1) not in index_set._LIVE_CROSSES
 
     def test_conjugate_symmetry_real_input(self):
         ap = params_for(14, D2, W2, seed=7)
