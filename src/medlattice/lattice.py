@@ -246,7 +246,9 @@ def estimate_coefficients(
     # per filled row of the block: its first lattice, and whether that
     # lattice's real values share the row with the next one's as u + i*v
     firsts, packed = [], []
-    waiting = False  # the last row holds lattice i-1 alone, real, i-1 even
+    # whether the last row holds only the real first lattice of a pair, so
+    # that the next lattice may take its imaginary half
+    waiting = False
 
     def transform_and_gather():
         spectra = block[: len(firsts)]
