@@ -18,7 +18,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import log
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -72,9 +72,9 @@ _REL_CONSISTENCY = 1e-9
 # coarse-lattice radius at which epsilon(h) truncates the Korobov norm
 _NORM_RADIUS = 2**12
 
-# bytes of work arrays evaluate holds per chunk of points: the chunk's
-# per-coordinate phase tables and its prefix sums, so memory does not grow
-# with the number of points
+# bytes of work arrays evaluate holds per chunk of points (see
+# _EvaluationPlan.bytes_per_point), so memory does not grow with the number
+# of points
 _CHUNK_BYTES = 2**20
 
 
@@ -188,7 +188,11 @@ class _EvaluationPlan:
         sum_h c_h e(h.x) = sum_p prod_{j<d} e(p_j x_j) * sum_k S[p, k] e(k x_d),
 
     where k runs over -K_d..K_d.  A point then needs only the tables e(k x_j)
-    for |k| <= K_j = max |h_j|, not one exponential per frequency.
+    for |k| <= K_j = max |h_j|, not one exponential per frequency.  One
+    table of e(k x_j) for |k| <= K = max_j K_j serves every coordinate of a
+    chunk; it costs one cosine and one sine per coordinate and point, the
+    rest is complex products (``_phase_table``).  Coordinates with K_j < K
+    leave rows of it unused, and ``bytes_per_point`` counts them.
     """
 
     def __init__(self, index_set: HyperbolicCross, coefficients):
@@ -197,43 +201,123 @@ class _EvaluationPlan:
         # A is not empty
         self.H = np.array([h.components for h in index_set.indices], dtype=np.int64)
         self.c = np.array([coefficients[h] for h in index_set.indices], dtype=np.complex128)
-        self.radii = np.abs(self.H).max(axis=0)
+        radii = np.abs(self.H).max(axis=0)
+        self.K = int(radii.max())
         prefixes, prefix_of = np.unique(self.H[:, :-1], axis=0, return_inverse=True)
-        K_d = self.radii[-1]
+        K_d = int(radii[-1])
         self.S = np.zeros((len(prefixes), 2 * K_d + 1), dtype=np.complex128)
         self.S[prefix_of.reshape(-1), self.H[:, -1] + K_d] = self.c
-        # column of prefix p's component j in coordinate j's table
-        self.prefix_columns = [prefixes[:, j] + self.radii[j] for j in range(d - 1)]
-        # 2*pi*k for k = 1..K_j, per coordinate
-        self.angles = [2.0 * math.pi * np.arange(1, K + 1) for K in self.radii]
+        # table rows of the last coordinate's k = -K_d..K_d, and of each
+        # prefix's component j
+        self.last_rows = slice(self.K - K_d, self.K + K_d + 1)
+        self.prefix_rows = [prefixes[:, j] + self.K for j in range(d - 1)]
         self.residual_tol = 1e-9 * np.abs(self.c).sum()
-        # a chunk's tables plus two (points, prefixes) arrays
-        self.bytes_per_point = 16 * (int(np.sum(2 * self.radii + 1)) + 2 * len(prefixes))
+        # the arrays of _work, per point
+        self.bytes_per_point = 16 * (
+            (2 * self.K + 1) * d + 2 * K_d + 1 + (1 + min(2, d - 1)) * len(prefixes) + 1
+        )
 
-    @property
+    @cached_property
     def chunk_rows(self) -> int:
-        """Points per chunk, so that a chunk's work arrays take about _CHUNK_BYTES."""
+        """Points per chunk, so that a chunk's work arrays take about
+        _CHUNK_BYTES; fixed on the first evaluate call."""
         return max(1, _CHUNK_BYTES // self.bytes_per_point)
 
-    def sums(self, pts: np.ndarray) -> np.ndarray:
-        """sum_h c_h e(h.x) at each row x of the (n, d) chunk ``pts``."""
-        G = _phase_table(pts[:, -1], self.angles[-1]) @ self.S.T  # (n, prefixes)
-        for j, columns in enumerate(self.prefix_columns):
-            G *= _phase_table(pts[:, j], self.angles[j])[:, columns]
-        return G.sum(axis=1)
+    def sums(self, pts: np.ndarray):
+        """Re sum_h c_h e(h.x) at each row x of the (n, d) array ``pts``,
+        and the largest |Im| of these sums.
+
+        A lone point goes on as two copies once their cosine and sine are
+        taken, because numpy hands one-row and one-column arrays to other
+        BLAS routines and loops than longer ones, which round differently;
+        so a point's value does not depend on its batch.
+        """
+        n, d = pts.shape
+        rows = self.chunk_rows
+        out = np.empty(n + 1)  # a lone last point writes two values
+        worst = 0.0
+        for lo in range(0, n, rows):
+            chunk = pts[lo:lo + rows]
+            if lo == 0 or len(chunk) < rows:
+                # full chunks share one set of work arrays: fresh ones per
+                # chunk can be handed back to the system and faulted in
+                # again every time
+                work = self._work(len(chunk), d)
+            table, last, G, factors, sums = work
+            size = len(sums)
+            _phase_table(chunk, table)
+            # the last coordinate's block, point-major: with one prefix the
+            # product is a matrix-vector one, and on the transposed view it
+            # rounds differently for different numbers of points
+            last[...] = table[self.last_rows, (d - 1) * size:].T
+            # (prefixes, points) after the matmul, so that the sum over
+            # prefixes adds whole rows in order, the same for every point
+            prod = np.matmul(last, self.S.T, out=G).T
+            for j, prefix_rows in enumerate(self.prefix_rows):
+                factor = factors[j % 2]
+                table[:, j * size:(j + 1) * size].take(
+                    prefix_rows, axis=0, out=factor, mode="clip")
+                prod = np.multiply(prod, factor, out=factor)
+            np.add.reduce(prod, axis=0, out=sums)
+            out[lo:lo + size] = sums.real
+            worst = max(worst, np.maximum.reduce(np.abs(sums.imag)))
+        return out[:n], worst
+
+    def _work(self, m: int, d: int) -> tuple:
+        """Work arrays for a chunk of m points, two for a lone point: its
+        table, the copy of the last coordinate's block, the matmul result,
+        the prefix factors (the running product lands in the factor it was
+        multiplied by, so two take turns) and the sums."""
+        size, P, c = max(m, 2), len(self.S), np.complex128
+        return (
+            np.empty((2 * self.K + 1, d * size), dtype=c),
+            np.empty((size, self.S.shape[1]), dtype=c),
+            np.empty((size, P), dtype=c),
+            np.empty((min(2, d - 1), P, size), dtype=c),
+            np.empty(size, dtype=c),
+        )
 
 
-def _phase_table(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The (len(x), 2K+1) table of e(k x) for k = -K..K, given the K angles
-    2*pi*k for k = 1..K."""
-    K = len(angles)
-    table = np.empty((len(x), 2 * K + 1), dtype=np.complex128)
-    theta = x[:, None] * angles
-    table[:, K] = 1.0
-    table.real[:, K + 1:] = np.cos(theta)
-    table.imag[:, K + 1:] = np.sin(theta)
-    np.conjugate(table[:, K + 1:][:, ::-1], out=table[:, :K])
+def _phase_table(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Fill ``table`` with e(k x) in row K+k, for k = -K..K, and return it.
+
+    ``table`` has 2K+1 rows and d*m columns, and x runs over the (m, d)
+    points ``pts`` coordinate by coordinate: coordinate j's points are the
+    columns j*m..(j+1)*m - 1.  A lone point, ``pts`` of shape (1, d), takes
+    a table of m = 2 columns per coordinate and fills both.
+
+    Row K+1 takes one cosine and one sine per coordinate of each point.
+    Then, for s = 1, 2, 4, ..., rows K+s+1..K+2s are the products
+    e(s x) * e(r x) for r = 1..s, and the rows of negative k are the
+    conjugates.
+    """
+    K = len(table) // 2
+    pos = table[K:]  # row k is e(k x)
+    pos[0] = 1.0
+    if K:
+        theta = pts.T * (2.0 * math.pi)
+        first = pos[1].reshape(len(theta), -1)
+        np.cos(theta, out=first.real[:, :len(pts)])
+        np.sin(theta, out=first.imag[:, :len(pts)])
+        if len(pts) == 1:
+            first[:, 1] = first[:, 0]
+        for known, step, filled in _doublings(K):
+            np.multiply(pos[known], pos[step], out=pos[filled])
+        np.conjugate(pos[1:], out=table[K - 1::-1])
     return table
+
+
+@lru_cache(maxsize=None)
+def _doublings(K: int) -> tuple:
+    """The block products of ``_phase_table`` for rows 2..K: per s = 1, 2,
+    4, ..., the slices of rows 1..r, row s and rows s+1..s+r, r = min(s, K-s)."""
+    steps = []
+    s = 1
+    while s < K:
+        r = min(s, K - s)
+        steps.append((slice(1, r + 1), slice(s, s + 1), slice(s + 1, s + r + 1)))
+        s += r
+    return tuple(steps)
 
 
 def _median(values: np.ndarray, axis: int) -> np.ndarray:
@@ -383,39 +467,38 @@ def evaluate(approx: MedianApproximation, x):
     1e-9 * sum |c_h| and a violation raises, since it indicates a broken
     coefficient map rather than roundoff.
 
-    The points are taken in chunks of fixed memory.  Per chunk, the cost is
-    one cosine and one sine per point and per k = 1..K_j of each coordinate
-    j (K_j = max |h_j| over A), plus about |A| to (2K_d+1) * #prefixes
+    Every coordinate must be finite; otherwise ValueError names how many
+    are not, before any work is done.
+
+    The points are taken in chunks of fixed memory.  Per point and
+    coordinate j, the table of e(k x_j) for |k| <= K (K = max |h_j| over A
+    and j) costs one cosine, one sine, K - 1 complex products and K
+    conjugates; the fold then takes about |A| to (2K_d+1) * #prefixes
     multiply-adds per point; see ``_EvaluationPlan``.  A point's value does
     not depend on the batch it comes in.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    if pts.ndim < 2:
+        pts = pts.reshape(1, -1)
     d = approx.index_set.params.dim
     if pts.shape[-1] != d:
         raise ValueError(f"points have dimension {pts.shape[-1]}, expected {d}")
-    out = np.zeros(pts.shape[0])
-    if approx.coefficients:
-        plan = approx._plan
-        rows = plan.chunk_rows
-        worst = 0.0
-        for lo in range(0, len(pts), rows):
-            chunk = pts[lo:lo + rows]
-            size = len(chunk)
-            if size == 1:
-                # numpy hands a one-row matrix product to another BLAS
-                # routine than longer ones, which rounds differently; a
-                # second copy of the point keeps its value the same in every
-                # batch
-                chunk = np.repeat(chunk, 2, axis=0)
-            vals = plan.sums(chunk)[:size]
-            worst = max(worst, float(np.abs(vals.imag).max()))
-            out[lo:lo + size] = vals.real
-        if worst > plan.residual_tol:
-            raise ValueError(
-                f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "
-                "coefficients are not conjugate-symmetric"
-            )
-    return float(out[0]) if np.ndim(x) == 1 else out
+    finite = np.isfinite(pts)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise ValueError(
+            f"points have {finite.size - np.count_nonzero(finite)} non-finite coordinates"
+        )
+    if not approx.coefficients:
+        return 0.0 if single else np.zeros(len(pts))
+    plan = approx._plan
+    vals, worst = plan.sums(pts)
+    if worst > plan.residual_tol:
+        raise ValueError(
+            f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "
+            "coefficients are not conjugate-symmetric"
+        )
+    return float(vals[0]) if single else vals
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,14 @@ median, the repetition loop, the error functional epsilon(h), and the two
 Monte-Carlo verification harnesses.
 """
 
+import cmath
 import gc
+import itertools
 import math
 import tracemalloc
+import warnings
 import weakref
+from fractions import Fraction
 from math import log
 
 import numpy as np
@@ -92,6 +96,21 @@ def conjugate_symmetric_coefficients(draw):
     for h in draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=30)):
         if h not in coeffs:
             c = complex(draw(parts), draw(parts))
+            coeffs[h] = c
+            coeffs[tuple(-v for v in h)] = c.conjugate()
+    return coeffs
+
+
+def box_coefficients(radii, seed):
+    """{frequency tuple: coefficient}, conjugate-symmetric, on about half of
+    the box |h_j| <= K_j, and reaching every radius K_j."""
+    rng = np.random.default_rng(seed)
+    d = len(radii)
+    coeffs = {(0,) * d: complex(rng.uniform(-1.0, 1.0))}
+    axes = {tuple(K if i == j else 0 for i in range(d)) for j, K in enumerate(radii)}
+    for h in itertools.product(*[range(-K, K + 1) for K in radii]):
+        if h not in coeffs and (h in axes or rng.random() < 0.5):
+            c = complex(*rng.uniform(-1.0, 1.0, 2))
             coeffs[h] = c
             coeffs[tuple(-v for v in h)] = c.conjugate()
     return coeffs
@@ -451,6 +470,24 @@ class TestEvaluate:
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(c).sum()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=conjugate_symmetric_coefficients(),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_points_equal_their_batch_values(self, data, rows, seed):
+        """Bit for bit, in chunks of 1 to 9 points, for d = 1, 2, 3."""
+        approx = approximation_from(data)
+        d = len(next(iter(data)))
+        X = np.random.default_rng(seed).uniform(-1.0, 2.0, (2 * rows + 1, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point
+            )
+            batch = evaluate(approx, X)
+        assert np.array_equal([evaluate(approx, x) for x in X], batch)
+
     def test_single_point_equals_batch_bitwise(self):
         ap = params_for(14, D2, W2, seed=11)
         approx = run(function_f2(2).evaluate, ap, D2, W2)
@@ -505,6 +542,105 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_non_finite_single_point_raises(self):
+        approx = approximation_from(box_coefficients((2, 3), seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1 non-finite"):
+                evaluate(approx, np.array([0.25, np.nan]))
+
+    def test_inf_in_a_batch_raises(self):
+        approx = approximation_from(box_coefficients((2, 3), seed=0))
+        X = np.random.default_rng(1).random((50, 2))
+        X[17, 0], X[30, 1] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2 non-finite"):
+                evaluate(approx, X)
+
+    def test_nan_point_does_not_hide_the_residual_check(self):
+        """A NaN point raises; it never lets the other points of its chunk
+        pass the conjugate-symmetry check unexamined."""
+        ap = params_for(12, D1, W1)
+        cross = enumerate_hyperbolic_cross(ap.N_star, D1, W1)
+        coeffs = {h: 0j for h in cross}
+        coeffs[FrequencyIndex([1])] = 1.0 + 0j   # no conjugate partner
+        bad = MedianApproximation(
+            index_set=cross,
+            coefficients=coeffs,
+            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            eval_count=ap.R * ap.N,
+        )
+        X = np.full((8, 1), 0.37)
+        X[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(bad, X)
+        X[3] = 0.37
+        with pytest.raises(ValueError, match="imaginary"):
+            evaluate(bad, X)
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8, 100, 4096])
+    def test_phase_table_accuracy(self, K):
+        """Each entry against e(k x) with k x mod 1 reduced exactly, as a
+        Fraction of the float x, within c * eps * (1 + K max|x|), c = 8.  The
+        closed form cos/sin(x * 2 pi k) meets the same bound."""
+        c = 8.0
+        x = np.concatenate([np.random.default_rng(K).uniform(-1.0, 2.0, 10), [-1.0, 0.0]])
+        table = median_approx._phase_table(
+            x[:, None], np.empty((2 * K + 1, len(x)), dtype=np.complex128)
+        )
+        k = np.arange(-K, K + 1)
+        exact = np.array([
+            [cmath.exp(2j * math.pi * float(kk * Fraction(xi) % 1)) for xi in x.tolist()]
+            for kk in k.tolist()
+        ])
+        closed = np.cos(x * (2.0 * math.pi * k[:, None])) + 1j * np.sin(
+            x * (2.0 * math.pi * k[:, None])
+        )
+        bound = c * np.finfo(float).eps * (1.0 + K * np.abs(x).max())
+        assert np.abs(table - exact).max() <= bound
+        assert np.abs(closed - exact).max() <= bound
+
+    @pytest.mark.parametrize("radii", [(0, 5), (7, 1), (3, 0, 9)])
+    @pytest.mark.parametrize("rows", [2, 5, 9])
+    def test_uneven_radii(self, radii, rows):
+        """Unequal radii, one of them 0, over chunks of 2 to 9 points: the
+        dense sum, the batch value of a lone point, and one cosine and one
+        sine per coordinate and point."""
+        data = box_coefficients(radii, seed=rows)
+        approx = approximation_from(data)
+        assert tuple(np.abs(approx._plan.H).max(axis=0)) == radii
+        H = np.array(list(data), dtype=float)
+        c = np.array(list(data.values()))
+        d = len(radii)
+        n = 3 * rows + 1
+        X = np.random.default_rng(rows).uniform(-1.0, 2.0, (n, d))
+        calls = {"cos": 0, "sin": 0}
+
+        def counted(name):
+            ufunc = getattr(np, name)
+
+            def wrapper(arg, *args, **kwargs):
+                calls[name] += np.size(arg)
+                return ufunc(arg, *args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point
+            )
+            mp.setattr(np, "cos", counted("cos"))
+            mp.setattr(np, "sin", counted("sin"))
+            got = evaluate(approx, X)
+            assert approx._plan.chunk_rows == rows
+            assert calls["cos"] <= n * d and calls["sin"] <= n * d
+            calls.update(cos=0, sin=0)
+            singles = np.array([evaluate(approx, x) for x in X])
+            assert calls["cos"] <= n * d and calls["sin"] <= n * d
+        want = (np.exp(2j * np.pi * (X @ H.T)) @ c).real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(c).sum()
+        assert np.array_equal(singles, got)
 
 
 class TestEpsilonBound:
