@@ -13,12 +13,14 @@ transform of the node values:
     exp(-2*pi*i * h.Delta) * fft(f(x))[h.z mod N] / N.
 
 One FFT plus a gather serves all targets, at cost O(N log N + |A|*d) per
-lattice instead of O(N*|A|) for the direct sums.  Lattices of one size are
-transformed together, a block of rows per FFT call, so the length-N
-transform is planned once per block rather than once per lattice.  When f is
-real, the lattices at positions 2k and 2k+1 of a call share one row as the
-real and the imaginary part of u + i*v, and the two spectra are separated
-after the transform, so a real pair costs one transform instead of two.
+lattice.  Lattices of one size are transformed together, a block of rows
+per FFT call, so the length-N transform is planned once per block rather
+than once per lattice.  When f is real, the lattices at positions 2k and
+2k+1 of a call share one row as the real and the imaginary part of u + i*v,
+and the two spectra are separated after the transform, so a real pair costs
+one transform instead of two.  A call with fewer than log2(N) targets needs
+no transform: Bluestein's chirp identity gives each DFT value as one
+contiguous length-N sum, at cost O(|A|*N) per lattice.
 
 All randomness flows through counter-based Philox streams keyed by tuples
 such as (master_seed, repetition, purpose), so repetitions are independent of
@@ -27,6 +29,7 @@ execution order and bit-reproducible under any thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -170,6 +173,33 @@ def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShif
     return nodes
 
 
+def _node_values(f_eval, config: LatticeConfig, lattice, row: int) -> np.ndarray:
+    """f on the N shifted nodes of ``lattice``, which is ``lattices[row]``
+    of the call: exactly N finite values, or ValueError."""
+    N = config.N
+    vals = np.asarray(f_eval(_lattice_nodes(config, *lattice)))
+    if vals.shape != (N,):
+        raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
+    bad = N - np.count_nonzero(np.isfinite(vals))
+    if bad:
+        raise NonFiniteValueError(bad, row)
+    return vals
+
+
+def _residues(H_mod: np.ndarray, z: GeneratingVector, N: int) -> np.ndarray:
+    """m = h.z mod N per target; each term (h_j mod N) * z_j is below N^2 <= 2^62."""
+    m = np.zeros(len(H_mod), dtype=np.int64)
+    for j, zj in enumerate(z.z):
+        m = (m + H_mod[:, j] * zj) % N
+    return m
+
+
+def _shifted(Y: np.ndarray, H_float: np.ndarray, delta: RandomShift, N: int) -> np.ndarray:
+    """The estimates exp(-2*pi*i*h.Delta) * Y / N from the DFT values Y at m."""
+    phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
+    return phase * (Y / N)
+
+
 def estimate_coefficients(
     f_eval: Callable[[np.ndarray], np.ndarray],
     config: LatticeConfig,
@@ -179,25 +209,21 @@ def estimate_coefficients(
     """Estimate the Fourier coefficients of f at every target on every lattice.
 
     f is evaluated exactly once per lattice, on the full batch of its N
-    shifted nodes.  Node values fill the rows of a block of
-    max(1, 2^20 // (16*N)) rows, 1 MiB of complex128, which is transformed
-    by one batched length-N FFT.  The lattices are paired (2k, 2k+1) by
-    their position in the call.  When f returns real values on both
-    lattices of a pair, they share one row, the first as its real part u and
-    the second as its imaginary part v; every other lattice (one whose
-    values are complex, the partner of such a lattice, and the last one of
-    an odd count) takes a row alone.
+    shifted nodes.  Each target h needs one value Y[m] of the length-N DFT
+    of the node values, at its residue m = h.z mod N, computed exactly in
+    int64; its estimate is exp(-2*pi*i*h.Delta) * Y[m] / N.  The number of
+    targets chooses how the Y[m] are found:
 
-    Each target h then costs its residue m = h.z mod N, computed exactly in
-    int64, a gather from the transformed row Y and a multiplication by the
-    shift phase exp(-2*pi*i*h.Delta).  A lone row is read at m; a shared
-    row is read at m and -m mod N and unpacked as
-    U[m] = (Y[m] + conj(Y[-m]))/2 for the first lattice and
-    V[m] = (Y[m] - conj(Y[-m]))/(2i) for the second.  The cost is
-    O(N log N + |targets|*d) per lattice for any number of targets, and half
-    the transforms for real f.  Every row of a batched transform equals the
-    one-row transform bit for bit, so a lattice's estimates depend only on
-    its own pair, never on the block or on the rest of the call.
+    - Fewer than log2(N) targets: by chirp sums, one length-N sum per
+      target with no transform (``_chirp_sums``).  The cost is
+      O(|targets|*N) per lattice.
+    - Otherwise: by batched FFTs (``_batched_ffts``).  The cost is
+      O(N log N + |targets|*d) per lattice, and half the transforms for
+      real f.
+
+    Either way a row depends only on its own lattice (on its pair
+    (2k, 2k+1) when the transforms pack two real lattices into one row),
+    never on the rest of the call.
 
     Parameters
     ----------
@@ -209,8 +235,7 @@ def estimate_coefficients(
         N must not exceed 2^31, which keeps every integer product inside
         int64.
     lattices : sequence of (GeneratingVector, RandomShift)
-        Nonempty; row i of the result belongs to ``lattices[i]``, and
-        ``lattices[2k]`` and ``lattices[2k+1]`` form a pair.
+        Nonempty; row i of the result belongs to ``lattices[i]``.
     targets : iterable of FrequencyIndex
         Nonempty collection of frequencies.
 
@@ -237,10 +262,57 @@ def estimate_coefficients(
     H = np.array([tuple(h) for h in targets], dtype=np.int64)
     if H.shape != (len(targets), d):
         raise ValueError("targets must match the lattice dimension")
-    H_mod = H % N
-    H_float = H.astype(float)
-
     out = np.empty((len(lattices), len(targets)), dtype=np.complex128)
+    estimate = _chirp_sums if len(targets) < math.log2(N) else _batched_ffts
+    estimate(f_eval, config, lattices, H % N, H.astype(float), out)
+    return out
+
+
+def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
+    """Fill ``out`` from one direct length-N sum per lattice and target.
+
+    With the chirp w_k = exp(-i*pi*k^2/N), km = (k^2 + m^2 - (k-m)^2)/2
+    gives Bluestein's identity
+
+        Y[m] = w_m * sum_k (f(x_k)*w_k) * conj(w_{k-m}),
+
+    and k - m runs over a contiguous window of conj(w_j), j = -(N-1)..N-1.
+    The sums go through ``np.einsum``, not BLAS, so an estimate does not
+    depend on the BLAS thread count.
+    """
+    N = config.N
+    k = np.arange(N, dtype=np.int64)
+    # k^2 < 2^62 is reduced exactly; w_k has period 2N in k, and w_{-j} = w_j
+    w = np.exp(-1j * np.pi * ((k * k) % (2 * N) / N))
+    window = np.conj(np.concatenate((w[:0:-1], w)))
+    xw = np.empty(N, dtype=np.complex128)
+    sums = np.empty(len(H_mod), dtype=np.complex128)
+    for i, lattice in enumerate(lattices):
+        np.multiply(_node_values(f_eval, config, lattice, i), w, out=xw)
+        m = _residues(H_mod, lattice[0], N)
+        for j, start in enumerate((N - 1 - m).tolist()):
+            sums[j] = np.einsum("i,i->", xw, window[start:start + N])
+        out[i] = _shifted(w[m] * sums, H_float, lattice[1], N)
+
+
+def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
+    """Fill ``out`` from batched length-N FFTs of the node values.
+
+    Node values fill the rows of a block of max(1, 2^20 // (16*N)) rows,
+    1 MiB of complex128, which is transformed by one batched FFT.  The
+    lattices are paired (2k, 2k+1) by their position in the call.  When f
+    returns real values on both lattices of a pair, they share one row, the
+    first as its real part u and the second as its imaginary part v; every
+    other lattice (one whose values are complex, the partner of such a
+    lattice, and the last one of an odd count) takes a row alone.
+
+    A lone row Y is read at m; a shared row is read at m and -m mod N and
+    unpacked as U[m] = (Y[m] + conj(Y[-m]))/2 for the first lattice and
+    V[m] = (Y[m] - conj(Y[-m]))/(2i) for the second.  Every row of a batched
+    transform equals the one-row transform bit for bit, so a lattice's
+    estimates depend only on its own pair, never on the block.
+    """
+    N = config.N
     rows = min(len(lattices), max(1, _BLOCK_BYTES // (16 * N)))
     block = np.empty((rows, N), dtype=np.complex128)
     # per filled row of the block: its first lattice, and whether that
@@ -256,10 +328,7 @@ def estimate_coefficients(
         for row, (first, pair) in enumerate(zip(firsts, packed)):
             for part in range(1 + pair):
                 z, delta = lattices[first + part]
-                # m = h.z mod N; each term (h_j mod N) * z_j is below N^2 <= 2^62
-                m = np.zeros(len(targets), dtype=np.int64)
-                for j, zj in enumerate(z.z):
-                    m = (m + H_mod[:, j] * zj) % N
+                m = _residues(H_mod, z, N)
                 Y = spectra[row, m]
                 if pair:
                     # Y = U + i*V for the spectra U, V of the two real
@@ -267,18 +336,12 @@ def estimate_coefficients(
                     # V[m] = (Y[m] - conj(Y[-m]))/(2i)
                     mirror = np.conj(spectra[row, (N - m) % N])
                     Y = (Y + mirror) * 0.5 if part == 0 else (Y - mirror) * -0.5j
-                phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
-                out[first + part] = phase * (Y / N)
+                out[first + part] = _shifted(Y, H_float, delta, N)
         firsts.clear()
         packed.clear()
 
-    for i, (z, delta) in enumerate(lattices):
-        vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
-        if vals.shape != (N,):
-            raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
-        bad = N - np.count_nonzero(np.isfinite(vals))
-        if bad:
-            raise NonFiniteValueError(bad, i)
+    for i, lattice in enumerate(lattices):
+        vals = _node_values(f_eval, config, lattice, i)
         real = not np.iscomplexobj(vals)
         if real and waiting:
             # the second real lattice of a pair: the imaginary half of the
@@ -300,7 +363,6 @@ def estimate_coefficients(
         del vals
     if firsts:
         transform_and_gather()
-    return out
 
 
 def dual_membership(ell, config: LatticeConfig, z: GeneratingVector) -> bool:

@@ -201,6 +201,7 @@ class _EvaluationPlan:
         # A is not empty
         self.H = np.array([h.components for h in index_set.indices], dtype=np.int64)
         self.c = np.array([coefficients[h] for h in index_set.indices], dtype=np.complex128)
+        _check_finite_coefficients(self.c)
         radii = np.abs(self.H).max(axis=0)
         self.K = int(radii.max())
         prefixes, prefix_of = np.unique(self.H[:, :-1], axis=0, return_inverse=True)
@@ -276,6 +277,13 @@ class _EvaluationPlan:
             np.empty((min(2, d - 1), P, size), dtype=c),
             np.empty(size, dtype=c),
         )
+
+
+def _check_finite_coefficients(c: np.ndarray) -> None:
+    """ValueError naming how many coefficients are NaN or infinite."""
+    bad = c.size - np.count_nonzero(np.isfinite(c))
+    if bad:
+        raise ValueError(f"approximation has {bad} non-finite coefficients")
 
 
 def _phase_table(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -468,7 +476,8 @@ def evaluate(approx: MedianApproximation, x):
     coefficient map rather than roundoff.
 
     Every coordinate must be finite; otherwise ValueError names how many
-    are not, before any work is done.
+    are not, before any work is done.  A non-finite coefficient raises
+    ValueError naming how many there are.
 
     The points are taken in chunks of fixed memory.  Per point and
     coordinate j, the table of e(k x_j) for |k| <= K (K = max |h_j| over A
@@ -482,8 +491,8 @@ def evaluate(approx: MedianApproximation, x):
     if pts.ndim < 2:
         pts = pts.reshape(1, -1)
     d = approx.index_set.params.dim
-    if pts.shape[-1] != d:
-        raise ValueError(f"points have dimension {pts.shape[-1]}, expected {d}")
+    if pts.ndim > 2 or pts.shape[-1] != d:
+        raise ValueError(f"points have shape {np.shape(x)}, expected ({d},) or (n, {d})")
     finite = np.isfinite(pts)
     if not np.logical_and.reduce(finite, axis=None):
         raise ValueError(
@@ -758,7 +767,11 @@ def save_approximation(approx: MedianApproximation, path) -> None:
 
 
 def load_approximation(path) -> MedianApproximation:
-    """Inverse of save_approximation; re-derives and validates the index set."""
+    """Inverse of save_approximation; re-derives and validates the index set.
+
+    A NaN or infinite coefficient raises ValueError naming how many there
+    are.
+    """
     header = {}
     rows = []
     with open(path, newline="") as fh:
@@ -785,6 +798,7 @@ def load_approximation(path) -> MedianApproximation:
     for row in rows:
         h = FrequencyIndex([int(v) for v in row[:d]])
         coefficients[h] = complex(float(row[d]), float(row[d + 1]))
+    _check_finite_coefficients(np.array(list(coefficients.values()), dtype=np.complex128))
     if set(coefficients) != set(cross.indices):
         raise ValueError("stored rows do not match the index set implied by the header")
     prov = Provenance(

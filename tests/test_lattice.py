@@ -226,9 +226,11 @@ def _lattice_case(draw):
     ]
     # negative components and |h_j| >= N both occur
     comp = st.integers(-2 * N, 2 * N)
+    # counts on both sides of the rule: fewer than log2(N) targets take the
+    # chirp sums, the rest the FFT
     targets = [
         FrequencyIndex([draw(comp) for _ in range(d)])
-        for _ in range(draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(1, 2 * math.ceil(math.log2(N)) + 1)))
     ]
     mode = np.asarray([draw(st.integers(-N, N)) for _ in range(d)], dtype=float)
     if draw(st.booleans()):
@@ -242,10 +244,11 @@ class TestFFTAgainstDirectSum:
     @settings(max_examples=200, deadline=None)
     @given(_lattice_case())
     def test_matches_direct_sum(self, case):
-        """Every row of the FFT-and-gather estimator equals the defining
-        direct sum on its lattice.  Rows equal the call on their own pair
-        (2k, 2k+1) bit for bit when f is real, and the one-lattice call when
-        f is complex or the lattice is an odd trailing one."""
+        """Every row of the estimator, by chirp sums or by FFT and gather,
+        equals the defining direct sum on its lattice.  Rows equal the call
+        on their own pair (2k, 2k+1) bit for bit when f is real, and the
+        one-lattice call when f is complex or the lattice is an odd trailing
+        one."""
         config, lattices, targets, f = case
         out = estimate_coefficients(f, config, lattices, targets)
         assert out.shape == (len(lattices), len(targets))
@@ -339,7 +342,8 @@ class TestFFTAgainstDirectSum:
                 return vals * (1 + 0.5j * pts[:, 1])
             return vals
 
-        targets = [FrequencyIndex([a, b]) for a in (-2, 0, 2, 5) for b in (-1, 1, N + 3)]
+        targets = [FrequencyIndex([a, b]) for a in (-2, 0, 2, 5, 7) for b in (-1, 1, N + 3)]
+        assert len(targets) >= math.log2(N)
         out = estimate_coefficients(f, config, lattices, targets)
         for row, (z, delta) in zip(out, lattices):
             for j, h in enumerate(targets):
@@ -366,8 +370,10 @@ class TestFFTAgainstDirectSum:
                 vals[41] = np.inf
             return vals
 
+        targets = [FrequencyIndex([a, 0]) for a in range(14)]
+        assert len(targets) >= math.log2(N)
         with pytest.raises(NonFiniteValueError, match="2 non-finite values on lattice row 13$") as info:
-            estimate_coefficients(f, config, lattices, [FrequencyIndex([1, 0])])
+            estimate_coefficients(f, config, lattices, targets)
         assert (info.value.count, info.value.row) == (2, 13)
 
     def test_rejects_oversized_N_before_evaluating(self):
@@ -384,6 +390,110 @@ class TestFFTAgainstDirectSum:
                 f, config, [(GeneratingVector([1]), RandomShift([0.0]))], [FrequencyIndex([1])]
             )
         assert calls == []
+
+
+def _lattices(config, seed, count):
+    return [
+        (
+            draw_generating_vector(config, rng_stream(seed, r, PURPOSE_GENVEC)),
+            draw_shift(config, rng_stream(seed, r, PURPOSE_SHIFT)),
+        )
+        for r in range(count)
+    ]
+
+
+class TestChirpSums:
+    """Calls with fewer than log2(N) targets, which take the chirp sums."""
+
+    N, d = 10903, 2
+    TARGETS = [FrequencyIndex([1, 0]), FrequencyIndex([0, 0]), FrequencyIndex([-3, N + 2])]
+
+    def _case(self, seed=6, count=5):
+        config = LatticeConfig(self.N, self.d)
+        assert len(self.TARGETS) < math.log2(self.N)
+        return config, _lattices(config, seed, count)
+
+    @staticmethod
+    def _f(pts):
+        return np.cos(2 * np.pi * (pts @ np.array([1.0, -2.0])) + 0.3) + pts[:, 0] * pts[:, 1]
+
+    def test_agree_with_the_transform(self):
+        """The same targets, padded past log2(N) so that the call takes the
+        FFT, give the same estimates to 1e-12; real and complex f."""
+        config, lattices = self._case()
+        padded = self.TARGETS + [FrequencyIndex([a, 5]) for a in range(12)]
+        for f in (self._f, lambda pts: self._f(pts) * np.exp(2j * np.pi * pts[:, 1])):
+            few = estimate_coefficients(f, config, lattices, self.TARGETS)
+            many = estimate_coefficients(f, config, lattices, padded)
+            assert np.max(np.abs(few - many[:, : len(self.TARGETS)])) < 1e-12
+
+    def test_complex_values_match_direct_sum(self):
+        config, lattices = self._case(count=2)
+        f = lambda pts: np.exp(2j * np.pi * (pts @ np.array([1.0, -3.0]))) * (1 + 0.5j * pts[:, 0])
+        out = estimate_coefficients(f, config, lattices, self.TARGETS)
+        for row, (z, delta) in zip(out, lattices):
+            for j, h in enumerate(self.TARGETS):
+                assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
+
+    def test_rows_equal_the_one_lattice_call_bitwise(self):
+        config, lattices = self._case()
+        out = estimate_coefficients(self._f, config, lattices, self.TARGETS)
+        for i, lattice in enumerate(lattices):
+            alone = estimate_coefficients(self._f, config, [lattice], self.TARGETS)
+            assert out[i].tobytes() == alone[0].tobytes()
+
+    def test_non_finite_value_names_its_row(self):
+        config, lattices = self._case()
+        bad_shift = lattices[3][1].delta
+
+        def f(pts):
+            vals = self._f(pts)
+            if tuple(pts[0]) == bad_shift:
+                vals[7] = np.nan
+            return vals
+
+        with pytest.raises(NonFiniteValueError, match="1 non-finite values on lattice row 3$") as info:
+            estimate_coefficients(f, config, lattices, self.TARGETS)
+        assert (info.value.count, info.value.row) == (1, 3)
+
+    @pytest.mark.parametrize("shape", [(10902,), (10903, 1), ()])
+    def test_wrong_output_shape_raises(self, shape):
+        config, lattices = self._case(count=1)
+        with pytest.raises(ValueError, match=r"expected \(10903,\)"):
+            estimate_coefficients(lambda pts: np.ones(shape), config, lattices, self.TARGETS)
+
+
+class TestCostModel:
+    """Which calls transform: none below log2(N) targets, one per block of
+    rows above it."""
+
+    def _count_ffts(self, monkeypatch, targets, count):
+        N = 10903
+        config = LatticeConfig(N, 2)
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        estimate_coefficients(
+            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, _lattices(config, 2, count), targets
+        )
+        return calls
+
+    def test_few_targets_make_no_transform(self, monkeypatch):
+        targets = [FrequencyIndex([a, 0]) for a in (-1, 0, 1)]
+        assert self._count_ffts(monkeypatch, targets, 9) == []
+
+    @pytest.mark.parametrize("count", [1, 12, 13, 25])
+    def test_many_targets_make_one_transform_per_block(self, monkeypatch, count):
+        N = 10903
+        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        rows = _BLOCK_BYTES // (16 * N)
+        pairs = (count + 1) // 2
+        assert len(self._count_ffts(monkeypatch, targets, count)) == -(-pairs // rows)
 
 
 class TestAliasing:

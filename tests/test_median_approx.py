@@ -559,6 +559,22 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="2 non-finite"):
                 evaluate(approx, X)
 
+    def test_non_finite_coefficients_raise(self):
+        """A NaN coefficient pair raises, naming the count, instead of
+        evaluating to NaN with the residual check silenced."""
+        coeffs = {(0,): 1 + 0j, (1,): complex("nan+0j"), (-1,): complex("nan+0j")}
+        approx = approximation_from(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2 non-finite coefficients"):
+                evaluate(approx, np.array([[0.1], [0.6]]))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (1, 1, 2), (2, 1, 1, 2)])
+    def test_points_with_more_than_two_axes_raise(self, shape):
+        approx = approximation_from(box_coefficients((2, 3), seed=0))
+        with pytest.raises(ValueError, match=r"expected \(2,\) or \(n, 2\)"):
+            evaluate(approx, np.zeros(shape))
+
     def test_nan_point_does_not_hide_the_residual_check(self):
         """A NaN point raises; it never lets the other points of its chunk
         pass the conjugate-symmetry check unexamined."""
@@ -805,6 +821,21 @@ class TestSerialization:
             assert key in heads
         cols = next(ln for ln in lines if not ln.startswith("#"))
         assert cols == "h_1,h_2,re,im"
+
+    def test_non_finite_coefficients_rejected(self, tmp_path):
+        ap = params_for(14, D2, W2, seed=11)
+        approx = run(function_f2(2).evaluate, ap, D2, W2)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        lines = path.read_text().splitlines()
+        rows = [i for i, ln in enumerate(lines) if ln[0] not in "#h"]
+        for i, value in zip(rows[:3], ("nan", "inf", "-inf")):
+            cols = lines[i].split(",")
+            cols[-2] = value
+            lines[i] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="3 non-finite coefficients"):
+            load_approximation(path)
 
     def test_tampered_file_rejected(self, tmp_path):
         ap = params_for(14, D2, W2, seed=11)
