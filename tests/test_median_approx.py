@@ -288,7 +288,11 @@ class TestRun:
         assert all(n == ap.N for n in rows)
 
     def test_workers_bit_identical(self):
-        ap = params_for(14, D2, W2, seed=123)
+        """At 2^15 the index set has at least log2(N) frequencies, so run
+        takes the pair-packed FFTs, where a slice bound inside a pair would
+        change the bits."""
+        ap = params_for(15, D2, W2, seed=123)
+        assert len(enumerate_hyperbolic_cross(ap.N_star, D2, W2)) >= math.log2(ap.N)
         f = function_f2(2)
         serial = run(f.evaluate, ap, D2, W2, workers=1)
         threaded = run(f.evaluate, ap, D2, W2, workers=4)
@@ -321,6 +325,8 @@ class TestRun:
         ap = params_for(12, D1, W1)
         odd = ap.R - 2
         assert odd % 2 == 1
+        # enough frequencies for the pair-packed FFTs, where R-2 is in a pair
+        assert len(enumerate_hyperbolic_cross(ap.N_star, D1, W1)) >= math.log2(ap.N)
         shift = draw_shift(LatticeConfig(ap.N, 1), rng_stream(ap.master_seed, odd, PURPOSE_SHIFT))
 
         def f(pts):
@@ -334,9 +340,11 @@ class TestRun:
 
     def test_coefficients_bitwise_across_workers(self):
         """For odd R, the coefficients are bitwise equal at workers 1, 2, 3
-        and 8: every slice holds whole pairs of repetitions."""
-        ap = params_for(14, D2, W2, seed=20240807)
+        and 8: every slice holds whole pairs of repetitions.  The index set
+        has at least log2(N) frequencies, so run takes the pair-packed FFTs."""
+        ap = params_for(15, D2, W2, seed=20240807)
         assert ap.R % 2 == 1
+        assert len(enumerate_hyperbolic_cross(ap.N_star, D2, W2)) >= math.log2(ap.N)
         f = function_f2(2)
         outputs = []
         for workers in (1, 2, 3, 8):
