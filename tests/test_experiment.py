@@ -5,6 +5,10 @@ SVG output, and the command line.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -413,3 +417,23 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "rate vs M:" in err
         assert "rate vs N_star:" in err
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        """``python -m medlattice`` prints the in-process CSV and no runpy
+        ``RuntimeWarning``."""
+        argv = ["--function", "f2", "--dim", "1", "--budgets", "10"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "medlattice", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == expected

@@ -27,6 +27,7 @@ from medlattice.lattice import (
     PURPOSE_GENVEC,
     PURPOSE_SHIFT,
     NonFiniteValueError,
+    _lattice_nodes,
     roots_of_unity,
 )
 
@@ -494,6 +495,101 @@ class TestCostModel:
         rows = _BLOCK_BYTES // (16 * N)
         pairs = (count + 1) // 2
         assert len(self._count_ffts(monkeypatch, targets, count)) == -(-pairs // rows)
+
+
+def _outer_product_nodes(config, z, delta):
+    """Reference nodes: all d coordinates at once, as an outer product on a
+    point-major (N, d) array."""
+    k = np.arange(config.N, dtype=np.int64)
+    frac = np.multiply.outer(k, np.asarray(z.z, dtype=np.int64))
+    frac %= config.N
+    nodes = frac.astype(float)
+    nodes /= config.N
+    nodes += np.asarray(delta.delta, dtype=float)
+    nodes -= np.floor(nodes)
+    return nodes
+
+
+class TestLatticeNodes:
+    """``_lattice_nodes`` builds one coordinate at a time into a
+    coordinate-major array; every node is bitwise the reference's."""
+
+    LAST_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+    def _cases(self, N, d, seed):
+        rng = np.random.default_rng(seed)
+        zs = [rng.integers(1, N, d) for _ in range(3)] + [np.ones(d, int), np.full(d, N - 1)]
+        # z_1 = 1 and z_d = N - 1 beside random components
+        zs[1][0], zs[1][-1] = 1, N - 1
+        shifts = [rng.random(d) for _ in range(2)] + [np.zeros(d), np.full(d, self.LAST_BELOW_ONE)]
+        shifts[1][0], shifts[1][-1] = 0.0, self.LAST_BELOW_ONE
+        for z in zs:
+            for delta in shifts:
+                yield GeneratingVector(z), RandomShift(delta)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N", [2, 3, 13, 101, 10903, 39409])
+    def test_equal_to_the_outer_product_formula(self, N, d):
+        config = LatticeConfig(N, d)
+        for z, delta in self._cases(N, d, seed=N + d):
+            nodes = _lattice_nodes(config, z, delta)
+            expected = _outer_product_nodes(config, z, delta)
+            assert nodes.shape == (N, d)
+            assert np.array_equal(nodes, expected)
+            assert np.all((nodes >= 0.0) & (nodes < 1.0))
+            for j in range(d):
+                assert nodes[:, j].flags.c_contiguous
+
+    def test_new_array_on_every_call(self):
+        config = LatticeConfig(101, 3)
+        lattice = next(self._cases(101, 3, seed=1))
+        first, second = (_lattice_nodes(config, *lattice) for _ in range(2))
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("count", [3, 14])
+    def test_f_that_overwrites_its_inputs_changes_no_other_lattice(self, count):
+        """An f that keeps every input it was given and overwrites them all
+        in place after evaluating leaves the estimates bitwise those of a
+        well-behaved f, by chirp sums (3 targets) and by FFT (14)."""
+        N = 10903
+        config = LatticeConfig(N, 2)
+        lattices = _lattices(config, 8, 13)
+        targets = [FrequencyIndex([a, 1 - a]) for a in range(count)]
+
+        def f(pts):
+            return np.cos(2 * np.pi * (pts @ np.array([1.0, -2.0]))) + pts[:, 0] * pts[:, 1]
+
+        kept = []
+
+        def overwriting(pts):
+            vals = f(pts)
+            kept.append(pts)
+            for x in kept:
+                x[:] = 0.5
+            return vals
+
+        # the overwriting call goes first, so nodes kept for a later call
+        # would reach the well-behaved one overwritten
+        got = estimate_coefficients(overwriting, config, lattices, targets)
+        expected = estimate_coefficients(f, config, lattices, targets)
+        assert len(kept) == len(lattices)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_f_may_keep_its_inputs(self):
+        """Inputs kept by f still hold their own lattice's nodes after the
+        call: no later lattice writes into them."""
+        config = LatticeConfig(10903, 2)
+        lattices = _lattices(config, 9, 13)
+        kept = []
+
+        def keeping(pts):
+            kept.append(pts)
+            return np.cos(2 * np.pi * pts[:, 0])
+
+        estimate_coefficients(keeping, config, lattices, [FrequencyIndex([a, 1]) for a in range(14)])
+        assert len(kept) == len(lattices)
+        for pts, lattice in zip(kept, lattices):
+            assert np.array_equal(pts, _outer_product_nodes(config, *lattice))
 
 
 class TestAliasing:
