@@ -22,7 +22,6 @@ from medlattice import (
     select_params,
     test_function_f2,
 )
-from medlattice.median_approx import AlgorithmParams
 
 problem = SmoothnessParams(alpha=2.5, dim=1)
 weights = ProductWeights([1.0])
@@ -36,10 +35,7 @@ sel = select_params(budget, problem, weights)
 print(f"budget {budget.M_max}: N = {sel.N_max}, R = {sel.R}, "
       f"tau = {sel.tau_star:.4f}, N_star = {sel.N_star:.2f}")
 
-params = AlgorithmParams.from_problem(
-    N=sel.N_max, R=sel.R, tau=sel.tau_star,
-    master_seed=20240805, problem=problem, weights=weights,
-)
+params = sel.algorithm_params(master_seed=20240805)
 approx = run(f.evaluate, params, problem, weights)
 print(f"index set size {len(approx.index_set)}, evaluations used {approx.eval_count} "
       f"(= R*N = {sel.R * sel.N_max})")

@@ -10,6 +10,7 @@ R-fold median exceeds 2 epsilon(h)^2 with probability at most
 those frequencies directly.
 """
 
+import dataclasses
 import math
 
 from medlattice import (
@@ -21,7 +22,6 @@ from medlattice import (
     verify_concentration,
     verify_median_amplification,
 )
-from medlattice.median_approx import AlgorithmParams
 
 problem = SmoothnessParams(alpha=2.5, dim=1)
 weights = ProductWeights([1.0])
@@ -30,10 +30,7 @@ f = test_function_f2(1)
 # The bound is only informative when N_star is comfortably above e; in one
 # dimension a 2^12 budget already suffices.
 sel = select_params(BudgetSpec(2**12, 0.01), problem, weights)
-params = AlgorithmParams.from_problem(
-    N=sel.N_max, R=sel.R, tau=sel.tau_star,
-    master_seed=42, problem=problem, weights=weights,
-)
+params = sel.algorithm_params(master_seed=42)
 print(f"N = {sel.N_max}, tau = {sel.tau_star:.4f}, N_star = {sel.N_star:.2f}")
 
 # 2000 independent single estimates per probe frequency.  The default probe
@@ -50,10 +47,7 @@ for p in report:
 # the analytic amplified bound only dips below one for much larger N_star).
 print("\nR-fold median exceedance of 2 epsilon(h)^2:")
 for R in (1, 3, 5):
-    params_R = AlgorithmParams.from_problem(
-        N=sel.N_max, R=R, tau=sel.tau_star,
-        master_seed=42, problem=problem, weights=weights,
-    )
+    params_R = dataclasses.replace(params, R=R)
     rep = verify_median_amplification(f, params_R, problem, weights, trials=200)
     rates = ", ".join(f"{p.rate:.3f}" for p in rep)
     bounds = ", ".join(f"{p.bound:.3g}" for p in rep)
@@ -62,10 +56,7 @@ for R in (1, 3, 5):
 # A vacuous regime announces itself: squeeze the budget until the radius
 # N_star drops under e, and the bound exceeds one with every probe flagged.
 small = select_params(BudgetSpec(900, 0.01), problem, weights)
-params_small = AlgorithmParams.from_problem(
-    N=small.N_max, R=1, tau=small.tau_star,
-    master_seed=42, problem=problem, weights=weights,
-)
+params_small = small.algorithm_params(master_seed=42)
 rep = verify_concentration(f, params_small, problem, weights, trials=50)
 print(f"\nat N = {small.N_max} (N_star = {small.N_star:.2f}): "
       f"bound = {next(iter(rep)).bound:.2f}, "

@@ -42,9 +42,7 @@ from .lattice import (
     rng_stream,
 )
 from .median_approx import (
-    AlgorithmParams,
     MedianApproximation,
-    complex_median,
     epsilon_bound,
     evaluate,
     load_approximation,
@@ -54,6 +52,7 @@ from .median_approx import (
     verify_median_amplification,
 )
 from .params import (
+    AlgorithmParams,
     BudgetSpec,
     PolynomialDecayWeights,
     SelectedParams,
@@ -104,7 +103,6 @@ __all__ = [
     "check_conditions",
     "choose_R_budget",
     "choose_R_window",
-    "complex_median",
     "compute_Nstar",
     "compute_PN",
     "corollary2_constant",

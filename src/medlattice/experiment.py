@@ -32,7 +32,7 @@ from .korobov import (
     test_function_f1,
     test_function_f2,
 )
-from .median_approx import AlgorithmParams, MedianApproximation, run
+from .median_approx import MedianApproximation, run
 from .params import (
     BudgetSpec,
     PolynomialDecayWeights,
@@ -189,35 +189,13 @@ def run_experiment(
         sp = select_params(BudgetSpec(M_max, config.delta), problem, weights)
         selections[M_max] = sp
         for ri in range(config.runs_per_budget):
-            if not sp.feasible:
-                size = 0
-                records.append(
-                    ExperimentRecord(
-                        M_max=M_max,
-                        run_index=ri,
-                        N=sp.N_max,
-                        R=sp.R,
-                        M=sp.N_max * sp.R,
-                        tau_star=sp.tau_star,
-                        N_star=sp.N_star,
-                        index_set_size=size,
-                        feasible=False,
-                        squared_L2_error=None,
-                        wall_time=None,
-                    )
-                )
-                continue
-            t0 = time.perf_counter()
-            ap = AlgorithmParams.from_problem(
-                N=sp.N_max,
-                R=sp.R,
-                tau=sp.tau_star,
-                master_seed=_run_master_seed(config.seed, bi, ri),
-                problem=problem,
-                weights=weights,
-            )
-            approx = run(oracle.evaluate, ap, problem, weights, workers=config.workers)
-            err = exact_squared_error(oracle, approx)
+            size, err, wall_time = 0, None, None
+            if sp.feasible:
+                t0 = time.perf_counter()
+                ap = sp.algorithm_params(_run_master_seed(config.seed, bi, ri))
+                approx = run(oracle.evaluate, ap, problem, weights, workers=config.workers)
+                size, err = len(approx.index_set), exact_squared_error(oracle, approx)
+                wall_time = time.perf_counter() - t0
             records.append(
                 ExperimentRecord(
                     M_max=M_max,
@@ -227,10 +205,10 @@ def run_experiment(
                     M=sp.N_max * sp.R,
                     tau_star=sp.tau_star,
                     N_star=sp.N_star,
-                    index_set_size=len(approx.index_set),
-                    feasible=True,
+                    index_set_size=size,
+                    feasible=sp.feasible,
                     squared_L2_error=err,
-                    wall_time=time.perf_counter() - t0,
+                    wall_time=wall_time,
                 )
             )
 

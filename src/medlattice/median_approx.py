@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import log
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -43,15 +43,12 @@ from .lattice import (
     estimate_coefficients,
     rng_stream,
 )
-from .params import compute_Nstar, compute_PN
+from .params import AlgorithmParams
 
 __all__ = [
     "AlgorithmParams",
     "MedianApproximation",
     "Provenance",
-    "complex_median",
-    "compute_PN",
-    "compute_Nstar",
     "run",
     "evaluate",
     "epsilon_bound",
@@ -67,8 +64,6 @@ __all__ = [
 _PURPOSE_VERIFY_GENVEC = 2
 _PURPOSE_VERIFY_SHIFT = 3
 
-_REL_CONSISTENCY = 1e-9
-
 # coarse-lattice radius at which epsilon(h) truncates the Korobov norm
 _NORM_RADIUS = 2**12
 
@@ -76,71 +71,6 @@ _NORM_RADIUS = 2**12
 # _EvaluationPlan.bytes_per_point), so memory does not grow with the number
 # of points
 _CHUNK_BYTES = 2**20
-
-
-@dataclass(frozen=True)
-class AlgorithmParams:
-    """Validated run parameters: lattice size, repetitions, tuning, seed.
-
-    Attributes
-    ----------
-    N : int
-        Prime lattice size.
-    R : int
-        Odd number of repetitions.
-    tau : float
-        Positive tuning parameter.
-    P_N : float
-        The product prod_j (1 + 2*gamma_j^(1/(2*alpha))*(1 + tau*log N)).
-    N_star : float
-        (N-1) / (exp(1/tau) * P_N); must be >= 1 for the run to make sense.
-    master_seed : int
-        64-bit master seed; repetition r uses streams keyed
-        (master_seed, r, purpose).
-    """
-
-    N: int
-    R: int
-    tau: float
-    P_N: float
-    N_star: float
-    master_seed: int
-
-    def __post_init__(self):
-        from .params import is_prime
-
-        if not is_prime(self.N):
-            raise ValueError(f"N = {self.N} must be prime")
-        if self.R < 1 or self.R % 2 == 0:
-            raise ValueError(f"R = {self.R} must be a positive odd integer")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        implied = (self.N - 1) / (math.exp(1.0 / self.tau) * self.P_N)
-        if abs(implied - self.N_star) > _REL_CONSISTENCY * max(abs(implied), 1.0):
-            raise ValueError(
-                f"inconsistent N_star: given {self.N_star!r}, implied {implied!r}"
-            )
-        if self.N_star < 1.0:
-            raise ValueError(
-                f"N_star = {self.N_star:.6g} < 1: budget too small for these weights/tau"
-            )
-
-    @classmethod
-    def from_problem(
-        cls,
-        N: int,
-        R: int,
-        tau: float,
-        master_seed: int,
-        problem: SmoothnessParams,
-        weights: ProductWeights,
-    ) -> "AlgorithmParams":
-        """Compute P_N and N_star from the problem description."""
-        P_N = compute_PN(tau, problem, weights, N)
-        N_star = compute_Nstar(tau, problem, weights, N)
-        return cls(N=N, R=R, tau=tau, P_N=P_N, N_star=N_star, master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -340,19 +270,6 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def complex_median(values: Sequence[complex]) -> complex:
-    """Componentwise median of an odd number of complex values.
-
-    The real and imaginary parts are reduced independently by a selection
-    of the middle order statistic (no full sort).
-    """
-    vals = np.asarray(values, dtype=np.complex128)
-    n = vals.shape[0]
-    if n == 0 or n % 2 == 0:
-        raise ValueError("complex_median requires an odd number of values")
-    return complex(_median(vals, axis=0))
-
-
 def _draw_lattice(config: LatticeConfig, key: tuple, genvec_purpose: int, shift_purpose: int):
     """The (z, delta) pair drawn from the streams keyed (*key, purpose)."""
     return (
@@ -361,8 +278,16 @@ def _draw_lattice(config: LatticeConfig, key: tuple, genvec_purpose: int, shift_
     )
 
 
-def _rep_seed_fingerprint(master_seed: int, r: int) -> int:
-    return int(np.random.SeedSequence([master_seed, r, PURPOSE_GENVEC]).generate_state(1)[0])
+def _provenance(
+    params: AlgorithmParams, problem: SmoothnessParams, weights: ProductWeights
+) -> Provenance:
+    """The Provenance of a run with these parameters; rep_seeds holds a
+    fingerprint of each repetition's generating-vector stream."""
+    rep_seeds = tuple(
+        int(np.random.SeedSequence([params.master_seed, r, PURPOSE_GENVEC]).generate_state(1)[0])
+        for r in range(params.R)
+    )
+    return Provenance(params=params, problem=problem, weights=weights, rep_seeds=rep_seeds)
 
 
 def run(
@@ -451,18 +376,10 @@ def run(
         raise AssertionError(
             f"evaluation count {eval_count} != R*N = {expected}"
         )
-    prov = Provenance(
-        params=params,
-        problem=problem,
-        weights=weights,
-        rep_seeds=tuple(
-            _rep_seed_fingerprint(params.master_seed, r) for r in range(params.R)
-        ),
-    )
     return MedianApproximation(
         index_set=cross,
         coefficients=coefficients,
-        provenance=prov,
+        provenance=_provenance(params, problem, weights),
         eval_count=eval_count,
     )
 
@@ -640,8 +557,14 @@ class ConcentrationReport:
         return all(r.vacuous for r in self.results)
 
 
-def _probes(f, params, problem, weights, indices, tail_radius):
-    """The probe frequencies with their epsilon(h) and true coefficients."""
+def _verify(f, params, problem, weights, trials, indices, tail_radius, median: bool):
+    """The harness behind verify_concentration (``median`` false: one lattice
+    per trial, streams keyed (master_seed, trial, purpose), threshold
+    epsilon(h)^2) and verify_median_amplification (``median`` true: the
+    median of R lattices per trial, streams keyed (master_seed, trial, r,
+    purpose), threshold 2*epsilon(h)^2)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if indices is not None:
         probes = [h if isinstance(h, FrequencyIndex) else FrequencyIndex(h) for h in indices]
     else:
@@ -650,7 +573,20 @@ def _probes(f, params, problem, weights, indices, tail_radius):
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     eps = [_epsilon(h, f, params, problem, norm_sq, tail_radius) for h in probes]
     truth = [f.coefficient(h) for h in probes]
-    return probes, eps, truth
+    config = LatticeConfig(params.N, problem.dim)
+    reps = [(r,) for r in range(params.R)] if median else [()]
+    lattices = [
+        _draw_lattice(
+            config, (params.master_seed, t, *rep), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
+        )
+        for t in range(trials)
+        for rep in reps
+    ]
+    ests = estimate_coefficients(f.evaluate, config, lattices, probes)  # (lattices, |probes|)
+    if median:
+        medians = _median(ests.reshape(trials, params.R, len(probes)), axis=1)
+        return _report(probes, eps, 2.0, lemma_bound_amplified(params), medians, truth, "median")
+    return _report(probes, eps, 1.0, lemma_bound_single(params), ests, truth, "single")
 
 
 def _report(probes, eps, threshold_factor, bound, estimates, truth, kind):
@@ -692,18 +628,7 @@ def verify_concentration(
     is vacuous and flagged as such, so callers can skip with notice instead
     of reporting a meaningless pass.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    probes, eps, truth = _probes(f, params, problem, weights, indices, tail_radius)
-    config = LatticeConfig(params.N, problem.dim)
-    lattices = [
-        _draw_lattice(
-            config, (params.master_seed, t), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
-        )
-        for t in range(trials)
-    ]
-    ests = estimate_coefficients(f.evaluate, config, lattices, probes)  # (trials, |probes|)
-    return _report(probes, eps, 1.0, lemma_bound_single(params), ests, truth, "single")
+    return _verify(f, params, problem, weights, trials, indices, tail_radius, median=False)
 
 
 def verify_median_amplification(
@@ -722,20 +647,7 @@ def verify_median_amplification(
     (4*(1+tau)/(1+tau*log N_star))^ceil(R/2).  R = 1 degenerates to the
     single-repetition check at the doubled threshold.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    probes, eps, truth = _probes(f, params, problem, weights, indices, tail_radius)
-    config = LatticeConfig(params.N, problem.dim)
-    lattices = [
-        _draw_lattice(
-            config, (params.master_seed, t, r), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
-        )
-        for t in range(trials)
-        for r in range(params.R)
-    ]
-    ests = estimate_coefficients(f.evaluate, config, lattices, probes)
-    medians = _median(ests.reshape(trials, params.R, len(probes)), axis=1)
-    return _report(probes, eps, 2.0, lemma_bound_amplified(params), medians, truth, "median")
+    return _verify(f, params, problem, weights, trials, indices, tail_radius, median=True)
 
 
 # --------------------------------------------------------------------------
@@ -770,7 +682,8 @@ def load_approximation(path) -> MedianApproximation:
     """Inverse of save_approximation; re-derives and validates the index set.
 
     A NaN or infinite coefficient raises ValueError naming how many there
-    are.
+    are; a row without d + 2 fields, or repeating an earlier row's
+    frequency, raises ValueError naming the row.
     """
     header = {}
     rows = []
@@ -781,7 +694,7 @@ def load_approximation(path) -> MedianApproximation:
                 key, _, val = line[1:].partition("=")
                 header[key] = val
             elif line and not line.startswith("h_"):
-                rows.append(line.split(","))
+                rows.append(line)
     d = int(header["d"])
     weights = ProductWeights([float(v) for v in header["gamma"].split(",")])
     problem = SmoothnessParams(alpha=float(header["alpha"]), dim=d)
@@ -795,23 +708,20 @@ def load_approximation(path) -> MedianApproximation:
     )
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
     coefficients = {}
-    for row in rows:
+    for line in rows:
+        row = line.split(",")
+        if len(row) != d + 2:
+            raise ValueError(f"row {line!r} has {len(row)} fields, expected {d + 2}")
         h = FrequencyIndex([int(v) for v in row[:d]])
+        if h in coefficients:
+            raise ValueError(f"row {line!r} repeats frequency {h.components}")
         coefficients[h] = complex(float(row[d]), float(row[d + 1]))
     _check_finite_coefficients(np.array(list(coefficients.values()), dtype=np.complex128))
     if set(coefficients) != set(cross.indices):
         raise ValueError("stored rows do not match the index set implied by the header")
-    prov = Provenance(
-        params=params,
-        problem=problem,
-        weights=weights,
-        rep_seeds=tuple(
-            _rep_seed_fingerprint(params.master_seed, r) for r in range(params.R)
-        ),
-    )
     return MedianApproximation(
         index_set=cross,
         coefficients=coefficients,
-        provenance=prov,
+        provenance=_provenance(params, problem, weights),
         eval_count=int(header.get("eval_count", params.R * params.N)),
     )

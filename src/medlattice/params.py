@@ -2,7 +2,8 @@
 
 Covers prime utilities, the budget-driven choice of the lattice size N and
 repetition count R, root-finding for the tuning parameter tau, evaluation of
-the probabilistic error-bound constants, and diagnostic condition checks.
+the probabilistic error-bound constants, diagnostic condition checks, and
+the validated run parameters a selection hands to the algorithm.
 All root-finding targets are strictly monotone, so plain bisection with
 geometric bracket expansion is used throughout.
 """
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 from .korobov import ProductWeights, SmoothnessParams, riemann_zeta
 
 __all__ = [
+    "AlgorithmParams",
     "BudgetSpec",
     "SelectedParams",
     "TauRoots",
@@ -115,6 +117,72 @@ def compute_PN(tau: float, params: SmoothnessParams, weights: ProductWeights, N:
 def compute_Nstar(tau: float, params: SmoothnessParams, weights: ProductWeights, N: int) -> float:
     """N_* = (N - 1) / (exp(1/tau) * P_N(tau, d, gamma))."""
     return exp(log(N - 1.0) - 1.0 / tau - log_PN(tau, params, weights, N))
+
+
+_REL_CONSISTENCY = 1e-9
+
+
+@dataclass(frozen=True)
+class AlgorithmParams:
+    """Validated run parameters: lattice size, repetitions, tuning, seed.
+
+    Attributes
+    ----------
+    N : int
+        Prime lattice size.
+    R : int
+        Odd number of repetitions.
+    tau : float
+        Positive tuning parameter.
+    P_N : float
+        The product prod_j (1 + 2*gamma_j^(1/(2*alpha))*(1 + tau*log N)).
+    N_star : float
+        (N-1) / (exp(1/tau) * P_N); must be >= 1 for the run to make sense.
+    master_seed : int
+        64-bit master seed; repetition r uses streams keyed
+        (master_seed, r, purpose).
+    """
+
+    N: int
+    R: int
+    tau: float
+    P_N: float
+    N_star: float
+    master_seed: int
+
+    def __post_init__(self):
+        if not is_prime(self.N):
+            raise ValueError(f"N = {self.N} must be prime")
+        if self.R < 1 or self.R % 2 == 0:
+            raise ValueError(f"R = {self.R} must be a positive odd integer")
+        if not self.tau > 0.0:
+            raise ValueError("tau must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
+        implied = (self.N - 1) / (math.exp(1.0 / self.tau) * self.P_N)
+        if abs(implied - self.N_star) > _REL_CONSISTENCY * max(abs(implied), 1.0):
+            raise ValueError(
+                f"inconsistent N_star: given {self.N_star!r}, implied {implied!r}"
+            )
+        if self.N_star < 1.0:
+            raise ValueError(
+                f"N_star = {self.N_star:.6g} < 1: budget too small for these weights/tau"
+            )
+
+    @classmethod
+    def from_problem(
+        cls,
+        N: int,
+        R: int,
+        tau: float,
+        master_seed: int,
+        problem: SmoothnessParams,
+        weights: ProductWeights,
+    ) -> "AlgorithmParams":
+        """Compute P_N and N_star from the problem description."""
+        P_N = compute_PN(tau, problem, weights, N)
+        N_star = compute_Nstar(tau, problem, weights, N)
+        return cls(N=N, R=R, tau=tau, P_N=P_N, N_star=N_star, master_seed=master_seed)
 
 
 def _budget_lhs(N: int, delta: float) -> float:
@@ -321,6 +389,19 @@ class SelectedParams:
             ("feasible", self.feasible),
         ]
         return items
+
+    def algorithm_params(self, master_seed: int) -> AlgorithmParams:
+        """The run parameters of this selection: N = N_max, R, tau_star and
+        the P_N and N_star computed for them.  ValueError when the selection
+        is infeasible (N_star < 1)."""
+        return AlgorithmParams(
+            N=self.N_max,
+            R=self.R,
+            tau=self.tau_star,
+            P_N=self.P_N,
+            N_star=self.N_star,
+            master_seed=master_seed,
+        )
 
 
 def select_params(

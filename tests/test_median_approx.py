@@ -5,6 +5,7 @@ Monte-Carlo verification harnesses.
 """
 
 import cmath
+import dataclasses
 import gc
 import itertools
 import math
@@ -24,7 +25,6 @@ from medlattice import (
     FrequencyIndex,
     ProductWeights,
     SmoothnessParams,
-    complex_median,
     compute_Nstar,
     compute_PN,
     cosine_pair_oracle,
@@ -64,14 +64,8 @@ W2 = ProductWeights([1.0, 1.0])
 
 def params_for(exponent, problem, weights, R=None, seed=42):
     sel = select_params(BudgetSpec(2**exponent, 0.01), problem, weights)
-    return AlgorithmParams.from_problem(
-        N=sel.N_max,
-        R=R if R is not None else sel.R,
-        tau=sel.tau_star,
-        master_seed=seed,
-        problem=problem,
-        weights=weights,
-    )
+    params = sel.algorithm_params(seed)
+    return params if R is None else dataclasses.replace(params, R=R)
 
 
 def single_mode_oracle(h0):
@@ -144,9 +138,14 @@ odd_complex_lists = st.lists(
 ).map(lambda xs: xs if len(xs) % 2 == 1 else xs[:-1])
 
 
+def median_of(values):
+    """_median of an odd-length list of complex values."""
+    return _median(np.asarray(values), axis=0)
+
+
 class TestComplexMedian:
     def test_worked_example(self):
-        assert complex_median([1 + 1j, 2 + 3j, 5 + 2j]) == 2 + 2j
+        assert median_of([1 + 1j, 2 + 3j, 5 + 2j]) == 2 + 2j
 
     @given(seed=st.integers(0, 2**32 - 1), axis=st.integers(0, 2))
     def test_along_an_axis_matches_sorting(self, seed, axis):
@@ -164,24 +163,18 @@ class TestComplexMedian:
             assert got[idx] == complex(sorted(lane.real)[k], sorted(lane.imag)[k])
 
     def test_single_value(self):
-        assert complex_median([3.5 - 1.25j]) == 3.5 - 1.25j
+        assert median_of([3.5 - 1.25j]) == 3.5 - 1.25j
 
     def test_permutation_invariance(self):
         values = [1 + 1j, 2 + 3j, 5 + 2j, -1 - 7j, 0.5 + 0j]
-        expected = complex_median(values)
-        assert complex_median(values[::-1]) == expected
-        assert complex_median(values[2:] + values[:2]) == expected
-
-    def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            complex_median([1 + 0j, 2 + 0j])
-        with pytest.raises(ValueError):
-            complex_median([])
+        expected = median_of(values)
+        assert median_of(values[::-1]) == expected
+        assert median_of(values[2:] + values[:2]) == expected
 
     @given(odd_complex_lists)
     def test_conjugate_equivariance(self, values):
-        med = complex_median(values)
-        assert complex_median([v.conjugate() for v in values]) == med.conjugate()
+        med = median_of(values)
+        assert median_of([v.conjugate() for v in values]) == med.conjugate()
 
     @given(odd_complex_lists, st.randoms(use_true_random=False))
     def test_outlier_robustness(self, values, rnd):
@@ -196,7 +189,7 @@ class TestComplexMedian:
         for pos in positions:
             corrupted[pos] = complex(rnd.choice([-1e15, 1e15]), rnd.choice([-1e15, 1e15]))
         kept = [values[i] for i in range(R) if i not in positions]
-        med = complex_median(corrupted)
+        med = median_of(corrupted)
         assert min(v.real for v in kept) <= med.real <= max(v.real for v in kept)
         assert min(v.imag for v in kept) <= med.imag <= max(v.imag for v in kept)
 
@@ -843,6 +836,29 @@ class TestSerialization:
             lines[i] = ",".join(cols)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="3 non-finite coefficients"):
+            load_approximation(path)
+
+    def test_repeated_frequency_rejected(self, tmp_path):
+        """A second row for a stored frequency does not replace the first."""
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        (h,) = approx.index_set.indices[0].components
+        with open(path, "a") as fh:
+            fh.write(f"{h},123.0,0\n")
+        with pytest.raises(ValueError, match=f"row '{h},123.0,0' repeats frequency"):
+            load_approximation(path)
+
+    @pytest.mark.parametrize("row", ["7,0.5", "7,0.5,0,0"])
+    def test_wrong_field_count_rejected(self, tmp_path, row):
+        """A d = 1 row has three fields; the error names the row (a short
+        one used to raise IndexError)."""
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=f"row '{row}' has .* fields, expected 3"):
             load_approximation(path)
 
     def test_tampered_file_rejected(self, tmp_path):

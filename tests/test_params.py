@@ -8,17 +8,19 @@ rebuilt here from their definitions, with derivatives taken numerically so
 no formula is shared with the implementation.
 """
 
+import dataclasses
 import math
 from math import exp, log
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from medlattice import (
+    AlgorithmParams,
     BudgetSpec,
     PolynomialDecayWeights,
     ProductWeights,
@@ -336,6 +338,39 @@ class TestSelectParams:
         assert items["R"] == 17
         assert items["tau1"] == ""  # None serializes to the empty field
         assert items["condition_feasible"] is False
+
+
+class TestAlgorithmParamsFromSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponent=st.integers(10, 20),
+        dim=st.integers(1, 3),
+        poly=st.booleans(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(exponent=10, dim=2, poly=False, seed=0)  # N_star < 1
+    @example(exponent=20, dim=1, poly=True, seed=1)
+    def test_equals_from_problem(self, exponent, dim, poly, seed):
+        """algorithm_params reuses the selection's P_N and N_star, and they
+        are bitwise the ones from_problem computes for N_max, R, tau_star;
+        an infeasible selection raises, and so does an even R."""
+        problem = SmoothnessParams(1.5, dim)
+        weights = PolynomialDecayWeights(2.0).take(dim) if poly else ProductWeights([1.0] * dim)
+        sel = select_params(BudgetSpec(2**exponent, 0.01), problem, weights)
+        if not sel.feasible:
+            with pytest.raises(ValueError, match="budget too small"):
+                sel.algorithm_params(seed)
+            return
+        ap = sel.algorithm_params(seed)
+        ref = AlgorithmParams.from_problem(
+            N=sel.N_max, R=sel.R, tau=sel.tau_star, master_seed=seed, problem=problem,
+            weights=weights,
+        )
+        # dataclass equality compares the float fields with ==, exactly
+        assert ap == ref
+        assert (ap.P_N, ap.N_star) == (sel.P_N, sel.N_star)
+        with pytest.raises(ValueError, match="odd"):
+            dataclasses.replace(ap, R=4)
 
 
 class TestTheorem1Bound:
