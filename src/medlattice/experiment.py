@@ -148,7 +148,8 @@ def exact_squared_error(f: SpectralOracle, approx: MedianApproximation) -> float
     indices = approx.index_set.indices
     truth_sq = fsum(abs(f.coefficient(h)) ** 2 for h in indices)
     resid = fsum(
-        abs(approx.coefficients[h] - f.coefficient(h)) ** 2 for h in indices
+        abs(c - f.coefficient(h)) ** 2
+        for h, c in zip(indices, approx.coefficients.vector.tolist())
     )
     err = f.l2_norm_sq - truth_sq + resid
     tol = 1e-12 * max(1.0, f.l2_norm_sq)

@@ -76,9 +76,7 @@ class HyperbolicCross:
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_members", frozenset(h.components for h in self.indices)
-        )
+        object.__setattr__(self, "_rows", {h: row for row, h in enumerate(self.indices)})
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -87,8 +85,12 @@ class HyperbolicCross:
         return iter(self.indices)
 
     def __contains__(self, h) -> bool:
-        comps = tuple(h.components) if isinstance(h, FrequencyIndex) else tuple(int(c) for c in h)
-        return comps in self._members
+        return (h if isinstance(h, FrequencyIndex) else FrequencyIndex(h)) in self._rows
+
+    def row(self, h: FrequencyIndex) -> int:
+        """The position of member h in ``indices``; KeyError for anything
+        else, a tuple included."""
+        return self._rows[h]
 
     def __repr__(self):
         return (

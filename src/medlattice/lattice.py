@@ -15,7 +15,10 @@ transform of the node values:
 One FFT plus a gather serves all targets, at cost O(N log N + |A|*d) per
 lattice.  Lattices of one size are transformed together, a block of rows
 per FFT call, so the length-N transform is planned once per block rather
-than once per lattice.  When f is real, the lattices at positions 2k and
+than once per lattice.  Above N = 2^15 a block holds one lattice, and its
+DFT is Bluestein's chirp convolution done as a four-step FFT over the
+short 7-smooth lengths P, Q ~ sqrt(2N), so numpy never plans a prime
+length.  When f is real, the lattices at positions 2k and
 2k+1 of a call share one row as the real and the imaginary part of u + i*v,
 and the two spectra are separated after the transform, so a real pair costs
 one transform instead of two.  A call with fewer than log2(N) targets needs
@@ -62,7 +65,7 @@ PURPOSE_SHIFT = 1
 _MAX_N = 2**31
 
 # bytes of node values transformed per batched FFT call: one call per block
-# plans the length-N transform once for all its rows, and at N >= 65537 a
+# plans the length-N transform once for all its rows, and above N = 2^15 a
 # block holds a single lattice, so memory stays O(N) for large lattices
 _BLOCK_BYTES = 2**20
 
@@ -287,6 +290,20 @@ def estimate_coefficients(
     return out
 
 
+def _chirp(N: int, window: np.ndarray) -> np.ndarray:
+    """The chirp w_k = exp(-i*pi*k^2/N), k = 0..N-1; writes the window
+    conj(w_j), j = -(N-1)..N-1, into ``window[:2N-1]``, entry j + N - 1.
+
+    k^2 < 2^62 is reduced exactly in int64; w_k has period 2N in k, and
+    w_{-j} = w_j.
+    """
+    k = np.arange(N, dtype=np.int64)
+    w = np.exp(-1j * np.pi * ((k * k) % (2 * N) / N))
+    np.conjugate(w[:0:-1], out=window[:N - 1])
+    np.conjugate(w, out=window[N - 1:2 * N - 1])
+    return w
+
+
 def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
     """Fill ``out`` from one direct length-N sum per lattice and target.
 
@@ -295,15 +312,13 @@ def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
 
         Y[m] = w_m * sum_k (f(x_k)*w_k) * conj(w_{k-m}),
 
-    and k - m runs over a contiguous window of conj(w_j), j = -(N-1)..N-1.
+    and k - m runs over a contiguous slice of the window (``_chirp``).
     The sums go through ``np.einsum``, not BLAS, so an estimate does not
     depend on the BLAS thread count.
     """
     N = config.N
-    k = np.arange(N, dtype=np.int64)
-    # k^2 < 2^62 is reduced exactly; w_k has period 2N in k, and w_{-j} = w_j
-    w = np.exp(-1j * np.pi * ((k * k) % (2 * N) / N))
-    window = np.conj(np.concatenate((w[:0:-1], w)))
+    window = np.empty(2 * N - 1, dtype=np.complex128)
+    w = _chirp(N, window)
     xw = np.empty(N, dtype=np.complex128)
     sums = np.empty(len(H_mod), dtype=np.complex128)
     for i, lattice in enumerate(lattices):
@@ -314,11 +329,116 @@ def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
         out[i] = _shifted(w[m] * sums, H_float, lattice[1], N)
 
 
-def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
-    """Fill ``out`` from batched length-N FFTs of the node values.
+def _smooth_at_least(n: int) -> int:
+    """The smallest 7-smooth integer >= n (n >= 1)."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
-    Node values fill the rows of a block of max(1, 2^20 // (16*N)) rows,
-    1 MiB of complex128, which is transformed by one batched FFT.  The
+
+class _FFTBlock:
+    """Rows of node values transformed by one batched length-N numpy FFT."""
+
+    def __init__(self, N: int, rows: int):
+        self.rows = np.empty((rows, N), dtype=np.complex128)
+
+    def transform(self, count: int) -> None:
+        spectra = self.rows[:count]
+        np.fft.fft(spectra, axis=-1, out=spectra)  # out= needs numpy >= 2.0
+
+    def spectrum(self, row: int, idx: np.ndarray) -> np.ndarray:
+        """Y[idx] of the transformed ``rows[row]``."""
+        return self.rows[row, idx]
+
+
+class _ChirpBlock:
+    """One row of node values whose length-N DFT is Bluestein's chirp
+    convolution, done over short batched FFTs.
+
+    With the chirp w and the window g_j = conj(w_j), j = -(N-1)..N-1, of
+    ``_chirp``, Y[m] = w_m * sum_k (x_k*w_k) * g_{m-k} (Bluestein, IEEE
+    Trans. Audio Electroacoust. 18, 1970).  That sum is entry m + N - 1 of
+    the linear convolution of x*w with the window, so it is also entry
+    m + N - 1 of their cyclic convolution of any length L >= 2N - 1: the
+    window zero-padded to L is the filter.
+
+    L = P*Q is 7-smooth with P, Q near sqrt(2N), and every length-L
+    transform is a four-step FFT (Bailey, J. Supercomputing 4, 1990) on the
+    row laid out as a (P, Q) array: FFTs along P, a product with the
+    twiddles exp(-2*pi*i*k1*j2/L), FFTs along Q.  Input entry Q*p + q comes
+    out as frequency k1 + P*k2 at [k1, k2]; the inverse transform takes its
+    input in that layout and returns natural order.  It is
+    ifft(y) = conj(fft(conj(y)))/L, so one twiddle table serves both
+    directions.  numpy only ever plans the short lengths P and Q, and the
+    tables are built once per call.
+    """
+
+    def __init__(self, N: int):
+        self.N = N
+        n = 2 * N - 1
+        P = _smooth_at_least(math.isqrt(n - 1) + 1)
+        Q = _smooth_at_least(-(-n // P))
+        L = P * Q
+        self.buffer = np.empty((1, P, Q), dtype=np.complex128)
+        flat = self.buffer.reshape(1, L)
+        self.rows = flat[:, :N]
+        self.w = _chirp(N, flat[0])
+        flat[0, n:] = 0.0
+        # exp(-2*pi*i*k1*j2/L): k1*j2 < L is exact in float64
+        self.twiddles = np.zeros((P, Q), dtype=np.complex128)
+        angle = self.twiddles.imag
+        np.multiply.outer(np.arange(P, dtype=float), np.arange(Q, dtype=float), out=angle)
+        angle *= -2.0 * math.pi / L
+        np.exp(self.twiddles, out=self.twiddles)
+        self._forward(self.buffer)
+        # conj(filter spectrum)/L, for the conjugated inverse
+        self.filter = np.conjugate(self.buffer[0])
+        self.filter /= L
+
+    def _forward(self, x: np.ndarray) -> None:
+        np.fft.fft(x, axis=1, out=x)
+        x *= self.twiddles
+        np.fft.fft(x, axis=2, out=x)
+
+    def transform(self, count: int) -> None:
+        """Leave conj of the cyclic convolution of rows*w with the window
+        in the buffer."""
+        N = self.N
+        x = self.buffer[:count]
+        flat = x.reshape(count, -1)
+        flat[:, :N] *= self.w
+        flat[:, N:] = 0.0
+        self._forward(x)
+        # conj(X*H)/L, then the four steps with the axes swapped
+        np.conjugate(x, out=x)
+        x *= self.filter
+        np.fft.fft(x, axis=2, out=x)
+        x *= self.twiddles
+        np.fft.fft(x, axis=1, out=x)
+
+    def spectrum(self, row: int, idx: np.ndarray) -> np.ndarray:
+        """Y[idx] = w[idx] * (convolution at idx + N - 1) of the transformed
+        ``rows[row]``."""
+        conv = self.buffer[row].reshape(-1)[idx + (self.N - 1)]
+        return self.w[idx] * np.conjugate(conv, out=conv)
+
+
+def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
+    """Fill ``out`` from batched length-N DFTs of the node values.
+
+    Node values fill the rows of a block of 2^20 // (16*N) rows, 1 MiB of
+    complex128, which is transformed by one batched numpy FFT
+    (``_FFTBlock``).  When 1 MiB holds less than two rows (N > 2^15), a
+    block is one row, transformed as a chirp convolution over short
+    batched FFTs (``_ChirpBlock``): a one-row numpy transform of prime
+    length would plan Bluestein's algorithm and fault in its work arrays
+    anew on every call, while for shorter lattices the batched numpy FFT
+    is faster.  The
     lattices are paired (2k, 2k+1) by their position in the call.  When f
     returns real values on both lattices of a pair, they share one row, the
     first as its real part u and the second as its imaginary part v; every
@@ -332,8 +452,12 @@ def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
     estimates depend only on its own pair, never on the block.
     """
     N = config.N
-    rows = min(len(lattices), max(1, _BLOCK_BYTES // (16 * N)))
-    block = np.empty((rows, N), dtype=np.complex128)
+    per_block = _BLOCK_BYTES // (16 * N)
+    transforms = (
+        _FFTBlock(N, min(len(lattices), per_block)) if per_block >= 2 else _ChirpBlock(N)
+    )
+    block = transforms.rows
+    rows = len(block)
     # per filled row of the block: its first lattice, and whether that
     # lattice's real values share the row with the next one's as u + i*v
     firsts, packed = [], []
@@ -342,18 +466,17 @@ def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
     waiting = False
 
     def transform_and_gather():
-        spectra = block[: len(firsts)]
-        np.fft.fft(spectra, axis=-1, out=spectra)  # out= needs numpy >= 2.0
+        transforms.transform(len(firsts))
         for row, (first, pair) in enumerate(zip(firsts, packed)):
             for part in range(1 + pair):
                 z, delta = lattices[first + part]
                 m = _residues(H_mod, z, N)
-                Y = spectra[row, m]
+                Y = transforms.spectrum(row, m)
                 if pair:
                     # Y = U + i*V for the spectra U, V of the two real
                     # sequences; U[m] = (Y[m] + conj(Y[-m]))/2 and
                     # V[m] = (Y[m] - conj(Y[-m]))/(2i)
-                    mirror = np.conj(spectra[row, (N - m) % N])
+                    mirror = np.conj(transforms.spectrum(row, (N - m) % N))
                     Y = (Y + mirror) * 0.5 if part == 0 else (Y - mirror) * -0.5j
                 out[first + part] = _shifted(Y, H_float, delta, N)
         firsts.clear()

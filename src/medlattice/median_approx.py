@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import log
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -83,30 +84,73 @@ class Provenance:
     rep_seeds: tuple
 
 
+class _CoefficientView(Mapping):
+    """Read-only map from each member of ``index_set`` to its coefficient,
+    a Python complex, over one read-only complex128 ``vector`` aligned with
+    ``index_set.indices``.  Keys, their order, ``==`` with a dict and
+    ``KeyError`` behave as for the dict of the same items."""
+
+    __slots__ = ("index_set", "vector")
+
+    def __init__(self, index_set: HyperbolicCross, vector: np.ndarray):
+        # takes ownership of ``vector``, which only this view may reach
+        vector.flags.writeable = False
+        self.index_set = index_set
+        self.vector = vector
+
+    def __getitem__(self, h) -> complex:
+        return complex(self.vector[self.index_set.row(h)])
+
+    def __iter__(self):
+        return iter(self.index_set.indices)
+
+    def __len__(self) -> int:
+        return len(self.vector)
+
+    def __eq__(self, other):
+        if isinstance(other, _CoefficientView) and other.index_set.indices == self.index_set.indices:
+            return bool(np.array_equal(self.vector, other.vector))
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        # a copy or an unpickled view gets a read-only vector too
+        return _CoefficientView, (self.index_set, self.vector)
+
+
 @dataclass(frozen=True)
 class MedianApproximation:
     """Result of one algorithm run.
 
-    ``coefficients`` is keyed exactly by the members of ``index_set``;
-    ``eval_count`` records the number of function evaluations, always R*N.
-    ``evaluate`` reads the coefficients once, on its first call, so they
-    must not change afterwards.
+    ``coefficients`` maps exactly the members of ``index_set`` to their
+    coefficients.  It is a read-only view over one complex128 vector,
+    ``coefficients.vector``, aligned with ``index_set.indices``; a dict
+    given here is checked and converted once.  ``eval_count`` records the
+    number of function evaluations, always R*N.
     """
 
     index_set: HyperbolicCross
-    coefficients: Dict[FrequencyIndex, complex]
+    coefficients: Mapping
     provenance: Provenance
     eval_count: int
 
     def __post_init__(self):
-        if set(self.coefficients) != set(self.index_set.indices):
+        coefficients = self.coefficients
+        if isinstance(coefficients, _CoefficientView) and coefficients.index_set is self.index_set:
+            return
+        indices = self.index_set.indices
+        if set(coefficients) != set(indices):
             raise ValueError("coefficients must be keyed exactly by the index-set members")
+        vector = np.array([coefficients[h] for h in indices], dtype=np.complex128)
+        object.__setattr__(self, "coefficients", _CoefficientView(self.index_set, vector))
 
     @cached_property
     def _plan(self) -> "_EvaluationPlan":
         # built on the first evaluate call; not a field, so equality, repr
         # and the saved file do not see it
-        return _EvaluationPlan(self.index_set, self.coefficients)
+        return _EvaluationPlan(self.index_set, self.coefficients.vector)
 
 
 class _EvaluationPlan:
@@ -125,12 +169,12 @@ class _EvaluationPlan:
     leave rows of it unused, and ``bytes_per_point`` counts them.
     """
 
-    def __init__(self, index_set: HyperbolicCross, coefficients):
+    def __init__(self, index_set: HyperbolicCross, c: np.ndarray):
         d = index_set.params.dim
-        # (|A|, d) frequencies and aligned coefficients, in index-set order;
-        # A is not empty
+        # (|A|, d) frequencies and the aligned coefficients c, in index-set
+        # order; A is not empty
         self.H = np.array([h.components for h in index_set.indices], dtype=np.int64)
-        self.c = np.array([coefficients[h] for h in index_set.indices], dtype=np.complex128)
+        self.c = c
         _check_finite_coefficients(self.c)
         radii = np.abs(self.H).max(axis=0)
         self.K = int(radii.max())
@@ -369,8 +413,6 @@ def run(
         counts = [estimate_slice(0, params.R)]
     eval_count = sum(counts)
 
-    coefficients = dict(zip(targets, _median(ests, axis=0).tolist()))
-
     expected = params.R * params.N
     if eval_count != expected:
         raise AssertionError(
@@ -378,7 +420,7 @@ def run(
         )
     return MedianApproximation(
         index_set=cross,
-        coefficients=coefficients,
+        coefficients=_CoefficientView(cross, _median(ests, axis=0)),
         provenance=_provenance(params, problem, weights),
         eval_count=eval_count,
     )
@@ -671,8 +713,7 @@ def save_approximation(approx: MedianApproximation, path) -> None:
         fh.write(f"#gamma={gammas}\n")
         fh.write(f"#eval_count={approx.eval_count}\n")
         fh.write(",".join([f"h_{j + 1}" for j in range(d)] + ["re", "im"]) + "\n")
-        for h in approx.index_set.indices:
-            c = approx.coefficients[h]
+        for h, c in zip(approx.index_set.indices, approx.coefficients.vector.tolist()):
             cols = [str(comp) for comp in h.components]
             cols += ["%.17g" % c.real, "%.17g" % c.imag]
             fh.write(",".join(cols) + "\n")
@@ -681,7 +722,9 @@ def save_approximation(approx: MedianApproximation, path) -> None:
 def load_approximation(path) -> MedianApproximation:
     """Inverse of save_approximation; re-derives and validates the index set.
 
-    A NaN or infinite coefficient raises ValueError naming how many there
+    A header without one of the keys that save_approximation writes, or
+    with a value that does not parse, raises ValueError naming the key.  A
+    NaN or infinite coefficient raises ValueError naming how many there
     are; a row without d + 2 fields, or repeating an earlier row's
     frequency, raises ValueError naming the row.
     """
@@ -695,14 +738,25 @@ def load_approximation(path) -> MedianApproximation:
                 header[key] = val
             elif line and not line.startswith("h_"):
                 rows.append(line)
-    d = int(header["d"])
-    weights = ProductWeights([float(v) for v in header["gamma"].split(",")])
-    problem = SmoothnessParams(alpha=float(header["alpha"]), dim=d)
+
+    def field(key, parse, default=None):
+        if key not in header:
+            if default is not None:
+                return default
+            raise ValueError(f"header has no #{key}= line")
+        try:
+            return parse(header[key])
+        except ValueError as err:
+            raise ValueError(f"header #{key}={header[key]!r}: {err}") from err
+
+    d = field("d", int)
+    weights = field("gamma", lambda v: ProductWeights([float(g) for g in v.split(",")]))
+    problem = SmoothnessParams(alpha=field("alpha", float), dim=d)
     params = AlgorithmParams.from_problem(
-        N=int(header["N"]),
-        R=int(header["R"]),
-        tau=float(header["tau"]),
-        master_seed=int(header["seed"]),
+        N=field("N", int),
+        R=field("R", int),
+        tau=field("tau", float),
+        master_seed=field("seed", int),
         problem=problem,
         weights=weights,
     )
@@ -723,5 +777,5 @@ def load_approximation(path) -> MedianApproximation:
         index_set=cross,
         coefficients=coefficients,
         provenance=_provenance(params, problem, weights),
-        eval_count=int(header.get("eval_count", params.R * params.N)),
+        eval_count=field("eval_count", int, params.R * params.N),
     )

@@ -27,6 +27,7 @@ from medlattice.lattice import (
     PURPOSE_GENVEC,
     PURPOSE_SHIFT,
     NonFiniteValueError,
+    _ChirpBlock,
     _lattice_nodes,
     roots_of_unity,
 )
@@ -495,6 +496,90 @@ class TestCostModel:
         rows = _BLOCK_BYTES // (16 * N)
         pairs = (count + 1) // 2
         assert len(self._count_ffts(monkeypatch, targets, count)) == -(-pairs // rows)
+
+    @pytest.mark.parametrize("N", [32771, 39409])
+    def test_one_lattice_blocks_plan_no_length_N(self, monkeypatch, N):
+        """When 1 MiB holds a single lattice, numpy transforms only short
+        lengths: no fft or ifft call has length N."""
+        assert _BLOCK_BYTES // (16 * N) < 2
+        lengths = []
+
+        def recording(transform):
+            def recorded(a, n=None, axis=-1, *args, **kwargs):
+                lengths.append(n or np.shape(a)[axis])
+                return transform(a, n, axis, *args, **kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
+        config = LatticeConfig(N, 2)
+        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        estimate_coefficients(
+            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, _lattices(config, 2, 3), targets
+        )
+        assert lengths
+        assert N not in lengths
+
+
+class TestChirpConvolution:
+    """N > 2^15, where a 1 MiB block holds one lattice and the length-N DFT
+    is a chirp convolution over short batched FFTs (``_ChirpBlock``)."""
+
+    PRIMES = [32771, 39409]  # the smallest prime above 2^15, and the solve workload's N
+
+    @staticmethod
+    def _f(pts):
+        return np.cos(2 * np.pi * (pts @ np.array([3.0, -1.0])) + 0.3) + pts[:, 0] * (1 - pts[:, 1])
+
+    @staticmethod
+    def _transform(N, x):
+        block = _ChirpBlock(N)
+        block.rows[0] = x
+        block.transform(1)
+        return block.spectrum(0, np.arange(N))
+
+    @pytest.mark.parametrize("N", PRIMES)
+    def test_agrees_with_numpy_fft(self, N):
+        """Within 2e-15 * max|Y| of np.fft.fft, on what the estimator
+        transforms (a packed pair of real node values u + i*v) and on white
+        noise.  Both transforms round: against a long-double transform of
+        the same inputs, numpy's is up to 9.6e-16 * max|Y| off at N=32771
+        and this one up to 1.0e-15 at N=39409."""
+        assert _BLOCK_BYTES // (16 * N) < 2
+        config = LatticeConfig(N, 2)
+        u, v = (self._f(_lattice_nodes(config, *lattice)) for lattice in _lattices(config, 5, 2))
+        rng = np.random.default_rng(N)
+        noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for x in (u + 1j * v, noise):
+            Y = np.fft.fft(x)
+            assert np.max(np.abs(self._transform(N, x) - Y)) <= 2e-15 * np.max(np.abs(Y))
+
+    @pytest.mark.parametrize("N", PRIMES)
+    def test_estimates_equal_direct_sum(self, N):
+        """Real f (a packed pair and an odd trailing lattice) and complex f
+        against the defining sum, at a few targets of a call with log2(N) or
+        more."""
+        config = LatticeConfig(N, 2)
+        lattices = _lattices(config, 7, 3)
+        targets = [FrequencyIndex([a, 2 - a]) for a in range(-8, 8)] + [FrequencyIndex([N + 1, -3])]
+        assert len(targets) >= math.log2(N)
+        complex_f = lambda pts: self._f(pts) * np.exp(2j * np.pi * pts[:, 1])
+        for f in (self._f, complex_f):
+            out = estimate_coefficients(f, config, lattices, targets)
+            for row, (z, delta) in zip(out, lattices):
+                for j in (0, 9, len(targets) - 1):
+                    assert abs(row[j] - _direct_sum(f, config, z, delta, targets[j])) < 1e-12
+
+    @pytest.mark.parametrize("N", PRIMES)
+    def test_rows_equal_the_pair_call_bitwise(self, N):
+        config = LatticeConfig(N, 2)
+        lattices = _lattices(config, 8, 5)
+        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        out = estimate_coefficients(self._f, config, lattices, targets)
+        for start in range(0, len(lattices), 2):
+            pair = estimate_coefficients(self._f, config, lattices[start:start + 2], targets)
+            assert out[start:start + 2].tobytes() == pair.tobytes()
 
 
 def _outer_product_nodes(config, z, delta):

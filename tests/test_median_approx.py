@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 import weakref
@@ -42,10 +43,11 @@ from medlattice import (
     verify_median_amplification,
 )
 from medlattice import index_set, median_approx
+from medlattice import test_function_f1 as function_f1
 from medlattice import test_function_f2 as function_f2
 from medlattice.index_set import HyperbolicCross
 from medlattice.korobov import SpectralOracle
-from medlattice.lattice import PURPOSE_SHIFT, LatticeConfig, draw_shift, rng_stream
+from medlattice.lattice import _BLOCK_BYTES, PURPOSE_SHIFT, LatticeConfig, draw_shift, rng_stream
 from medlattice.median_approx import (
     AlgorithmParams,
     MedianApproximation,
@@ -345,6 +347,20 @@ class TestRun:
             outputs.append(np.array([approx.coefficients[h] for h in approx.index_set]).tobytes())
         assert outputs[1:] == outputs[:1] * 3
 
+    def test_coefficients_bitwise_across_workers_one_lattice_blocks(self):
+        """The same at 2^20 for f1 (N=39409, R=25), where a block holds one
+        lattice and the transforms are chirp convolutions; at 5 workers an
+        even split of 25 repetitions would cut the pair (4, 5)."""
+        problem = SmoothnessParams(1.5, 2)
+        ap = params_for(20, problem, W2, seed=7919)
+        assert ap.R % 2 == 1 and _BLOCK_BYTES // (16 * ap.N) < 2
+        f = function_f1(2)
+        outputs = [
+            run(f.evaluate, ap, problem, W2, workers=workers).coefficients.vector.tobytes()
+            for workers in (1, 2, 3, 5)
+        ]
+        assert outputs[1:] == outputs[:1] * 3
+
     def test_runs_share_one_live_index_set(self):
         """Two runs on one problem share one index set, which is freed with
         its last user; a cap violation still raises and stores nothing."""
@@ -381,6 +397,58 @@ class TestRun:
                 provenance=approx.provenance,
                 eval_count=approx.eval_count,
             )
+
+
+class TestCoefficientView:
+    """``MedianApproximation.coefficients``: a read-only mapping over one
+    complex128 vector aligned with the index set."""
+
+    @pytest.fixture(scope="class")
+    def approx(self):
+        return run(function_f2(2).evaluate, params_for(14, D2, W2, seed=5), D2, W2)
+
+    def test_dict_built_equals_the_run(self, approx):
+        as_dict = dict(approx.coefficients)
+        rebuilt = dataclasses.replace(approx, coefficients=as_dict)
+        assert rebuilt == approx
+        assert rebuilt.coefficients == approx.coefficients == as_dict
+        assert as_dict == approx.coefficients
+        assert list(approx.coefficients) == list(approx.index_set.indices)
+        assert all(type(c) is complex for c in approx.coefficients.values())
+        assert rebuilt.coefficients.vector.tobytes() == approx.coefficients.vector.tobytes()
+
+    def test_differing_value_is_unequal(self, approx):
+        changed = dict(approx.coefficients)
+        h = approx.index_set.indices[0]
+        changed[h] = complex(np.nextafter(changed[h].real, np.inf), changed[h].imag)
+        assert dataclasses.replace(approx, coefficients=changed) != approx
+        assert approx.coefficients != changed
+
+    def test_non_members_and_tuples_raise_key_error(self, approx):
+        h = approx.index_set.indices[0]
+        assert tuple(h) in approx.index_set
+        for key in (tuple(h), FrequencyIndex([10**6, 0]), FrequencyIndex([0, 0, 0])):
+            with pytest.raises(KeyError):
+                approx.coefficients[key]
+            assert key not in approx.coefficients
+            assert approx.coefficients.get(key) is None
+
+    def test_vector_is_read_only(self, approx):
+        vector = approx.coefficients.vector
+        assert vector.dtype == np.complex128 and vector.shape == (len(approx.index_set),)
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
+        with pytest.raises(TypeError):
+            approx.coefficients[approx.index_set.indices[0]] = 0j
+        again = pickle.loads(pickle.dumps(approx))
+        assert again == approx and not again.coefficients.vector.flags.writeable
+
+    def test_caller_dict_is_copied(self, approx):
+        as_dict = dict(approx.coefficients)
+        rebuilt = dataclasses.replace(approx, coefficients=as_dict)
+        as_dict[approx.index_set.indices[0]] = 5.0
+        assert rebuilt.coefficients == approx.coefficients
 
 
 class TestErrorAgainstTheoremBound:
@@ -859,6 +927,33 @@ class TestSerialization:
         with open(path, "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(ValueError, match=f"row '{row}' has .* fields, expected 3"):
+            load_approximation(path)
+
+    @pytest.mark.parametrize("key", ["N", "R", "tau", "N_star", "seed", "d", "alpha", "gamma"])
+    def test_missing_header_key_named(self, tmp_path, key):
+        """N_star is re-derived, so only its absence is harmless."""
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith(f"#{key}=")))
+        if key == "N_star":
+            assert load_approximation(path) == approx
+            return
+        with pytest.raises(ValueError, match=f"header has no #{key}= line"):
+            load_approximation(path)
+
+    @pytest.mark.parametrize("key, value", [("R", "x17"), ("d", "2.5"), ("gamma", "1,a"),
+                                            ("tau", ""), ("eval_count", "many")])
+    def test_malformed_header_value_named(self, tmp_path, key, value):
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            f"#{key}={value}\n" if ln.startswith(f"#{key}=") else ln for ln in lines
+        ))
+        with pytest.raises(ValueError, match=f"header #{key}='{value}': "):
             load_approximation(path)
 
     def test_tampered_file_rejected(self, tmp_path):
