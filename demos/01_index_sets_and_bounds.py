@@ -10,6 +10,8 @@ and round-trips a set through its CSV form.
 
 import pathlib
 
+import numpy as np
+
 from medlattice import (
     ProductWeights,
     SmoothnessParams,
@@ -28,7 +30,7 @@ weights = ProductWeights([1.0, 0.7])
 # only the origin and the first-axis unit vectors survive.
 small = enumerate_hyperbolic_cross(1.0, params, weights)
 print(f"L = 1: {len(small)} indices")
-for h in small.indices:
+for h in small.H.tolist():
     print("   ", tuple(h))
 
 # Cardinality always comes out odd: the set is symmetric under h -> -h and
@@ -45,11 +47,13 @@ for L in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
 # the refined variant replaces the zeta function by a partial sum and wins
 # once L is large enough for the tail to matter.
 
-# Index sets serialize to a plain CSV (one row per h, columns h_1..h_d).
+# An index set is one (|A|, d) int64 array, cross.H, one frequency per row
+# in lexicographic order.  It serializes to a plain CSV (columns h_1..h_d)
+# and reads back as the same array.
 out = pathlib.Path("out")
 out.mkdir(exist_ok=True)
 path = out / "cross_L8.csv"
 cross = enumerate_hyperbolic_cross(8.0, params, weights)
 write_indices_csv(cross, path)
 again = read_indices_csv(path)
-print(f"\nwrote {path} ({len(again)} indices), round-trip equal: {list(cross.indices) == again}")
+print(f"\nwrote {path} ({len(again)} indices), round-trip equal: {np.array_equal(cross.H, again)}")

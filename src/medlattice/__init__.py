@@ -21,7 +21,6 @@ from .korobov import (
     riemann_zeta,
     test_function_f1,
     test_function_f2,
-    worst_realization_norm_factor,
 )
 from .index_set import (
     HyperbolicCross,
@@ -137,5 +136,4 @@ __all__ = [
     "tractability_diagnostics",
     "verify_concentration",
     "verify_median_amplification",
-    "worst_realization_norm_factor",
 ]

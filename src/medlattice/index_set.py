@@ -5,8 +5,9 @@ The index set A_d(L) collects all integer frequency vectors h with
     prod_{j: h_j != 0} |h_j| * gamma_j^(-1/(2*alpha)) <= L,
 
 equivalently r_{2*alpha,gamma}(h) <= L^(2*alpha).  This module enumerates the
-set by depth-first recursion, provides three analytic upper bounds on its
-cardinality plus the prime-lattice cap, and serializes index sets to CSV.
+set into one (|A|, d) int64 array, one coordinate at a time, provides three
+analytic upper bounds on its cardinality plus the prime-lattice cap, and
+serializes index sets to CSV.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import exp, log
 from typing import Iterator, Sequence
 
@@ -59,7 +61,7 @@ def _admits(components, log_budget: float, costs) -> bool:
     return spent <= log_budget + _LOG_SLACK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicCross:
     """An enumerated index set A_d(L), immutable and thread-shareable.
 
@@ -67,19 +69,29 @@ class HyperbolicCross:
         L: the truncation radius; the set is empty when L < 1.
         params: smoothness/dimension parameters.
         weights: the product weights.
-        indices: tuple of FrequencyIndex in lexicographic component order.
+        H: read-only (|A|, d) int64 array of the members, one per row, in
+            lexicographic order.
     """
 
     L: float
     params: SmoothnessParams
     weights: ProductWeights
-    indices: tuple
+    H: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", {h: row for row, h in enumerate(self.indices)})
+        self.H.flags.writeable = False
+
+    @cached_property
+    def indices(self) -> tuple:
+        """The rows of H as FrequencyIndex objects, built on first use."""
+        return tuple(FrequencyIndex(h) for h in self.H.tolist())
+
+    @cached_property
+    def _rows(self) -> dict:
+        return {h: row for row, h in enumerate(self.indices)}
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.H)
 
     def __iter__(self) -> Iterator[FrequencyIndex]:
         return iter(self.indices)
@@ -88,14 +100,19 @@ class HyperbolicCross:
         return (h if isinstance(h, FrequencyIndex) else FrequencyIndex(h)) in self._rows
 
     def row(self, h: FrequencyIndex) -> int:
-        """The position of member h in ``indices``; KeyError for anything
-        else, a tuple included."""
+        """The row of member h in ``H``; KeyError for anything else, a tuple
+        included."""
         return self._rows[h]
+
+    def __eq__(self, other):
+        fields = (self.L, self.params, self.weights)
+        return isinstance(other, HyperbolicCross) and fields == (
+            other.L, other.params, other.weights) and np.array_equal(self.H, other.H)
 
     def __repr__(self):
         return (
             f"HyperbolicCross(L={self.L:.6g}, d={self.params.dim}, "
-            f"size={len(self.indices)})"
+            f"size={len(self.H)})"
         )
 
 
@@ -105,14 +122,15 @@ def enumerate_hyperbolic_cross(
     weights: ProductWeights,
     cap: int = _DEFAULT_CAP,
 ) -> HyperbolicCross:
-    """Enumerate A_d(L) by depth-first recursion over coordinates.
+    """Enumerate A_d(L) one coordinate at a time.
 
-    The recursion tracks the remaining budget in log space
-    (log L minus the accumulated log|h_j| - (1/(2*alpha))*log(gamma_j)),
-    so products of many small weights cannot underflow.  Per coordinate the
-    admissible range is |h_j| <= exp(remaining budget + (1/(2*alpha))*log
-    gamma_j); candidates are emitted in ascending component order, which
-    makes the overall output lexicographic.
+    Every prefix (h_1..h_j) carries the budget it leaves in log space
+    (log L minus the accumulated log|h_i| - (1/(2*alpha))*log(gamma_i)), so
+    products of many small weights cannot underflow.  Coordinate j + 1
+    extends each prefix by every h_{j+1} with |h_{j+1}| <= exp(budget left
+    + (1/(2*alpha))*log gamma_{j+1}), in ascending order, which keeps the
+    rows lexicographic.  Each finished row then passes the exact membership
+    test.
 
     While a cross enumerated from the same (L, params, weights, cap) is
     still referenced anywhere, that cross is returned instead of a new one;
@@ -126,7 +144,7 @@ def enumerate_hyperbolic_cross(
             projects more than this many indices.
 
     Returns:
-        HyperbolicCross with lexicographically sorted indices.
+        HyperbolicCross with lexicographically sorted rows.
 
     Raises:
         ValueError: when the projected cardinality exceeds ``cap``.
@@ -141,9 +159,8 @@ def enumerate_hyperbolic_cross(
 
 
 def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap: int):
-    d = params.dim
     if L < 1.0:
-        return HyperbolicCross(L=L, params=params, weights=weights, indices=())
+        return HyperbolicCross(L, params, weights, np.empty((0, params.dim), dtype=np.int64))
 
     projected = bound_basic(L, 1.0, params, weights)
     if projected > cap:
@@ -154,25 +171,23 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
 
     costs = _log_costs(params, weights)
     log_budget = log(L)
-    out = []
-    comps = [0] * d
-
-    def recurse(j: int, remaining: float):
-        if j == d:
-            if _admits(comps, log_budget, costs):
-                out.append(FrequencyIndex(comps))
-            return
-        # largest admissible |h_j| given the budget left for this suffix
-        m = int(exp(remaining - costs[j]) + 1e-12) if remaining >= costs[j] else 0
-        for c in range(-m, m + 1):
-            comps[j] = c
-            recurse(j + 1, remaining if c == 0 else remaining - (log(abs(c)) + costs[j]))
-        comps[j] = 0
-
-    recurse(0, log_budget + _LOG_SLACK)
-    if len(out) > cap:
-        raise ValueError(f"enumerated {len(out)} indices, exceeding the cap {cap}")
-    return HyperbolicCross(L=L, params=params, weights=weights, indices=tuple(out))
+    rows = np.zeros((1, 0), dtype=np.int64)
+    # twice the membership slack, so that rounding in these running budgets
+    # never drops a row that _admits keeps
+    left = np.array([log_budget + 2.0 * _LOG_SLACK])
+    for cost in costs:
+        # largest admissible |h_j| per prefix, given the budget it left
+        m = (np.exp(left - cost) + 1e-12).astype(np.int64)
+        width = 2 * m + 1
+        prefix = np.repeat(np.arange(len(rows)), width)
+        # prefix p takes the components -m_p..m_p, in ascending order
+        c = np.arange(len(prefix)) - np.repeat(np.cumsum(width) - m - 1, width)
+        left = left[prefix] - np.where(c != 0, np.log(np.maximum(np.abs(c), 1)) + cost, 0.0)
+        rows = np.column_stack((rows[prefix], c))
+    rows = rows[[_admits(h, log_budget, costs) for h in rows.tolist()]]
+    if len(rows) > cap:
+        raise ValueError(f"enumerated {len(rows)} indices, exceeding the cap {cap}")
+    return HyperbolicCross(L=L, params=params, weights=weights, H=rows)
 
 
 # --------------------------------------------------------------------------
@@ -373,18 +388,15 @@ def write_indices_csv(cross: HyperbolicCross, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"h_{j + 1}" for j in range(d)])
-        for h in cross.indices:
-            writer.writerow(list(h.components))
+        writer.writerows(cross.H.tolist())
 
 
-def read_indices_csv(path) -> list:
-    """Read back a list of FrequencyIndex from write_indices_csv output."""
-    out = []
+def read_indices_csv(path) -> np.ndarray:
+    """Read back the (n, d) int64 array of write_indices_csv output."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if not all(name.startswith("h_") for name in header):
             raise ValueError("not an index-set CSV")
-        for row in reader:
-            out.append(FrequencyIndex([int(v) for v in row]))
-    return out
+        rows = [[int(v) for v in row] for row in reader]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(header))

@@ -33,7 +33,6 @@ __all__ = [
     "test_function_f1",
     "test_function_f2",
     "cosine_pair_oracle",
-    "worst_realization_norm_factor",
 ]
 
 
@@ -86,6 +85,15 @@ class SmoothnessParams:
             raise ValueError("dim must be a positive integer")
 
 
+def _integer_tuple(values, what: str) -> tuple:
+    """``values`` as Python ints; ValueError rather than truncation for one
+    that is not integral."""
+    values = tuple(values)
+    if tuple(int(c) for c in values) != values:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return tuple(int(c) for c in values)
+
+
 @dataclass(frozen=True)
 class FrequencyIndex:
     """Integer frequency vector h identifying one Fourier mode."""
@@ -93,7 +101,7 @@ class FrequencyIndex:
     components: tuple
 
     def __init__(self, components: Sequence[int]):
-        object.__setattr__(self, "components", tuple(int(c) for c in components))
+        object.__setattr__(self, "components", _integer_tuple(components, "frequencies"))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -103,9 +111,6 @@ class FrequencyIndex:
 
     def __neg__(self) -> "FrequencyIndex":
         return FrequencyIndex(tuple(-c for c in self.components))
-
-    def infinity_norm(self) -> int:
-        return max((abs(c) for c in self.components), default=0)
 
 
 # Euler-Maclaurin summation of zeta from n = _ZETA_TERMS on; the coefficients
@@ -196,15 +201,19 @@ class SpectralOracle:
         The exact squared L2 norm, equal to the sum of |coefficient(h)|^2.
     factor_coefficient : callable or None
         For coordinate-product functions f(x) = prod_j g(x_j), the 1-D
-        coefficient of the factor g.  Enables factorized truncated norms.
+        coefficient of the factor g; ``coefficients`` and truncated norms
+        use it factor by factor.
     modes : dict or None
         For finite Fourier sums, the exact {index tuple: coefficient} map.
+
+    The ``coefficient`` argument, a map from a tuple of ints to the
+    coefficient there, may be None when either of these gives them all.
     """
 
     def __init__(
         self,
         dim: int,
-        coefficient: Callable[[Sequence[int]], complex],
+        coefficient: Optional[Callable[[Sequence[int]], complex]],
         l2_norm_sq: float,
         evaluate: Callable[[np.ndarray], np.ndarray],
         factor_coefficient: Optional[Callable[[int], complex]] = None,
@@ -219,12 +228,32 @@ class SpectralOracle:
         self.modes = dict(modes) if modes is not None else None
         self.label = label
 
+    def coefficients(self, H) -> np.ndarray:
+        """Exact Fourier coefficients at the rows of the (n, dim) integer
+        array H, as a complex128 vector."""
+        H = np.asarray(H)
+        if H.ndim != 2 or H.shape[1] != self.dim or H.dtype.kind not in "iu":
+            raise ValueError(f"frequencies {H.dtype}{H.shape}, expected integers (n, {self.dim})")
+        if self.factor_coefficient is not None:
+            # the running product starts at 1 and takes the coordinates in
+            # order; each takes one table over the values that occur in it
+            out = np.ones(len(H), dtype=np.complex128)
+            for column in H.T:
+                values, where = np.unique(column, return_inverse=True)
+                table = [self.factor_coefficient(v) for v in values.tolist()]
+                out *= np.array(table, dtype=np.complex128)[where]
+            return out
+        if self.modes is not None:
+            out = np.zeros(len(H), dtype=np.complex128)
+            for h, c in self.modes.items():
+                out[(H == h).all(axis=1)] = c
+            return out
+        return np.array([self._coefficient(h) for h in map(tuple, H.tolist())], dtype=np.complex128)
+
     def coefficient(self, h) -> complex:
-        """Exact Fourier coefficient at the frequency index h."""
-        comps = tuple(h.components) if isinstance(h, FrequencyIndex) else tuple(int(c) for c in h)
-        if len(comps) != self.dim:
-            raise ValueError(f"index has length {len(comps)}, expected {self.dim}")
-        return complex(self._coefficient(comps))
+        """Exact Fourier coefficient at the frequency index h, the one-row
+        case of ``coefficients``."""
+        return complex(self.coefficients([FrequencyIndex(h).components])[0])
 
     def evaluate(self, x) -> np.ndarray:
         """Pointwise values; accepts a single point (d,) or a batch (n, d)."""
@@ -283,14 +312,6 @@ _POLY_SINE_NORM_SQ_1D = 1.0 / 160.0 - 1.0 / (32.0 * pi**2) + 3.0 / (64.0 * pi**4
 
 
 def _product_oracle(dim, coeff_1d, eval_1d, norm_sq_1d, label):
-    def coefficient(comps):
-        out = complex(1.0)
-        for c in comps:
-            out *= coeff_1d(c)
-            if out == 0:
-                break
-        return out
-
     def evaluate(pts):
         vals = np.ones(pts.shape[0])
         for j in range(dim):
@@ -299,7 +320,7 @@ def _product_oracle(dim, coeff_1d, eval_1d, norm_sq_1d, label):
 
     return SpectralOracle(
         dim=dim,
-        coefficient=coefficient,
+        coefficient=None,
         l2_norm_sq=norm_sq_1d**dim,
         evaluate=evaluate,
         factor_coefficient=coeff_1d,
@@ -340,21 +361,18 @@ def cosine_pair_oracle(h0: Sequence[int]) -> SpectralOracle:
     Used as a synthetic input whose approximation error must vanish whenever
     both modes lie inside the target index set.
     """
-    h0 = tuple(int(c) for c in h0)
+    h0 = _integer_tuple(h0, "h0")
     if all(c == 0 for c in h0):
         raise ValueError("h0 must be nonzero")
     d = len(h0)
     modes = {h0: complex(0.5), tuple(-c for c in h0): complex(0.5)}
-
-    def coefficient(comps):
-        return modes.get(comps, 0j)
 
     def evaluate(pts):
         return np.cos(2.0 * pi * (pts @ np.asarray(h0, dtype=float)))
 
     return SpectralOracle(
         dim=d,
-        coefficient=coefficient,
+        coefficient=None,
         l2_norm_sq=0.5,
         evaluate=evaluate,
         modes=modes,
@@ -423,18 +441,3 @@ def korobov_norm_sq_truncated(
         if c != 0:
             terms.append(abs(c) ** 2 * r_weight(FrequencyIndex(comps), params, weights))
     return fsum(terms)
-
-
-def worst_realization_norm_factor(params: SmoothnessParams, weights: ProductWeights) -> float:
-    """The factor prod_j (1 + 2*gamma_j*zeta(2*alpha)).
-
-    Together with sqrt(|A|) this caps the L2 error of any realization of the
-    algorithm on the unit ball of the space; requires alpha > 1/2 so that
-    zeta(2*alpha) is finite.
-    """
-    gammas = weights.require(params.dim)
-    z = riemann_zeta(2.0 * params.alpha)
-    out = 1.0
-    for gj in gammas:
-        out *= 1.0 + 2.0 * gj * z
-    return out

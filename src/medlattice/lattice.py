@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .korobov import FrequencyIndex
+from .korobov import FrequencyIndex, _integer_tuple
 from .params import is_prime
 
 __all__ = [
@@ -91,7 +91,7 @@ class GeneratingVector:
     z: tuple
 
     def __init__(self, z: Sequence[int]):
-        z = tuple(int(c) for c in z)
+        z = _integer_tuple(z, "generating vector components")
         if any(c < 1 for c in z):
             raise ValueError("generating vector components must be >= 1")
         object.__setattr__(self, "z", z)
@@ -220,7 +220,7 @@ def estimate_coefficients(
     f_eval: Callable[[np.ndarray], np.ndarray],
     config: LatticeConfig,
     lattices: Sequence[Tuple[GeneratingVector, RandomShift]],
-    targets: Iterable[FrequencyIndex],
+    targets,
 ) -> np.ndarray:
     """Estimate the Fourier coefficients of f at every target on every lattice.
 
@@ -255,8 +255,9 @@ def estimate_coefficients(
         int64.
     lattices : sequence of (GeneratingVector, RandomShift)
         Nonempty; row i of the result belongs to ``lattices[i]``.
-    targets : iterable of FrequencyIndex
-        Nonempty collection of frequencies.
+    targets : ndarray or iterable of FrequencyIndex
+        Nonempty: an (n, d) integer array with one frequency per row, such
+        as ``HyperbolicCross.H``, or FrequencyIndex objects.
 
     Returns
     -------
@@ -265,10 +266,10 @@ def estimate_coefficients(
         the estimate at ``targets[j]`` from ``lattices[i]``.
     """
     lattices = list(lattices)
-    targets = list(targets)
+    H = np.asarray(targets if isinstance(targets, np.ndarray) else [tuple(h) for h in targets])
     if not lattices:
         raise ValueError("lattices must be nonempty")
-    if not targets:
+    if not len(H):
         raise ValueError("targets must be nonempty")
     N, d = config.N, config.dim
     if N > _MAX_N:
@@ -278,15 +279,14 @@ def estimate_coefficients(
             raise ValueError("z and delta must match the lattice dimension")
         if any(not (1 <= c <= N - 1) for c in z.z):
             raise ValueError("generating vector components must lie in {1,...,N-1}")
-    H = np.array([tuple(h) for h in targets], dtype=np.int64)
-    if H.shape != (len(targets), d):
-        raise ValueError("targets must match the lattice dimension")
-    out = np.empty((len(lattices), len(targets)), dtype=np.complex128)
+    if H.shape != (len(H), d) or H.dtype.kind not in "iu":
+        raise ValueError("targets must be integer frequencies of the lattice dimension")
+    out = np.empty((len(lattices), len(H)), dtype=np.complex128)
     # log2(N) sits below the measured break-even (about 17 targets at
     # N=10903, 36 at N=39409 on a 2-core machine), so the chirp sums are
     # only taken where they clearly win; retune it only from new measurements
-    estimate = _chirp_sums if len(targets) < math.log2(N) else _batched_ffts
-    estimate(f_eval, config, lattices, H % N, H.astype(float), out)
+    estimate = _chirp_sums if len(H) < math.log2(N) else _batched_ffts
+    estimate(f_eval, config, lattices, H.astype(np.int64) % N, H.astype(float), out)
     return out
 
 
@@ -513,7 +513,7 @@ def dual_membership(ell, config: LatticeConfig, z: GeneratingVector) -> bool:
     Uses Python integers throughout, so arbitrarily large components are
     handled exactly.
     """
-    comps = ell.components if isinstance(ell, FrequencyIndex) else tuple(int(c) for c in ell)
+    comps = FrequencyIndex(ell).components
     if len(comps) != config.dim:
         raise ValueError("ell must match the lattice dimension")
     return sum(int(lj) * int(zj) for lj, zj in zip(comps, z.z)) % config.N == 0

@@ -32,7 +32,6 @@ from .korobov import (
     SmoothnessParams,
     SpectralOracle,
     korobov_norm_sq_truncated,
-    r_weight,
 )
 from .lattice import (
     PURPOSE_GENVEC,
@@ -87,7 +86,7 @@ class Provenance:
 class _CoefficientView(Mapping):
     """Read-only map from each member of ``index_set`` to its coefficient,
     a Python complex, over one read-only complex128 ``vector`` aligned with
-    ``index_set.indices``.  Keys, their order, ``==`` with a dict and
+    the rows of ``index_set.H``.  Keys, their order, ``==`` with a dict and
     ``KeyError`` behave as for the dict of the same items."""
 
     __slots__ = ("index_set", "vector")
@@ -108,7 +107,7 @@ class _CoefficientView(Mapping):
         return len(self.vector)
 
     def __eq__(self, other):
-        if isinstance(other, _CoefficientView) and other.index_set.indices == self.index_set.indices:
+        if isinstance(other, _CoefficientView) and other.index_set == self.index_set:
             return bool(np.array_equal(self.vector, other.vector))
         return super().__eq__(other)
 
@@ -126,8 +125,8 @@ class MedianApproximation:
 
     ``coefficients`` maps exactly the members of ``index_set`` to their
     coefficients.  It is a read-only view over one complex128 vector,
-    ``coefficients.vector``, aligned with ``index_set.indices``; a dict
-    given here is checked and converted once.  ``eval_count`` records the
+    ``coefficients.vector``, aligned with the rows of ``index_set.H``; a
+    dict given here is checked and converted once.  ``eval_count`` records the
     number of function evaluations, always R*N.
     """
 
@@ -173,7 +172,7 @@ class _EvaluationPlan:
         d = index_set.params.dim
         # (|A|, d) frequencies and the aligned coefficients c, in index-set
         # order; A is not empty
-        self.H = np.array([h.components for h in index_set.indices], dtype=np.int64)
+        self.H = index_set.H
         self.c = c
         _check_finite_coefficients(self.c)
         radii = np.abs(self.H).max(axis=0)
@@ -375,12 +374,11 @@ def run(
         raise ValueError("problem dimension must be >= 1")
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights, cap=cap)
     config = LatticeConfig(params.N, problem.dim)
-    targets = cross.indices
     lattices = [
         _draw_lattice(config, (params.master_seed, r), PURPOSE_GENVEC, PURPOSE_SHIFT)
         for r in range(params.R)
     ]
-    ests = np.empty((params.R, len(targets)), dtype=np.complex128)  # row r from repetition r
+    ests = np.empty((params.R, len(cross)), dtype=np.complex128)  # row r from repetition r
 
     def estimate_slice(lo: int, hi: int) -> int:
         # evaluations are counted per slice, never in state shared between
@@ -393,7 +391,7 @@ def run(
             return f_eval(X)
 
         try:
-            ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], targets)
+            ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], cross.H)
         except NonFiniteValueError as err:
             # the estimator counts rows within this slice
             raise ValueError(
@@ -481,18 +479,9 @@ def _aliasing_tail_sq(
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return 0.0
-    d = f.dim
-    terms = []
-    import itertools
-
-    for js in itertools.product(range(-radius, radius + 1), repeat=d):
-        if all(j == 0 for j in js):
-            continue
-        shifted = tuple(N * j + hj for j, hj in zip(js, h.components))
-        c = f.coefficient(shifted)
-        if c != 0:
-            terms.append(abs(c) ** 2)
-    return math.fsum(terms)
+    js = np.indices((2 * radius + 1,) * f.dim).reshape(f.dim, -1).T - radius
+    coeffs = f.coefficients(N * js[np.any(js != 0, axis=1)] + np.array(h.components))
+    return math.fsum(abs(c) ** 2 for c in coeffs.tolist() if c != 0)
 
 
 def epsilon_bound(
@@ -551,14 +540,11 @@ def _default_probe_indices(
     cross: HyperbolicCross, problem: SmoothnessParams, weights: ProductWeights
 ):
     """h = 0 plus every member of minimal positive weight-function value."""
-    zero = FrequencyIndex((0,) * problem.dim)
-    nonzero = [h for h in cross if any(c != 0 for c in h.components)]
-    if not nonzero:
-        return [zero]
-    rvals = [r_weight(h, problem, weights) for h in nonzero]
-    rmin = min(rvals)
-    small = [h for h, rv in zip(nonzero, rvals) if rv <= rmin * (1.0 + 1e-12)]
-    return [zero] + small
+    H = cross.H[np.any(cross.H != 0, axis=1)]
+    r = np.maximum(np.abs(H) ** (2.0 * problem.alpha) / weights.require(problem.dim), 1.0)
+    r = np.prod(r, axis=1)
+    small = H[r <= r.min(initial=np.inf) * (1.0 + 1e-12)].tolist()
+    return [FrequencyIndex(h) for h in [[0] * problem.dim] + small]
 
 
 def lemma_bound_single(params: AlgorithmParams) -> float:
@@ -614,7 +600,7 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
         probes = _default_probe_indices(cross, problem, weights)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     eps = [_epsilon(h, f, params, problem, norm_sq, tail_radius) for h in probes]
-    truth = [f.coefficient(h) for h in probes]
+    truth = f.coefficients(np.array([h.components for h in probes], dtype=np.int64))
     config = LatticeConfig(params.N, problem.dim)
     reps = [(r,) for r in range(params.R)] if median else [()]
     lattices = [
@@ -635,7 +621,7 @@ def _report(probes, eps, threshold_factor, bound, estimates, truth, kind):
     """The report counting, per probe, the rows of ``estimates`` whose
     squared error exceeds threshold_factor * epsilon(h)^2."""
     thresholds = [threshold_factor * e ** 2 for e in eps]
-    exceeded = np.abs(estimates - np.asarray(truth)) ** 2 > np.asarray(thresholds)
+    exceeded = np.abs(estimates - truth) ** 2 > np.asarray(thresholds)
     failures = exceeded.sum(axis=0).tolist()
     results = tuple(
         ProbeResult(
@@ -713,8 +699,8 @@ def save_approximation(approx: MedianApproximation, path) -> None:
         fh.write(f"#gamma={gammas}\n")
         fh.write(f"#eval_count={approx.eval_count}\n")
         fh.write(",".join([f"h_{j + 1}" for j in range(d)] + ["re", "im"]) + "\n")
-        for h, c in zip(approx.index_set.indices, approx.coefficients.vector.tolist()):
-            cols = [str(comp) for comp in h.components]
+        for h, c in zip(approx.index_set.H.tolist(), approx.coefficients.vector.tolist()):
+            cols = [str(comp) for comp in h]
             cols += ["%.17g" % c.real, "%.17g" % c.imag]
             fh.write(",".join(cols) + "\n")
 
@@ -766,16 +752,18 @@ def load_approximation(path) -> MedianApproximation:
         row = line.split(",")
         if len(row) != d + 2:
             raise ValueError(f"row {line!r} has {len(row)} fields, expected {d + 2}")
-        h = FrequencyIndex([int(v) for v in row[:d]])
+        h = tuple(int(v) for v in row[:d])
         if h in coefficients:
-            raise ValueError(f"row {line!r} repeats frequency {h.components}")
+            raise ValueError(f"row {line!r} repeats frequency {h}")
         coefficients[h] = complex(float(row[d]), float(row[d + 1]))
     _check_finite_coefficients(np.array(list(coefficients.values()), dtype=np.complex128))
-    if set(coefficients) != set(cross.indices):
+    members = list(map(tuple, cross.H.tolist()))
+    if set(coefficients) != set(members):
         raise ValueError("stored rows do not match the index set implied by the header")
+    vector = np.array([coefficients[h] for h in members], dtype=np.complex128)
     return MedianApproximation(
         index_set=cross,
-        coefficients=coefficients,
+        coefficients=_CoefficientView(cross, vector),
         provenance=_provenance(params, problem, weights),
         eval_count=field("eval_count", int, params.R * params.N),
     )

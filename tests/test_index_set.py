@@ -1,7 +1,7 @@
 """
 Tests for hyperbolic-cross enumeration and the cardinality bounds.
 
-The enumerator is checked against an independent vectorized box scan; the
+The enumerator is checked against an independent box scan; the
 three bounds are checked against worked closed-form values and against the
 brute-force cardinality over random parameter draws.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from medlattice import (
     FrequencyIndex,
+    PolynomialDecayWeights,
     ProductWeights,
     SmoothnessParams,
     bound_basic,
@@ -29,19 +30,19 @@ def box_scan(L, params, weights):
 
     Every admissible h has |h_j| <= L * gamma_j^(1/(2 alpha)) <= L, so the
     box is large enough.  Uses the product form of the membership predicate
-    directly on a numpy grid, with none of the package's recursion.
+    directly, as an outer product of one factor row per coordinate, with
+    none of the package's enumeration.
     """
     if L < 1.0:
         return set()
     R = int(L)
-    gammas = np.asarray(weights.require(params.dim))
-    axes = np.arange(-R, R + 1)
-    grids = np.meshgrid(*([axes] * params.dim), indexing="ij")
-    hs = np.stack([g.ravel() for g in grids], axis=1)
-    scaled = np.abs(hs) * gammas ** (-1.0 / (2.0 * params.alpha))
-    prod = np.where(hs != 0, scaled, 1.0).prod(axis=1)
-    keep = hs[prod <= L * (1.0 + 1e-12)]
-    return {tuple(int(v) for v in row) for row in keep}
+    axis = np.arange(-R, R + 1)
+    prod = np.ones(())
+    for g in weights.require(params.dim):
+        factor = np.where(axis != 0, np.abs(axis) * g ** (-1.0 / (2.0 * params.alpha)), 1.0)
+        prod = np.multiply.outer(prod, factor)
+    keep = np.argwhere(prod <= L * (1.0 + 1e-12)) - R
+    return {tuple(row) for row in keep.tolist()}
 
 
 def random_draws(count, seed=20240811):
@@ -94,9 +95,20 @@ class TestEnumerate:
         assert (50, 50) not in cross
 
     def test_matches_box_scan(self):
-        for p, w, L in random_draws(50):
-            got = {tuple(h) for h in enumerate_hyperbolic_cross(L, p, w)}
-            assert got == box_scan(L, p, w), f"mismatch at d={p.dim} alpha={p.alpha} L={L}"
+        """Random draws, then a grid of d, alpha, unit and poly:2 weights and
+        radii, whose integer L put members exactly on the boundary."""
+        grid = [
+            (SmoothnessParams(alpha, d), weights.take(d), L)
+            for d in (1, 2, 3)
+            for alpha in (0.75, 1.5, 2.5)
+            for weights in (PolynomialDecayWeights(0.0), PolynomialDecayWeights(2.0))
+            for L in (1.0, 2.0, 7.5, 30.0, 60.0)
+        ]
+        for p, w, L in list(random_draws(50)) + grid:
+            got = {tuple(h) for h in enumerate_hyperbolic_cross(L, p, w).H.tolist()}
+            assert got == box_scan(L, p, w), (
+                f"mismatch at d={p.dim} alpha={p.alpha} gammas={w.gammas} L={L}"
+            )
 
     def test_symmetric_and_odd(self):
         for p, w, L in random_draws(20, seed=3):
@@ -308,7 +320,7 @@ class TestIndexCsv:
         path = tmp_path / "indices.csv"
         write_indices_csv(cross, path)
         back = read_indices_csv(path)
-        assert back == list(cross.indices)
+        assert back.dtype == np.int64 and np.array_equal(back, cross.H)
 
     def test_format(self, tmp_path):
         p = SmoothnessParams(1.0, 2)

@@ -22,14 +22,17 @@ from scipy.special import zeta as scipy_zeta
 import medlattice
 from medlattice import (
     FrequencyIndex,
+    GeneratingVector,
+    LatticeConfig,
     ProductWeights,
     SmoothnessParams,
     SpectralOracle,
     cosine_pair_oracle,
+    dual_membership,
+    enumerate_hyperbolic_cross,
     korobov_norm_sq_truncated,
     r_weight,
     riemann_zeta,
-    worst_realization_norm_factor,
 )
 
 # aliased so pytest does not try to collect the oracle factories as tests
@@ -235,10 +238,18 @@ class TestFourierCoefficientsAgainstQuadrature:
             assert abs(total - f.l2_norm_sq) < 1e-9 * max(f.l2_norm_sq, 1.0)
 
     def test_product_coefficient(self):
+        """One row against its factors; then the rows of a cross and of
+        aliased frequencies in one call, equal to a Python product of the
+        factors (a zero may differ in sign)."""
         f = function_f2(3)
         c = f.coefficient((1, 2, -3))
         g = function_f2(1).factor_coefficient
         assert abs(c - g(1) * g(2) * g(-3)) < 1e-18
+        H = enumerate_hyperbolic_cross(12.0, SmoothnessParams(1.5, 3), ProductWeights([1.0] * 3)).H
+        H = np.concatenate([H, 10903 * H - 5])
+        for f in (function_f1(3), function_f2(3)):
+            loop = [math.prod(f.factor_coefficient(c) for c in h) for h in H.tolist()]
+            assert f.coefficients(H).tolist() == loop
 
     def test_zero_component_kills_f2(self):
         f = function_f2(2)
@@ -411,26 +422,30 @@ class TestNormGrowthDiagnostic:
         assert self._ratio(1.4) < 1.03
 
 
-class TestWorstRealizationFactor:
-    def test_one_dimensional(self):
-        p = SmoothnessParams(1.0, 1)
-        assert worst_realization_norm_factor(p, ProductWeights([1.0])) == pytest.approx(
-            1.0 + pi**2 / 3.0, rel=1e-12
-        )
-
-    def test_product_structure(self):
-        p2 = SmoothnessParams(1.0, 2)
-        got = worst_realization_norm_factor(p2, ProductWeights([1.0, 1.0]))
-        assert got == pytest.approx((1.0 + pi**2 / 3.0) ** 2, rel=1e-12)
-
-    def test_weight_scaling(self):
-        p = SmoothnessParams(1.0, 1)
-        got = worst_realization_norm_factor(p, ProductWeights([0.5]))
-        assert got == pytest.approx(1.0 + pi**2 / 6.0, rel=1e-12)
-
-
 def test_oracle_constructors_reject_bad_dim():
     with pytest.raises(ValueError):
         function_f1(0)
     with pytest.raises(ValueError):
         function_f2(0)
+
+
+def test_non_integral_components_rejected():
+    """A frequency or generating-vector component with int(c) != c raises
+    instead of being truncated toward zero."""
+    cross = enumerate_hyperbolic_cross(4.0, SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0]))
+    f = function_f1(2)
+    config = LatticeConfig(101, 2)
+    calls = [
+        lambda: (0.5, 1) in cross,
+        lambda: f.coefficient((0.5, 1)),
+        lambda: dual_membership((0.5, 0), config, GeneratingVector((1, 2))),
+        lambda: GeneratingVector((1.5, 2)),
+        lambda: FrequencyIndex((0, np.float64(2.5))),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    # integral values of other types still pass
+    assert (1.0, np.int64(1)) in cross
+    assert f.coefficient((0.0, 1.0)) == f.coefficient((0, 1))
+    assert GeneratingVector((np.int64(3), 2.0)).z == (3, 2)

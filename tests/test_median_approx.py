@@ -121,7 +121,7 @@ def approximation_from(coeffs):
         L=1.0,
         params=problem,
         weights=weights,
-        indices=tuple(FrequencyIndex(h) for h in sorted(coeffs)),
+        H=np.array(sorted(coeffs), dtype=np.int64),
     )
     return MedianApproximation(
         index_set=cross,
@@ -449,6 +449,31 @@ class TestCoefficientView:
         rebuilt = dataclasses.replace(approx, coefficients=as_dict)
         as_dict[approx.index_set.indices[0]] = 5.0
         assert rebuilt.coefficients == approx.coefficients
+
+
+def test_array_path_builds_no_frequency_index(monkeypatch, tmp_path):
+    """run, the exact error, save, load and evaluate go through the (|A|, d)
+    array alone: with FrequencyIndex unconstructible they all succeed, and
+    the member tuple is never built."""
+    problem = SmoothnessParams(1.5, 2)
+    weights = ProductWeights([1.0, 1.0])
+    params = params_for(15, problem, weights, seed=3)
+    f = function_f1(2)
+
+    def refuse(self, components):
+        raise AssertionError("FrequencyIndex built")
+
+    monkeypatch.setattr(FrequencyIndex, "__init__", refuse)
+    approx = run(f.evaluate, params, problem, weights)
+    assert exact_squared_error(f, approx) > 0.0
+    path = tmp_path / "approx.csv"
+    save_approximation(approx, path)
+    back = load_approximation(path)
+    assert np.array_equal(back.coefficients.vector, approx.coefficients.vector)
+    points = np.random.default_rng(1).random((5, 2))
+    assert np.array_equal(evaluate(back, points), evaluate(approx, points))
+    for cross in (approx.index_set, back.index_set):
+        assert "indices" not in vars(cross) and "_rows" not in vars(cross)
 
 
 class TestErrorAgainstTheoremBound:
