@@ -18,12 +18,15 @@ per FFT call, so the length-N transform is planned once per block rather
 than once per lattice.  Above N = 2^15 a block holds one lattice, and its
 DFT is Bluestein's chirp convolution done as a four-step FFT over the
 short 7-smooth lengths P, Q ~ sqrt(2N), so numpy never plans a prime
-length.  When f is real, the lattices at positions 2k and
-2k+1 of a call share one row as the real and the imaginary part of u + i*v,
-and the two spectra are separated after the transform, so a real pair costs
-one transform instead of two.  A call with fewer than log2(N) targets needs
-no transform: Bluestein's chirp identity gives each DFT value as one
-contiguous length-N sum, at cost O(|A|*N) per lattice.
+length.  Its tables (the chirp, the twiddles and the filter spectrum)
+depend on N alone, so they are built once per lattice size, read-only and
+shared by every call and thread; only the last size's are kept, and a call
+allocates only its work buffer.  When f is real, the lattices at positions
+2k and 2k+1 of a call share one row as the real and the imaginary part of
+u + i*v, and the two spectra are separated after the transform, so a real
+pair costs one transform instead of two.  A call with fewer than log2(N)
+targets needs no transform: Bluestein's chirp identity gives each DFT value
+as one contiguous length-N sum, at cost O(|A|*N) per lattice.
 
 All randomness flows through counter-based Philox streams keyed by tuples
 such as (master_seed, repetition, purpose), so repetitions are independent of
@@ -32,9 +35,10 @@ execution order and bit-reproducible under any thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -356,6 +360,56 @@ class _FFTBlock:
         return self.rows[row, idx]
 
 
+class _ChirpPlan(NamedTuple):
+    """The tables of ``_ChirpBlock`` at one N, all read-only: the chirp w,
+    the (P, Q) twiddles and conj(filter spectrum)/L."""
+
+    w: np.ndarray
+    twiddles: np.ndarray
+    filter: np.ndarray
+
+
+def _four_step(x: np.ndarray, twiddles: np.ndarray) -> None:
+    """The length-L FFT of every (P, Q) row of ``x``, in place, with its
+    output in the (k1, k2) layout of ``_ChirpBlock``."""
+    np.fft.fft(x, axis=1, out=x)
+    x *= twiddles
+    np.fft.fft(x, axis=2, out=x)
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(N: int) -> _ChirpPlan:
+    """The chirp-convolution tables for N > 2^15, built once per N and kept
+    for the last N only (3.2 MB at N=39409, about 42 MB at 527741).
+
+    Nothing writes to them after this builder returns, so every call and
+    every thread of ``run`` may share them; two threads that miss the
+    cache together build equal tables.
+    """
+    n = 2 * N - 1
+    P = _smooth_at_least(math.isqrt(n - 1) + 1)
+    Q = _smooth_at_least(-(-n // P))
+    L = P * Q
+    # exp(-2*pi*i*k1*j2/L): k1*j2 < L is exact in float64
+    twiddles = np.zeros((P, Q), dtype=np.complex128)
+    angle = twiddles.imag
+    np.multiply.outer(np.arange(P, dtype=float), np.arange(Q, dtype=float), out=angle)
+    angle *= -2.0 * math.pi / L
+    np.exp(twiddles, out=twiddles)
+    # the window zero-padded to L, transformed as a (1, P, Q) row like the
+    # node values, then conj(filter spectrum)/L for the conjugated inverse
+    spectrum = np.empty((P, Q), dtype=np.complex128)
+    flat = spectrum.reshape(L)
+    w = _chirp(N, flat)
+    flat[n:] = 0.0
+    _four_step(spectrum[np.newaxis], twiddles)
+    np.conjugate(spectrum, out=spectrum)
+    spectrum /= L
+    for table in (w, twiddles, spectrum):
+        table.flags.writeable = False
+    return _ChirpPlan(w, twiddles, spectrum)
+
+
 class _ChirpBlock:
     """One row of node values whose length-N DFT is Bluestein's chirp
     convolution, done over short batched FFTs.
@@ -374,36 +428,22 @@ class _ChirpBlock:
     out as frequency k1 + P*k2 at [k1, k2]; the inverse transform takes its
     input in that layout and returns natural order.  It is
     ifft(y) = conj(fft(conj(y)))/L, so one twiddle table serves both
-    directions.  numpy only ever plans the short lengths P and Q, and the
-    tables are built once per call.
+    directions.  numpy only ever plans the short lengths P and Q.
+
+    The chirp, the twiddles and the filter depend on N alone, so they come
+    from one read-only plan per N (``_chirp_plan``), shared by every call
+    and every thread.  Only the (1, P, Q) work buffer is allocated per call
+    and freed after it: held across calls instead, it kept glibc's mmap
+    threshold low (the threshold rises only when a large block is freed),
+    so the 630 KB node arrays of N=39409 were mapped and faulted in afresh
+    for every lattice, 6,901 minor faults per 25-lattice ``run`` against 592.
     """
 
     def __init__(self, N: int):
         self.N = N
-        n = 2 * N - 1
-        P = _smooth_at_least(math.isqrt(n - 1) + 1)
-        Q = _smooth_at_least(-(-n // P))
-        L = P * Q
-        self.buffer = np.empty((1, P, Q), dtype=np.complex128)
-        flat = self.buffer.reshape(1, L)
-        self.rows = flat[:, :N]
-        self.w = _chirp(N, flat[0])
-        flat[0, n:] = 0.0
-        # exp(-2*pi*i*k1*j2/L): k1*j2 < L is exact in float64
-        self.twiddles = np.zeros((P, Q), dtype=np.complex128)
-        angle = self.twiddles.imag
-        np.multiply.outer(np.arange(P, dtype=float), np.arange(Q, dtype=float), out=angle)
-        angle *= -2.0 * math.pi / L
-        np.exp(self.twiddles, out=self.twiddles)
-        self._forward(self.buffer)
-        # conj(filter spectrum)/L, for the conjugated inverse
-        self.filter = np.conjugate(self.buffer[0])
-        self.filter /= L
-
-    def _forward(self, x: np.ndarray) -> None:
-        np.fft.fft(x, axis=1, out=x)
-        x *= self.twiddles
-        np.fft.fft(x, axis=2, out=x)
+        self.w, self.twiddles, self.filter = _chirp_plan(N)
+        self.buffer = np.empty((1, *self.twiddles.shape), dtype=np.complex128)
+        self.rows = self.buffer.reshape(1, -1)[:, :N]
 
     def transform(self, count: int) -> None:
         """Leave conj of the cyclic convolution of rows*w with the window
@@ -413,7 +453,7 @@ class _ChirpBlock:
         flat = x.reshape(count, -1)
         flat[:, :N] *= self.w
         flat[:, N:] = 0.0
-        self._forward(x)
+        _four_step(x, self.twiddles)
         # conj(X*H)/L, then the four steps with the axes swapped
         np.conjugate(x, out=x)
         x *= self.filter

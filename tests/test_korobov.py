@@ -35,6 +35,8 @@ from medlattice import (
     riemann_zeta,
 )
 
+from medlattice.lattice import _lattice_nodes, draw_generating_vector, draw_shift, rng_stream
+
 # aliased so pytest does not try to collect the oracle factories as tests
 from medlattice import test_function_f1 as function_f1
 from medlattice import test_function_f2 as function_f2
@@ -295,6 +297,68 @@ class TestSynthesis:
             f.evaluate(np.zeros((4, 3)))
         with pytest.raises(ValueError):
             f.coefficient((1, 2, 3))
+
+
+def _reference_f1(pts):
+    """f1 as its formula, one new array per step and a product from 1."""
+    scale = 121.0 * math.sqrt(33.0) / 100.0
+    vals = np.ones(pts.shape[0])
+    for j in range(pts.shape[1]):
+        vals = vals * (scale * np.maximum(25.0 / 121.0 - (pts[:, j] - 0.5) ** 2, 0.0))
+    return vals
+
+
+def _reference_f2(pts):
+    """f2 as its formula, one new array per step and a product from 1."""
+    vals = np.ones(pts.shape[0])
+    for j in range(pts.shape[1]):
+        vals = vals * ((pts[:, j] - 0.5) ** 2 * np.sin(2.0 * pi * pts[:, j] - pi))
+    return vals
+
+
+class TestInPlaceEvaluation:
+    """The product oracles evaluate in place on new arrays; every value is
+    bitwise that of the formula."""
+
+    CASES = [(function_f1, _reference_f1), (function_f2, _reference_f2)]
+
+    @staticmethod
+    def _point_sets(d):
+        rng = np.random.default_rng(100 + d)
+        edges = np.array([0.0, 0.5, 0.5 - 5.0 / 11.0, 0.5 + 5.0 / 11.0, 0.25, np.nextafter(1.0, 0.0)])
+        config = LatticeConfig(39409, d)
+        z = draw_generating_vector(config, rng_stream(d, 0))
+        delta = draw_shift(config, rng_stream(d, 1))
+        return [
+            rng.random((1000, d)),
+            np.repeat(edges[:, None], d, axis=1),
+            _lattice_nodes(config, z, delta),  # coordinate-major, as the estimator passes them
+        ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_bitwise_equal_to_the_formula(self, d):
+        for make, reference in self.CASES:
+            f = make(d)
+            for pts in self._point_sets(d):
+                assert f.evaluate(pts).tobytes() == reference(pts).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_read_only_input_left_unchanged(self, d):
+        pts = self._point_sets(d)[2]
+        before = pts.copy()
+        pts.flags.writeable = False
+        for make, reference in self.CASES:
+            assert make(d).evaluate(pts).tobytes() == reference(before).tobytes()
+            assert pts.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_new_array_on_every_call(self, d):
+        pts = self._point_sets(d)[0]
+        for make, _ in self.CASES:
+            f = make(d)
+            first, second = f.evaluate(pts), f.evaluate(pts)
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, pts)
 
 
 class TestCosinePair:

@@ -28,6 +28,8 @@ from medlattice.lattice import (
     PURPOSE_SHIFT,
     NonFiniteValueError,
     _ChirpBlock,
+    _chirp,
+    _chirp_plan,
     _lattice_nodes,
     roots_of_unity,
 )
@@ -524,7 +526,8 @@ class TestCostModel:
 
 class TestChirpConvolution:
     """N > 2^15, where a 1 MiB block holds one lattice and the length-N DFT
-    is a chirp convolution over short batched FFTs (``_ChirpBlock``)."""
+    is a chirp convolution over short batched FFTs (``_ChirpBlock``), with
+    its tables from one read-only plan per N (``_chirp_plan``)."""
 
     PRIMES = [32771, 39409]  # the smallest prime above 2^15, and the solve workload's N
 
@@ -580,6 +583,54 @@ class TestChirpConvolution:
         for start in range(0, len(lattices), 2):
             pair = estimate_coefficients(self._f, config, lattices[start:start + 2], targets)
             assert out[start:start + 2].tobytes() == pair.tobytes()
+
+    def test_second_call_at_the_same_N_builds_no_table(self, monkeypatch):
+        counted = self._count_chirps(monkeypatch)
+        for _ in range(2):
+            estimate_coefficients(self._f, *self._call(39409))
+        assert counted == [39409]
+
+    def test_plan_tables_are_read_only(self):
+        plan = _chirp_plan(39409)
+        for table in (plan.w, plan.twiddles, plan.filter):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                table *= 1.0
+
+    def test_another_N_replaces_the_plan(self, monkeypatch):
+        counted = self._count_chirps(monkeypatch)
+        for N in self.PRIMES + self.PRIMES[:1]:
+            estimate_coefficients(self._f, *self._call(N))
+            assert _chirp_plan.cache_info().currsize == 1
+        assert counted == self.PRIMES + self.PRIMES[:1]
+
+    @pytest.mark.parametrize("N", PRIMES)
+    def test_cold_and_warm_plan_estimates_bitwise(self, N):
+        _chirp_plan.cache_clear()
+        cold = estimate_coefficients(self._f, *self._call(N))
+        warm = estimate_coefficients(self._f, *self._call(N))
+        assert cold.tobytes() == warm.tobytes()
+
+    @staticmethod
+    def _call(N):
+        """A pair-packed call of 3 lattices at N, with log2(N) targets."""
+        config = LatticeConfig(N, 2)
+        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        return config, _lattices(config, 9, 3), targets
+
+    @staticmethod
+    def _count_chirps(monkeypatch):
+        """Clear the plan and record the N of every chirp table built."""
+        _chirp_plan.cache_clear()
+        counted = []
+
+        def counting(N, window):
+            counted.append(N)
+            return _chirp(N, window)
+
+        monkeypatch.setattr("medlattice.lattice._chirp", counting)
+        return counted
 
 
 def _outer_product_nodes(config, z, delta):

@@ -10,6 +10,7 @@ import gc
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -47,7 +48,14 @@ from medlattice import test_function_f1 as function_f1
 from medlattice import test_function_f2 as function_f2
 from medlattice.index_set import HyperbolicCross
 from medlattice.korobov import SpectralOracle
-from medlattice.lattice import _BLOCK_BYTES, PURPOSE_SHIFT, LatticeConfig, draw_shift, rng_stream
+from medlattice.lattice import (
+    _BLOCK_BYTES,
+    PURPOSE_SHIFT,
+    LatticeConfig,
+    _chirp_plan,
+    draw_shift,
+    rng_stream,
+)
 from medlattice.median_approx import (
     AlgorithmParams,
     MedianApproximation,
@@ -360,6 +368,24 @@ class TestRun:
             for workers in (1, 2, 3, 5)
         ]
         assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_cold_chirp_plan_is_thread_safe(self, workers):
+        """Workers that all start on an empty plan cache give the
+        coefficients of one worker bitwise (the 2^20 f1 problem above),
+        also with more workers than cores and threads switched often."""
+        problem = SmoothnessParams(1.5, 2)
+        ap = params_for(20, problem, W2, seed=7919)
+        f = function_f1(2)
+        one = run(f.evaluate, ap, problem, W2).coefficients.vector.tobytes()
+        _chirp_plan.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run(f.evaluate, ap, problem, W2, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.coefficients.vector.tobytes() == one
 
     def test_runs_share_one_live_index_set(self):
         """Two runs on one problem share one index set, which is freed with
