@@ -15,6 +15,7 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import fsum, pi
@@ -404,6 +405,24 @@ def cosine_pair_oracle(h0: Sequence[int]) -> SpectralOracle:
 _BOX_SCAN_LIMIT = 20_000_000
 
 
+@functools.lru_cache(maxsize=64)
+def _factor_norm_sq(coeff, box_radius: int, two_alpha: float, gamma: float) -> float:
+    """sum over |m| <= box_radius of |coeff(m)|^2 * max(|m|^(2*alpha)/gamma, 1),
+    the squared norm of one factor of a coordinate-product oracle.
+
+    Memoised on (factor function, radius, 2*alpha, gamma): the harnesses and
+    every ``epsilon_bound`` call ask for the same norm, which takes
+    box_radius + 1 Python coefficient calls (1.3 ms at the default 4096).
+    The key holds the function itself, so distinct factor functions never
+    share an entry, and a factor function must be pure and hashable.
+    """
+    sq = [abs(coeff(m)) ** 2 for m in range(box_radius + 1)]
+    terms = [sq[0]]
+    for m in range(1, box_radius + 1):
+        terms.append(2.0 * sq[m] * max(m**two_alpha / gamma, 1.0))
+    return fsum(terms)
+
+
 def korobov_norm_sq_truncated(
     f: SpectralOracle,
     params: SmoothnessParams,
@@ -418,7 +437,8 @@ def korobov_norm_sq_truncated(
     critical alpha, and the truncation radius is part of the reported value.
 
     Coordinate-product oracles and finite-mode oracles use exact factorized
-    or mode-restricted sums; generic oracles fall back to a direct box scan,
+    or mode-restricted sums, a product oracle's per-factor sums memoised
+    (``_factor_norm_sq``); generic oracles fall back to a direct box scan,
     which is refused above ~2e7 points.
     """
     if box_radius < 0:
@@ -437,14 +457,9 @@ def korobov_norm_sq_truncated(
         return fsum(terms)
 
     if f.factor_coefficient is not None:
-        coeff = f.factor_coefficient
-        sq = [abs(coeff(m)) ** 2 for m in range(box_radius + 1)]
         out = 1.0
         for gj in gammas:
-            terms = [sq[0]]
-            for m in range(1, box_radius + 1):
-                terms.append(2.0 * sq[m] * max(m**two_alpha / gj, 1.0))
-            out *= fsum(terms)
+            out *= _factor_norm_sq(f.factor_coefficient, box_radius, two_alpha, gj)
         return out
 
     if (2 * box_radius + 1) ** params.dim > _BOX_SCAN_LIMIT:

@@ -26,7 +26,10 @@ allocates only its work buffer.  When f is real, the lattices at positions
 u + i*v, and the two spectra are separated after the transform, so a real
 pair costs one transform instead of two.  A call with fewer than log2(N)
 targets needs no transform: Bluestein's chirp identity gives each DFT value
-as one contiguous length-N sum, at cost O(|A|*N) per lattice.
+as one contiguous length-N sum, at cost O(|A|*N) per lattice.  For real f
+the estimate at -h is the conjugate of the one at h and the one at h = 0 is
+the mean of the values, so such a call takes one sum per pair {h, -h} of
+targets and none for h = 0.
 
 All randomness flows through counter-based Philox streams keyed by tuples
 such as (master_seed, repetition, purpose), so repetitions are independent of
@@ -234,9 +237,12 @@ def estimate_coefficients(
     int64; its estimate is exp(-2*pi*i*h.Delta) * Y[m] / N.  The number of
     targets chooses how the Y[m] are found:
 
-    - Fewer than log2(N) targets: by chirp sums, one length-N sum per
-      target with no transform (``_chirp_sums``).  The cost is
-      O(|targets|*N) per lattice.
+    - Fewer than log2(N) targets: by chirp sums with no transform
+      (``_chirp_sums``), one length-N sum per target.  When a lattice's
+      values are real, a pair {h, -h} of targets takes one sum, the
+      estimate at -h being exactly the conjugate of the one at h, and
+      h = 0 takes the mean of the values.  The cost is O(|targets|*N) per
+      lattice.
     - Otherwise: by batched FFTs (``_batched_ffts``).  The cost is
       O(N log N + |targets|*d) per lattice, and half the transforms for
       real f.
@@ -290,7 +296,7 @@ def estimate_coefficients(
     # N=10903, 36 at N=39409 on a 2-core machine), so the chirp sums are
     # only taken where they clearly win; retune it only from new measurements
     estimate = _chirp_sums if len(H) < math.log2(N) else _batched_ffts
-    estimate(f_eval, config, lattices, H.astype(np.int64) % N, H.astype(float), out)
+    estimate(f_eval, config, lattices, H.astype(np.int64), out)
     return out
 
 
@@ -308,8 +314,36 @@ def _chirp(N: int, window: np.ndarray) -> np.ndarray:
     return w
 
 
-def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
-    """Fill ``out`` from one direct length-N sum per lattice and target.
+def _conjugate_pairs(H: np.ndarray):
+    """How the targets of a lattice with real node values share chirp sums.
+
+    Returns (own, source, conj): ``own`` lists the targets that take a sum,
+    the first of each pair {h, -h} of nonzero rows to occur; target j reads
+    the estimate of ``own[source[j]]``, conjugated where ``conj[j]``, and
+    ``source[j]`` is -1 for h = 0.  Duplicate targets read the same sum.
+    Pairs are exact negations, not residues mod N: the shift phase
+    exp(-2*pi*i*h.Delta) uses h itself, so h and -h + N*e_1 are no pair.
+    """
+    own, source, conj = [], [], []
+    seen = {}
+    for j, h in enumerate(map(tuple, H.tolist())):
+        if not any(h):
+            source.append(-1)
+            conj.append(False)
+            continue
+        if h not in seen:
+            seen[h] = (len(own), False)
+            seen[tuple(-c for c in h)] = (len(own), True)
+            own.append(j)
+        k, flip = seen[h]
+        source.append(k)
+        conj.append(flip)
+    return np.array(own, dtype=np.intp), np.array(source, dtype=np.intp), np.array(conj, dtype=bool)
+
+
+def _chirp_sums(f_eval, config, lattices, H, out) -> None:
+    """Fill ``out`` from direct length-N sums, one per lattice and target,
+    or one per lattice and pair {h, -h} of targets when f is real.
 
     With the chirp w_k = exp(-i*pi*k^2/N), km = (k^2 + m^2 - (k-m)^2)/2
     gives Bluestein's identity
@@ -319,18 +353,43 @@ def _chirp_sums(f_eval, config, lattices, H_mod, H_float, out) -> None:
     and k - m runs over a contiguous slice of the window (``_chirp``).
     The sums go through ``np.einsum``, not BLAS, so an estimate does not
     depend on the BLAS thread count.
+
+    When a lattice's values are real, Y[-m] = conj(Y[m]) and the shift
+    phase of -h is the conjugate of that of h, so the estimate at -h is
+    exactly ``np.conj`` of the one at h: each pair {h, -h} among the
+    targets takes one sum (``_conjugate_pairs``), and h = 0, whose estimate
+    is the mean of the values, takes ``np.add.reduce`` and no sum.  A
+    lattice with complex values takes one sum per target.
     """
     N = config.N
+    H_mod, H_float = H % N, H.astype(float)
     window = np.empty(2 * N - 1, dtype=np.complex128)
     w = _chirp(N, window)
     xw = np.empty(N, dtype=np.complex128)
-    sums = np.empty(len(H_mod), dtype=np.complex128)
-    for i, lattice in enumerate(lattices):
-        np.multiply(_node_values(f_eval, config, lattice, i), w, out=xw)
-        m = _residues(H_mod, lattice[0], N)
+    own, source, conj = _conjugate_pairs(H)
+    paired, zeros = np.flatnonzero(source >= 0), np.flatnonzero(source < 0)
+    reads, own_mod, own_float = source[paired], H_mod[own], H_float[own]
+
+    def estimates(vals, targets_mod, targets_float, z, delta):
+        np.multiply(vals, w, out=xw)
+        m = _residues(targets_mod, z, N)
+        sums = np.empty(len(m), dtype=np.complex128)
         for j, start in enumerate((N - 1 - m).tolist()):
             sums[j] = np.einsum("i,i->", xw, window[start:start + N])
-        out[i] = _shifted(w[m] * sums, H_float, lattice[1], N)
+        return _shifted(w[m] * sums, targets_float, delta, N)
+
+    for i, lattice in enumerate(lattices):
+        vals = _node_values(f_eval, config, lattice, i)
+        z, delta = lattice
+        if np.iscomplexobj(vals):
+            out[i] = estimates(vals, H_mod, H_float, z, delta)
+            continue
+        row = out[i]
+        if len(own):
+            row[paired] = estimates(vals, own_mod, own_float, z, delta)[reads]
+            np.conjugate(row, out=row, where=conj)
+        if len(zeros):
+            row[zeros] = np.add.reduce(vals) / N
 
 
 def _smooth_at_least(n: int) -> int:
@@ -468,7 +527,7 @@ class _ChirpBlock:
         return self.w[idx] * np.conjugate(conv, out=conv)
 
 
-def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
+def _batched_ffts(f_eval, config, lattices, H, out) -> None:
     """Fill ``out`` from batched length-N DFTs of the node values.
 
     Node values fill the rows of a block of 2^20 // (16*N) rows, 1 MiB of
@@ -492,6 +551,7 @@ def _batched_ffts(f_eval, config, lattices, H_mod, H_float, out) -> None:
     estimates depend only on its own pair, never on the block.
     """
     N = config.N
+    H_mod, H_float = H % N, H.astype(float)
     per_block = _BLOCK_BYTES // (16 * N)
     transforms = (
         _FFTBlock(N, min(len(lattices), per_block)) if per_block >= 2 else _ChirpBlock(N)

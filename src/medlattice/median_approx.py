@@ -506,7 +506,7 @@ def epsilon_bound(
     """
     h = h if isinstance(h, FrequencyIndex) else FrequencyIndex(h)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, norm_radius)
-    return _epsilon(h, f, params, problem, norm_sq, tail_radius)
+    return _epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=3)
 
 
 def _epsilon(
@@ -516,9 +516,14 @@ def _epsilon(
     problem: SmoothnessParams,
     norm_sq: float,
     tail_radius: int,
+    stacklevel: int,
 ) -> float:
     """epsilon(h) given the truncated squared Korobov norm, which does not
-    depend on h, so a caller with many probes computes it once."""
+    depend on h, so a caller with many probes computes it once.
+
+    ``stacklevel`` is that of the convergence warning, counted from this
+    function, so that it names the line that called the public entry point.
+    """
     tail = _aliasing_tail_sq(h, f, params.N, tail_radius)
     lead = norm_sq / (params.N_star ** (2.0 * problem.alpha) * (params.N - 1))
     factor = 1.0 / params.tau + log(params.N_star)
@@ -531,7 +536,7 @@ def _epsilon(
                 f"aliasing tail at radius {tail_radius} not converged: "
                 f"epsilon moves from {eps_half:.6e} (radius {tail_radius // 2}) "
                 f"to {eps:.6e}",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     return eps
 
@@ -599,7 +604,11 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
         cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
         probes = _default_probe_indices(cross, problem, weights)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
-    eps = [_epsilon(h, f, params, problem, norm_sq, tail_radius) for h in probes]
+    # _epsilon <- _verify <- verify_* <- caller; a loop, not a comprehension,
+    # which is a frame of its own before Python 3.12
+    eps = []
+    for h in probes:
+        eps.append(_epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=4))
     truth = f.coefficients(np.array([h.components for h in probes], dtype=np.int64))
     config = LatticeConfig(params.N, problem.dim)
     reps = [(r,) for r in range(params.R)] if median else [()]

@@ -457,6 +457,79 @@ class TestTruncatedNorm:
             korobov_norm_sq_truncated(f, SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0]), 1)
 
 
+def _reference_factorized_norm(f, params, weights, box_radius):
+    """The factorized truncated norm as one loop over the coordinates, as it
+    was before the per-factor sums were memoised."""
+    coeff = f.factor_coefficient
+    two_alpha = 2.0 * params.alpha
+    sq = [abs(coeff(m)) ** 2 for m in range(box_radius + 1)]
+    out = 1.0
+    for gj in weights.require(params.dim):
+        terms = [sq[0]]
+        for m in range(1, box_radius + 1):
+            terms.append(2.0 * sq[m] * max(m**two_alpha / gj, 1.0))
+        out *= math.fsum(terms)
+    return out
+
+
+def _factor_oracle(factor_coefficient):
+    return SpectralOracle(
+        dim=1,
+        coefficient=None,
+        l2_norm_sq=1.0,
+        evaluate=lambda pts: np.zeros(pts.shape[0]),
+        factor_coefficient=factor_coefficient,
+    )
+
+
+class TestMemoisedNorm:
+    """The factorized norm takes each factor's sum from a memo keyed by
+    (factor function, radius, 2*alpha, gamma_j)."""
+
+    @pytest.mark.parametrize("factory, alpha", [(function_f1, 1.5), (function_f2, 2.5)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("weighting", ["unit", "poly:2"])
+    @pytest.mark.parametrize("radius", [0, 1, 4096])
+    def test_bitwise_equal_to_the_loop(self, factory, alpha, d, weighting, radius):
+        f = factory(d)
+        p = SmoothnessParams(alpha, d)
+        gammas = [1.0] * d if weighting == "unit" else [j**-2.0 for j in range(1, d + 1)]
+        w = ProductWeights(gammas)
+        expected = _reference_factorized_norm(f, p, w, radius)
+        # cold or warm memo, the same bits
+        for _ in range(2):
+            assert korobov_norm_sq_truncated(f, p, w, radius).hex() == expected.hex()
+
+    def test_second_evaluation_makes_no_coefficient_call(self):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return function_f1(1).factor_coefficient(m)
+
+        f = _factor_oracle(counting)
+        p, w = SmoothnessParams(1.5, 1), ProductWeights([1.0])
+        first = korobov_norm_sq_truncated(f, p, w, 64)
+        assert len(calls) == 65
+        assert korobov_norm_sq_truncated(_factor_oracle(counting), p, w, 64) == first
+        assert len(calls) == 65
+
+    def test_distinct_factor_functions_never_share_an_entry(self):
+        """Factor functions with equal code but different values, and with
+        equal radius, alpha and gamma, each get their own sum."""
+
+        def scaled(c):
+            return lambda m: c * function_f2(1).factor_coefficient(m)
+
+        p, w = SmoothnessParams(2.5, 1), ProductWeights([1.0])
+        oracles = [_factor_oracle(scaled(c)) for c in (1.0, 2.0, 3.0)]
+        norms = [korobov_norm_sq_truncated(f, p, w, 32) for f in oracles]
+        for f, norm in zip(oracles, norms):
+            assert norm == _reference_factorized_norm(f, p, w, 32)
+        assert norms[1] == pytest.approx(4.0 * norms[0], rel=1e-14)
+        assert norms[2] == pytest.approx(9.0 * norms[0], rel=1e-14)
+
+
 class TestNormGrowthDiagnostic:
     """Growth of the truncated norm separates alpha at and below the critical
     smoothness of the kink function (3/2)."""

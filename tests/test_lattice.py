@@ -439,12 +439,47 @@ class TestChirpSums:
             for j, h in enumerate(self.TARGETS):
                 assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
 
+    # for real f: h = 0 twice, the pair {(1, 0), (-1, 0)} with -h repeated,
+    # the pair {(2, -3), (-2, 3)} with h repeated, the unpaired (5, 1), and
+    # (N - 5, -1), which is -(5, 1) mod N but not its negation
+    PAIRED = [
+        FrequencyIndex(h)
+        for h in ([0, 0], [1, 0], [-1, 0], [2, -3], [-2, 3], [2, -3], [-1, 0],
+                  [5, 1], [N - 5, -1], [0, 0])
+    ]
+
+    @pytest.mark.parametrize("targets", [PAIRED, PAIRED[:1], PAIRED[:1] * 2, PAIRED[7:9]])
+    def test_real_pairs_agree_with_the_transform_and_direct_sum(self, targets):
+        config, lattices = self._case(count=4)
+        assert len(targets) < math.log2(self.N)
+        few = estimate_coefficients(self._f, config, lattices, targets)
+        padded = targets + [FrequencyIndex([a, 5]) for a in range(14)]
+        many = estimate_coefficients(self._f, config, lattices, padded)
+        assert np.max(np.abs(few - many[:, : len(targets)])) < 1e-12
+        for row, (z, delta) in zip(few, lattices):
+            for j, h in enumerate(targets):
+                assert abs(row[j] - _direct_sum(self._f, config, z, delta, h)) < 1e-12
+
+    def test_minus_h_is_the_conjugate_of_h_bitwise(self):
+        config, lattices = self._case()
+        out = estimate_coefficients(self._f, config, lattices, self.PAIRED)
+        for h, minus in ((1, 2), (3, 4), (5, 4), (1, 6)):
+            assert out[:, minus].tobytes() == np.conj(out[:, h]).tobytes()
+        # repeated targets read the same estimate
+        for j, k in ((0, 9), (3, 5), (2, 6)):
+            assert out[:, j].tobytes() == out[:, k].tobytes()
+        # h = 0 is the mean of the real values
+        assert not np.any(out[:, 0].imag)
+        # (N - 5, -1) has the residue of -(5, 1) but its own shift phase
+        assert np.min(np.abs(out[:, 8] - np.conj(out[:, 7]))) > 1e-3
+
     def test_rows_equal_the_one_lattice_call_bitwise(self):
         config, lattices = self._case()
-        out = estimate_coefficients(self._f, config, lattices, self.TARGETS)
-        for i, lattice in enumerate(lattices):
-            alone = estimate_coefficients(self._f, config, [lattice], self.TARGETS)
-            assert out[i].tobytes() == alone[0].tobytes()
+        for targets in (self.TARGETS, self.PAIRED):
+            out = estimate_coefficients(self._f, config, lattices, targets)
+            for i, lattice in enumerate(lattices):
+                alone = estimate_coefficients(self._f, config, [lattice], targets)
+                assert out[i].tobytes() == alone[0].tobytes()
 
     def test_non_finite_value_names_its_row(self):
         config, lattices = self._case()
@@ -490,6 +525,29 @@ class TestCostModel:
     def test_few_targets_make_no_transform(self, monkeypatch):
         targets = [FrequencyIndex([a, 0]) for a in (-1, 0, 1)]
         assert self._count_ffts(monkeypatch, targets, 9) == []
+
+    @pytest.mark.parametrize("real, sums", [(True, 1), (False, 3)])
+    def test_real_conjugate_pair_takes_one_sum_per_lattice(self, monkeypatch, real, sums):
+        """Targets {0, h, -h}: one length-N chirp sum per lattice when f is
+        real (h = 0 is the mean, -h the conjugate of h), three when not."""
+        N, count = 10903, 9
+        config = LatticeConfig(N, 2)
+        lengths = []
+        einsum = np.einsum
+
+        def counted(subscripts, *operands, **kwargs):
+            lengths.append(operands[0].shape)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        phase = 1.0 if real else np.exp(0.25j)
+        estimate_coefficients(
+            lambda pts: np.cos(2 * np.pi * pts[:, 0]) * phase,
+            config,
+            _lattices(config, 2, count),
+            [FrequencyIndex(h) for h in ([0, 0], [1, 0], [-1, 0])],
+        )
+        assert lengths == [(N,)] * (sums * count)
 
     @pytest.mark.parametrize("count", [1, 12, 13, 25])
     def test_many_targets_make_one_transform_per_block(self, monkeypatch, count):

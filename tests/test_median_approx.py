@@ -816,6 +816,30 @@ class TestEpsilonBound:
             for r in rep:
                 assert r.epsilon == epsilon_bound(r.h, f, ap, D2, W2, tail_radius=tail_radius)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, ap: epsilon_bound(FrequencyIndex([1]), f, ap, D1, W1),
+            lambda f, ap: verify_concentration(f, ap, D1, W1, trials=2),
+            lambda f, ap: verify_median_amplification(f, ap, D1, W1, trials=2),
+        ],
+        ids=["epsilon_bound", "verify_concentration", "verify_median_amplification"],
+    )
+    def test_convergence_warning_names_the_caller(self, monkeypatch, call):
+        """A tail that moves between radius 4 and 8 warns, and the warning
+        points at the line here that called the public function."""
+        monkeypatch.setattr(
+            median_approx, "_aliasing_tail_sq", lambda h, f, N, radius: 1e-3 * radius
+        )
+        ap = params_for(12, D1, W1, R=3, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(function_f2(1), ap)
+        assert caught
+        for w in caught:
+            assert "not converged" in str(w.message)
+            assert w.filename == __file__
+
 
 class TestVerifyConcentration:
     def test_single_mode_never_fails(self):
