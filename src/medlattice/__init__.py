@@ -31,11 +31,7 @@ from .index_set import (
     enumerate_hyperbolic_cross,
 )
 from .lattice import (
-    GeneratingVector,
     LatticeConfig,
-    RandomShift,
-    draw_generating_vector,
-    draw_shift,
     dual_membership,
     estimate_coefficients,
     rng_stream,
@@ -86,13 +82,11 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "FrequencyIndex",
-    "GeneratingVector",
     "HyperbolicCross",
     "LatticeConfig",
     "MedianApproximation",
     "PolynomialDecayWeights",
     "ProductWeights",
-    "RandomShift",
     "SelectedParams",
     "SmoothnessParams",
     "SpectralOracle",
@@ -107,8 +101,6 @@ __all__ = [
     "corollary2_constant",
     "corollary_cap",
     "cosine_pair_oracle",
-    "draw_generating_vector",
-    "draw_shift",
     "dual_membership",
     "enumerate_hyperbolic_cross",
     "epsilon_bound",

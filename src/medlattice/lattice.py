@@ -31,9 +31,13 @@ the estimate at -h is the conjugate of the one at h and the one at h = 0 is
 the mean of the values, so such a call takes one sum per pair {h, -h} of
 targets and none for h = 0.
 
-All randomness flows through counter-based Philox streams keyed by tuples
-such as (master_seed, repetition, purpose), so repetitions are independent of
-execution order and bit-reproducible under any thread count.
+A call's n lattices are two arrays, from the draw to the estimates: the
+generating vectors are the rows of an (n, d) int64 array Z and the shifts
+the rows of an (n, d) float64 array D.  All randomness flows through
+counter-based Philox streams keyed by tuples such as (master_seed,
+repetition, purpose), one stream per row of Z and one per row of D, so
+repetitions are independent of execution order and bit-reproducible under
+any thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,13 +54,9 @@ from .params import is_prime
 
 __all__ = [
     "LatticeConfig",
-    "GeneratingVector",
-    "RandomShift",
     "PURPOSE_GENVEC",
     "PURPOSE_SHIFT",
     "rng_stream",
-    "draw_generating_vector",
-    "draw_shift",
     "roots_of_unity",
     "NonFiniteValueError",
     "estimate_coefficients",
@@ -91,38 +91,6 @@ class LatticeConfig:
             raise ValueError("dim must be >= 1")
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
-    """Integer generating vector z with components in {1, ..., N-1}."""
-
-    z: tuple
-
-    def __init__(self, z: Sequence[int]):
-        z = _integer_tuple(z, "generating vector components")
-        if any(c < 1 for c in z):
-            raise ValueError("generating vector components must be >= 1")
-        object.__setattr__(self, "z", z)
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-
-@dataclass(frozen=True)
-class RandomShift:
-    """Real shift vector Delta with components in [0, 1)."""
-
-    delta: tuple
-
-    def __init__(self, delta: Sequence[float]):
-        delta = tuple(float(c) for c in delta)
-        if any(not (0.0 <= c < 1.0) for c in delta):
-            raise ValueError("shift components must lie in [0, 1)")
-        object.__setattr__(self, "delta", delta)
-
-    def __len__(self) -> int:
-        return len(self.delta)
-
-
 def rng_stream(*key: int) -> np.random.Generator:
     """Counter-based stream keyed by a tuple of non-negative ints.
 
@@ -138,19 +106,23 @@ def rng_stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def draw_generating_vector(config: LatticeConfig, rng: np.random.Generator) -> GeneratingVector:
-    """Uniform z in {1,...,N-1}^d without modulo bias.
+def _draw_lattices(config: LatticeConfig, keys, genvec_purpose: int, shift_purpose: int):
+    """The generating vectors Z, (n, d) int64 with components uniform in
+    {1, ..., N-1}, and the shifts D, (n, d) float64 uniform in [0, 1), of
+    the lattices keyed ``keys``: row r of Z comes from the stream keyed
+    (*keys[r], genvec_purpose), row r of D from (*keys[r], shift_purpose).
 
     numpy's ``Generator.integers`` uses Lemire-style rejection, so each
-    component is exactly uniform; N = 2 always yields the all-ones vector.
+    component of z is exactly uniform (N = 2 leaves only z_j = 1); a shift
+    component has 53-bit resolution.
     """
-    comps = rng.integers(1, config.N, size=config.dim)
-    return GeneratingVector(comps.tolist())
-
-
-def draw_shift(config: LatticeConfig, rng: np.random.Generator) -> RandomShift:
-    """Uniform shift in [0,1)^d with 53-bit resolution per component."""
-    return RandomShift(rng.random(config.dim).tolist())
+    N, d = config.N, config.dim
+    Z = np.empty((len(keys), d), dtype=np.int64)
+    D = np.empty((len(keys), d))
+    for r, key in enumerate(keys):
+        Z[r] = rng_stream(*key, genvec_purpose).integers(1, N, size=d)
+        D[r] = rng_stream(*key, shift_purpose).random(d)
+    return Z, D
 
 
 def roots_of_unity(N: int) -> np.ndarray:
@@ -161,7 +133,7 @@ def roots_of_unity(N: int) -> np.ndarray:
 
 
 class NonFiniteValueError(ValueError):
-    """f returned ``count`` non-finite values on ``lattices[row]`` of a call."""
+    """f returned ``count`` non-finite values on lattice ``row`` of a call."""
 
     def __init__(self, count: int, row: int):
         super().__init__(f"f_eval returned {count} non-finite values on lattice row {row}")
@@ -169,14 +141,16 @@ class NonFiniteValueError(ValueError):
         self.row = row
 
 
-def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShift) -> np.ndarray:
-    """The N shifted nodes {k*z/N + Delta} as the (N, d) transpose of a new
-    coordinate-major (d, N) array, so every column is contiguous."""
+def _lattice_nodes(config: LatticeConfig, z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The N shifted nodes {k*z/N + Delta} of the lattice with generating
+    vector ``z`` and shift ``delta`` (rows of Z and D) as the (N, d)
+    transpose of a new coordinate-major (d, N) array, so every column is
+    contiguous."""
     # one coordinate at a time, in place: this runs while a whole FFT block
     # is held, so it keeps at most two length-N temporaries alive at once
     N = config.N
     nodes = np.empty((len(z), N))
-    for row, zj, dj in zip(nodes, z.z, delta.delta):
+    for row, zj, dj in zip(nodes, z, delta):
         # k*zj mod N as idx - (idx // N)*N: numpy divides int64 by a scalar
         # through libdivide in floor_divide but not in remainder (0.03 against
         # 0.14 ms at N=39409).  Both are exact in int64, so the integers equal
@@ -196,11 +170,11 @@ def _lattice_nodes(config: LatticeConfig, z: GeneratingVector, delta: RandomShif
     return nodes.T
 
 
-def _node_values(f_eval, config: LatticeConfig, lattice, row: int) -> np.ndarray:
-    """f on the N shifted nodes of ``lattice``, which is ``lattices[row]``
-    of the call: exactly N finite values, or ValueError."""
+def _node_values(f_eval, config: LatticeConfig, z, delta, row: int) -> np.ndarray:
+    """f on the N shifted nodes of the lattice (z, delta), which is row
+    ``row`` of the call: exactly N finite values, or ValueError."""
     N = config.N
-    vals = np.asarray(f_eval(_lattice_nodes(config, *lattice)))
+    vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
     if vals.shape != (N,):
         raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
     bad = N - np.count_nonzero(np.isfinite(vals))
@@ -209,24 +183,28 @@ def _node_values(f_eval, config: LatticeConfig, lattice, row: int) -> np.ndarray
     return vals
 
 
-def _residues(H_mod: np.ndarray, z: GeneratingVector, N: int) -> np.ndarray:
-    """m = h.z mod N per target; each term (h_j mod N) * z_j is below N^2 <= 2^62."""
+def _residues(H_mod: np.ndarray, z: np.ndarray, N: int) -> np.ndarray:
+    """m = h.z mod N per target, reduced after every coordinate, so each
+    term (h_j mod N) * z_j and each partial sum stays below N^2 <= 2^62."""
     m = np.zeros(len(H_mod), dtype=np.int64)
-    for j, zj in enumerate(z.z):
+    for j, zj in enumerate(z):
         m = (m + H_mod[:, j] * zj) % N
     return m
 
 
-def _shifted(Y: np.ndarray, H_float: np.ndarray, delta: RandomShift, N: int) -> np.ndarray:
-    """The estimates exp(-2*pi*i*h.Delta) * Y / N from the DFT values Y at m."""
-    phase = np.exp(-2j * np.pi * (H_float @ np.asarray(delta.delta, dtype=float)))
+def _shifted(Y: np.ndarray, H_float: np.ndarray, delta: np.ndarray, N: int) -> np.ndarray:
+    """The estimates exp(-2*pi*i*h.Delta) * Y / N from the DFT values Y at
+    m, with h.Delta taken per lattice, not for all lattices in one product,
+    so a row's rounding does not depend on the rest of the call."""
+    phase = np.exp(-2j * np.pi * (H_float @ delta))
     return phase * (Y / N)
 
 
 def estimate_coefficients(
     f_eval: Callable[[np.ndarray], np.ndarray],
     config: LatticeConfig,
-    lattices: Sequence[Tuple[GeneratingVector, RandomShift]],
+    Z,
+    D,
     targets,
 ) -> np.ndarray:
     """Estimate the Fourier coefficients of f at every target on every lattice.
@@ -263,40 +241,49 @@ def estimate_coefficients(
     config : LatticeConfig
         N must not exceed 2^31, which keeps every integer product inside
         int64.
-    lattices : sequence of (GeneratingVector, RandomShift)
-        Nonempty; row i of the result belongs to ``lattices[i]``.
-    targets : ndarray or iterable of FrequencyIndex
-        Nonempty: an (n, d) integer array with one frequency per row, such
-        as ``HyperbolicCross.H``, or FrequencyIndex objects.
+    Z : (n, d) integer array
+        Nonempty: row i is the generating vector of lattice i, with
+        components in {1, ..., N-1}.  Integral floats are accepted.
+    D : (n, d) float array
+        Row i is the shift of lattice i, with finite components in [0, 1).
+    targets : (m, d) integer array
+        Nonempty: one frequency per row, such as ``HyperbolicCross.H``,
+        every component inside int64.
 
     Returns
     -------
     ndarray
-        complex128 of shape (len(lattices), len(targets)); entry [i, j] is
-        the estimate at ``targets[j]`` from ``lattices[i]``.
+        complex128 of shape (n, m); entry [i, j] is the estimate at
+        ``targets[j]`` from lattice i.
     """
-    lattices = list(lattices)
-    H = np.asarray(targets if isinstance(targets, np.ndarray) else [tuple(h) for h in targets])
-    if not lattices:
+    Z, D, H = np.asarray(Z), np.asarray(D, dtype=float), np.asarray(targets)
+    if not Z.size:
         raise ValueError("lattices must be nonempty")
-    if not len(H):
+    if not H.size:
         raise ValueError("targets must be nonempty")
     N, d = config.N, config.dim
     if N > _MAX_N:
         raise ValueError(f"N = {N} exceeds the supported lattice size 2^31")
-    for z, delta in lattices:
-        if len(z) != d or len(delta) != d:
-            raise ValueError("z and delta must match the lattice dimension")
-        if any(not (1 <= c <= N - 1) for c in z.z):
-            raise ValueError("generating vector components must lie in {1,...,N-1}")
-    if H.shape != (len(H), d) or H.dtype.kind not in "iu":
+    if Z.ndim != 2 or Z.shape[1] != d or D.shape != Z.shape:
+        raise ValueError("z and delta must match the lattice dimension")
+    if Z.dtype.kind not in "iu" and not (Z.dtype.kind == "f" and np.array_equal(Z, np.trunc(Z))):
+        raise ValueError("generating vector components must be integers")
+    if Z.min() < 1 or Z.max() > N - 1:
+        raise ValueError("generating vector components must lie in {1,...,N-1}")
+    # a NaN fails both comparisons, an infinity one of them
+    if not np.all((D >= 0.0) & (D < 1.0)):
+        raise ValueError("shift components must lie in [0, 1)")
+    if H.ndim != 2 or H.shape[1] != d or H.dtype.kind not in "iu":
         raise ValueError("targets must be integer frequencies of the lattice dimension")
-    out = np.empty((len(lattices), len(H)), dtype=np.complex128)
+    if H.dtype.kind == "u" and H.max() > np.iinfo(np.int64).max:
+        raise ValueError("targets must lie inside int64")
+    Z, D = np.ascontiguousarray(Z, dtype=np.int64), np.ascontiguousarray(D)
+    out = np.empty((len(Z), len(H)), dtype=np.complex128)
     # log2(N) sits below the measured break-even (about 17 targets at
     # N=10903, 36 at N=39409 on a 2-core machine), so the chirp sums are
     # only taken where they clearly win; retune it only from new measurements
     estimate = _chirp_sums if len(H) < math.log2(N) else _batched_ffts
-    estimate(f_eval, config, lattices, H.astype(np.int64), out)
+    estimate(f_eval, config, Z, D, H.astype(np.int64), out)
     return out
 
 
@@ -341,7 +328,7 @@ def _conjugate_pairs(H: np.ndarray):
     return np.array(own, dtype=np.intp), np.array(source, dtype=np.intp), np.array(conj, dtype=bool)
 
 
-def _chirp_sums(f_eval, config, lattices, H, out) -> None:
+def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
     """Fill ``out`` from direct length-N sums, one per lattice and target,
     or one per lattice and pair {h, -h} of targets when f is real.
 
@@ -378,9 +365,8 @@ def _chirp_sums(f_eval, config, lattices, H, out) -> None:
             sums[j] = np.einsum("i,i->", xw, window[start:start + N])
         return _shifted(w[m] * sums, targets_float, delta, N)
 
-    for i, lattice in enumerate(lattices):
-        vals = _node_values(f_eval, config, lattice, i)
-        z, delta = lattice
+    for i, (z, delta) in enumerate(zip(Z, D)):
+        vals = _node_values(f_eval, config, z, delta, i)
         if np.iscomplexobj(vals):
             out[i] = estimates(vals, H_mod, H_float, z, delta)
             continue
@@ -527,7 +513,7 @@ class _ChirpBlock:
         return self.w[idx] * np.conjugate(conv, out=conv)
 
 
-def _batched_ffts(f_eval, config, lattices, H, out) -> None:
+def _batched_ffts(f_eval, config, Z, D, H, out) -> None:
     """Fill ``out`` from batched length-N DFTs of the node values.
 
     Node values fill the rows of a block of 2^20 // (16*N) rows, 1 MiB of
@@ -554,7 +540,7 @@ def _batched_ffts(f_eval, config, lattices, H, out) -> None:
     H_mod, H_float = H % N, H.astype(float)
     per_block = _BLOCK_BYTES // (16 * N)
     transforms = (
-        _FFTBlock(N, min(len(lattices), per_block)) if per_block >= 2 else _ChirpBlock(N)
+        _FFTBlock(N, min(len(Z), per_block)) if per_block >= 2 else _ChirpBlock(N)
     )
     block = transforms.rows
     rows = len(block)
@@ -569,8 +555,8 @@ def _batched_ffts(f_eval, config, lattices, H, out) -> None:
         transforms.transform(len(firsts))
         for row, (first, pair) in enumerate(zip(firsts, packed)):
             for part in range(1 + pair):
-                z, delta = lattices[first + part]
-                m = _residues(H_mod, z, N)
+                i = first + part
+                m = _residues(H_mod, Z[i], N)
                 Y = transforms.spectrum(row, m)
                 if pair:
                     # Y = U + i*V for the spectra U, V of the two real
@@ -578,12 +564,12 @@ def _batched_ffts(f_eval, config, lattices, H, out) -> None:
                     # V[m] = (Y[m] - conj(Y[-m]))/(2i)
                     mirror = np.conj(transforms.spectrum(row, (N - m) % N))
                     Y = (Y + mirror) * 0.5 if part == 0 else (Y - mirror) * -0.5j
-                out[first + part] = _shifted(Y, H_float, delta, N)
+                out[i] = _shifted(Y, H_float, D[i], N)
         firsts.clear()
         packed.clear()
 
-    for i, lattice in enumerate(lattices):
-        vals = _node_values(f_eval, config, lattice, i)
+    for i, (z, delta) in enumerate(zip(Z, D)):
+        vals = _node_values(f_eval, config, z, delta, i)
         real = not np.iscomplexobj(vals)
         if real and waiting:
             # the second real lattice of a pair: the imaginary half of the
@@ -607,13 +593,15 @@ def _batched_ffts(f_eval, config, lattices, H, out) -> None:
         transform_and_gather()
 
 
-def dual_membership(ell, config: LatticeConfig, z: GeneratingVector) -> bool:
-    """Whether z.ell = 0 (mod N), i.e. ell lies in the dual of the lattice.
+def dual_membership(ell, config: LatticeConfig, z) -> bool:
+    """Whether z.ell = 0 (mod N), i.e. ell lies in the dual of the lattice
+    with generating vector ``z``, a sequence or a row of Z.
 
     Uses Python integers throughout, so arbitrarily large components are
     handled exactly.
     """
     comps = FrequencyIndex(ell).components
-    if len(comps) != config.dim:
-        raise ValueError("ell must match the lattice dimension")
-    return sum(int(lj) * int(zj) for lj, zj in zip(comps, z.z)) % config.N == 0
+    z = _integer_tuple(z, "generating vector components")
+    if len(comps) != config.dim or len(z) != config.dim:
+        raise ValueError("ell and z must match the lattice dimension")
+    return sum(lj * zj for lj, zj in zip(comps, z)) % config.N == 0

@@ -38,10 +38,8 @@ from .lattice import (
     PURPOSE_SHIFT,
     LatticeConfig,
     NonFiniteValueError,
-    draw_generating_vector,
-    draw_shift,
+    _draw_lattices,
     estimate_coefficients,
-    rng_stream,
 )
 from .params import AlgorithmParams
 
@@ -313,14 +311,6 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _draw_lattice(config: LatticeConfig, key: tuple, genvec_purpose: int, shift_purpose: int):
-    """The (z, delta) pair drawn from the streams keyed (*key, purpose)."""
-    return (
-        draw_generating_vector(config, rng_stream(*key, genvec_purpose)),
-        draw_shift(config, rng_stream(*key, shift_purpose)),
-    )
-
-
 def _provenance(
     params: AlgorithmParams, problem: SmoothnessParams, weights: ProductWeights
 ) -> Provenance:
@@ -374,10 +364,9 @@ def run(
         raise ValueError("problem dimension must be >= 1")
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights, cap=cap)
     config = LatticeConfig(params.N, problem.dim)
-    lattices = [
-        _draw_lattice(config, (params.master_seed, r), PURPOSE_GENVEC, PURPOSE_SHIFT)
-        for r in range(params.R)
-    ]
+    Z, D = _draw_lattices(
+        config, [(params.master_seed, r) for r in range(params.R)], PURPOSE_GENVEC, PURPOSE_SHIFT
+    )
     ests = np.empty((params.R, len(cross)), dtype=np.complex128)  # row r from repetition r
 
     def estimate_slice(lo: int, hi: int) -> int:
@@ -391,7 +380,7 @@ def run(
             return f_eval(X)
 
         try:
-            ests[lo:hi] = estimate_coefficients(counted, config, lattices[lo:hi], cross.H)
+            ests[lo:hi] = estimate_coefficients(counted, config, Z[lo:hi], D[lo:hi], cross.H)
         except NonFiniteValueError as err:
             # the estimator counts rows within this slice
             raise ValueError(
@@ -471,16 +460,15 @@ def evaluate(approx: MedianApproximation, x):
 # epsilon(h) and the Monte-Carlo verification harnesses
 # --------------------------------------------------------------------------
 
-def _aliasing_tail_sq(
-    h: FrequencyIndex, f: SpectralOracle, N: int, radius: int
-) -> float:
-    """sum over ell in N*Z^d \\ {0}, |ell/N|_inf <= radius, of |f_hat(ell+h)|^2."""
+def _aliasing_tail_sq(h: np.ndarray, f: SpectralOracle, N: int, radius: int) -> float:
+    """sum over ell in N*Z^d \\ {0}, |ell/N|_inf <= radius, of |f_hat(ell+h)|^2,
+    for the int64 frequency row h."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return 0.0
     js = np.indices((2 * radius + 1,) * f.dim).reshape(f.dim, -1).T - radius
-    coeffs = f.coefficients(N * js[np.any(js != 0, axis=1)] + np.array(h.components))
+    coeffs = f.coefficients(N * js[np.any(js != 0, axis=1)] + h)
     return math.fsum(abs(c) ** 2 for c in coeffs.tolist() if c != 0)
 
 
@@ -504,13 +492,13 @@ def epsilon_bound(
     per coordinate; a convergence check against half the radius warns when
     the truncation looks unconverged (relative change >= 1e-4).
     """
-    h = h if isinstance(h, FrequencyIndex) else FrequencyIndex(h)
+    h = np.array(FrequencyIndex(h).components, dtype=np.int64)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, norm_radius)
     return _epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=3)
 
 
 def _epsilon(
-    h: FrequencyIndex,
+    h: np.ndarray,
     f: SpectralOracle,
     params: AlgorithmParams,
     problem: SmoothnessParams,
@@ -518,8 +506,9 @@ def _epsilon(
     tail_radius: int,
     stacklevel: int,
 ) -> float:
-    """epsilon(h) given the truncated squared Korobov norm, which does not
-    depend on h, so a caller with many probes computes it once.
+    """epsilon(h) at the int64 frequency row h, given the truncated squared
+    Korobov norm, which does not depend on h, so a caller with many probes
+    computes it once.
 
     ``stacklevel`` is that of the convergence warning, counted from this
     function, so that it names the line that called the public entry point.
@@ -544,12 +533,13 @@ def _epsilon(
 def _default_probe_indices(
     cross: HyperbolicCross, problem: SmoothnessParams, weights: ProductWeights
 ):
-    """h = 0 plus every member of minimal positive weight-function value."""
+    """h = 0 plus every member of minimal positive weight-function value, as
+    the rows of an int64 array."""
     H = cross.H[np.any(cross.H != 0, axis=1)]
     r = np.maximum(np.abs(H) ** (2.0 * problem.alpha) / weights.require(problem.dim), 1.0)
     r = np.prod(r, axis=1)
-    small = H[r <= r.min(initial=np.inf) * (1.0 + 1e-12)].tolist()
-    return [FrequencyIndex(h) for h in [[0] * problem.dim] + small]
+    small = H[r <= r.min(initial=np.inf) * (1.0 + 1e-12)]
+    return np.concatenate([np.zeros((1, problem.dim), dtype=np.int64), small])
 
 
 def lemma_bound_single(params: AlgorithmParams) -> float:
@@ -599,27 +589,23 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if indices is not None:
-        probes = [h if isinstance(h, FrequencyIndex) else FrequencyIndex(h) for h in indices]
+        H = np.array([FrequencyIndex(h).components for h in indices], dtype=np.int64)
     else:
         cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
-        probes = _default_probe_indices(cross, problem, weights)
+        H = _default_probe_indices(cross, problem, weights)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     # _epsilon <- _verify <- verify_* <- caller; a loop, not a comprehension,
     # which is a frame of its own before Python 3.12
     eps = []
-    for h in probes:
+    for h in H:
         eps.append(_epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=4))
-    truth = f.coefficients(np.array([h.components for h in probes], dtype=np.int64))
+    truth = f.coefficients(H)
     config = LatticeConfig(params.N, problem.dim)
     reps = [(r,) for r in range(params.R)] if median else [()]
-    lattices = [
-        _draw_lattice(
-            config, (params.master_seed, t, *rep), _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT
-        )
-        for t in range(trials)
-        for rep in reps
-    ]
-    ests = estimate_coefficients(f.evaluate, config, lattices, probes)  # (lattices, |probes|)
+    keys = [(params.master_seed, t, *rep) for t in range(trials) for rep in reps]
+    Z, D = _draw_lattices(config, keys, _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT)
+    ests = estimate_coefficients(f.evaluate, config, Z, D, H)  # (lattices, |probes|)
+    probes = [FrequencyIndex(h) for h in H.tolist()]
     if median:
         medians = _median(ests.reshape(trials, params.R, len(probes)), axis=1)
         return _report(probes, eps, 2.0, lemma_bound_amplified(params), medians, truth, "median")

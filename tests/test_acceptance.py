@@ -309,7 +309,7 @@ class TestConcentration:
         )
 
 
-    @pytest.mark.parametrize("exponent", [_slow(22, "24 s"), _slow(24, "143 s")])
+    @pytest.mark.parametrize("exponent", [_slow(22, "10 s"), _slow(24, "41 s")])
     def test_5_amplified_bound_where_informative(self, capsys, exponent):
         """Exceedance of 2*epsilon(h)^2 by the R-fold median stays under the
         amplified bound + 3 sigma (200 trials) at d=1, M=2^22 (N=143687,

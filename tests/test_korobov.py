@@ -22,7 +22,6 @@ from scipy.special import zeta as scipy_zeta
 import medlattice
 from medlattice import (
     FrequencyIndex,
-    GeneratingVector,
     LatticeConfig,
     ProductWeights,
     SmoothnessParams,
@@ -30,12 +29,13 @@ from medlattice import (
     cosine_pair_oracle,
     dual_membership,
     enumerate_hyperbolic_cross,
+    estimate_coefficients,
     korobov_norm_sq_truncated,
     r_weight,
     riemann_zeta,
 )
 
-from medlattice.lattice import _lattice_nodes, draw_generating_vector, draw_shift, rng_stream
+from medlattice.lattice import _lattice_nodes, rng_stream
 
 # aliased so pytest does not try to collect the oracle factories as tests
 from medlattice import test_function_f1 as function_f1
@@ -327,8 +327,8 @@ class TestInPlaceEvaluation:
         rng = np.random.default_rng(100 + d)
         edges = np.array([0.0, 0.5, 0.5 - 5.0 / 11.0, 0.5 + 5.0 / 11.0, 0.25, np.nextafter(1.0, 0.0)])
         config = LatticeConfig(39409, d)
-        z = draw_generating_vector(config, rng_stream(d, 0))
-        delta = draw_shift(config, rng_stream(d, 1))
+        z = rng_stream(d, 0).integers(1, config.N, size=d)
+        delta = rng_stream(d, 1).random(d)
         return [
             rng.random((1000, d)),
             np.repeat(edges[:, None], d, axis=1),
@@ -572,11 +572,17 @@ def test_non_integral_components_rejected():
     cross = enumerate_hyperbolic_cross(4.0, SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0]))
     f = function_f1(2)
     config = LatticeConfig(101, 2)
+    estimate = lambda Z: estimate_coefficients(
+        f.evaluate, config, Z, [[0.25, 0.5]], np.zeros((1, 2), dtype=np.int64)
+    )
     calls = [
         lambda: (0.5, 1) in cross,
         lambda: f.coefficient((0.5, 1)),
-        lambda: dual_membership((0.5, 0), config, GeneratingVector((1, 2))),
-        lambda: GeneratingVector((1.5, 2)),
+        lambda: dual_membership((0.5, 0), config, (1, 2)),
+        lambda: dual_membership((1, 0), config, (1.5, 2)),
+        lambda: dual_membership((1, 0), config, np.array([3.0, 2.5])),
+        lambda: estimate([[1.5, 2]]),
+        lambda: estimate(np.array([[3.0, np.float64(2.5)]])),
         lambda: FrequencyIndex((0, np.float64(2.5))),
     ]
     for call in calls:
@@ -585,4 +591,5 @@ def test_non_integral_components_rejected():
     # integral values of other types still pass
     assert (1.0, np.int64(1)) in cross
     assert f.coefficient((0.0, 1.0)) == f.coefficient((0, 1))
-    assert GeneratingVector((np.int64(3), 2.0)).z == (3, 2)
+    assert dual_membership((2, -3), config, (np.int64(3), 2.0))
+    assert estimate([[3.0, 2.0]]).tobytes() == estimate(np.array([[3, 2]])).tobytes()

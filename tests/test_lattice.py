@@ -3,6 +3,7 @@ Tests for rank-1 lattice sampling: seeded draws, the shifted-lattice
 coefficient estimator, and dual-lattice membership.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,11 +14,7 @@ from scipy import stats
 
 from medlattice import (
     FrequencyIndex,
-    GeneratingVector,
     LatticeConfig,
-    RandomShift,
-    draw_generating_vector,
-    draw_shift,
     dual_membership,
     estimate_coefficients,
     rng_stream,
@@ -30,9 +27,20 @@ from medlattice.lattice import (
     _ChirpBlock,
     _chirp,
     _chirp_plan,
+    _draw_lattices,
     _lattice_nodes,
     roots_of_unity,
 )
+
+
+def _lattices(config, seed, count):
+    """(Z, D) of the lattices keyed (seed, r), r < count, with run's purposes."""
+    return _draw_lattices(config, [(seed, r) for r in range(count)], PURPOSE_GENVEC, PURPOSE_SHIFT)
+
+
+def _freqs(*rows):
+    """The frequencies ``rows`` as an (m, d) int64 target array."""
+    return np.array(rows, dtype=np.int64)
 
 
 class TestStreams:
@@ -65,54 +73,99 @@ class TestStreams:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _uniformity_sample():
+    """(Z, D) of 10^5 lattices at N=101, d=2, drawn once for both tests."""
+    return _lattices(LatticeConfig(101, 2), 2024, 100_000)
+
+
 class TestDrawGeneratingVector:
+    """Column j of Z holds the components z_j of the drawn lattices."""
+
     def test_singleton_support(self):
         """N=2 leaves only z_j = 1."""
-        config = LatticeConfig(2, 4)
-        z = draw_generating_vector(config, rng_stream(5, 0, PURPOSE_GENVEC))
-        assert z.z == (1, 1, 1, 1)
+        Z, _ = _lattices(LatticeConfig(2, 4), 5, 3)
+        assert Z.dtype == np.int64
+        assert np.array_equal(Z, np.ones((3, 4), dtype=np.int64))
 
     def test_range(self):
-        config = LatticeConfig(101, 3)
-        rng = rng_stream(5, 0, PURPOSE_GENVEC)
-        for _ in range(200):
-            z = draw_generating_vector(config, rng)
-            assert all(1 <= v <= 100 for v in z.z)
+        Z, _ = _lattices(LatticeConfig(101, 3), 5, 200)
+        assert Z.shape == (200, 3)
+        assert Z.min() >= 1 and Z.max() <= 100
 
     def test_deterministic(self):
         config = LatticeConfig(1009, 2)
-        z1 = draw_generating_vector(config, rng_stream(77, 4, PURPOSE_GENVEC))
-        z2 = draw_generating_vector(config, rng_stream(77, 4, PURPOSE_GENVEC))
-        assert z1.z == z2.z
+        keys = [(77, 4), (77, 5)]
+        Z1, D1 = _draw_lattices(config, keys, PURPOSE_GENVEC, PURPOSE_SHIFT)
+        Z2, D2 = _draw_lattices(config, keys[::-1], PURPOSE_GENVEC, PURPOSE_SHIFT)
+        assert Z1.tobytes() == Z2[::-1].tobytes() and D1.tobytes() == D2[::-1].tobytes()
+        # row r is the draw of its own streams
+        assert np.array_equal(Z1[1], rng_stream(77, 5, PURPOSE_GENVEC).integers(1, 1009, size=2))
+        assert np.array_equal(D1[1], rng_stream(77, 5, PURPOSE_SHIFT).random(2))
 
     def test_chi_square_uniformity(self):
         """10^5 draws per component, chi-square on {1..100} at significance 1e-3."""
-        config = LatticeConfig(101, 2)
-        rng = rng_stream(2024, 0, PURPOSE_GENVEC)
-        draws = np.array([draw_generating_vector(config, rng).z for _ in range(100_000)])
-        for j in range(2):
-            counts = np.bincount(draws[:, j], minlength=101)[1:]
-            expected = 100_000 / 100.0
+        Z, _ = _uniformity_sample()
+        for j in range(Z.shape[1]):
+            counts = np.bincount(Z[:, j], minlength=101)[1:]
+            expected = len(Z) / 100.0
             chi2 = float(((counts - expected) ** 2 / expected).sum())
             p = stats.chi2.sf(chi2, df=99)
             assert p > 1e-3, f"component {j}: chi2={chi2:.1f}, p={p:.2e}"
 
 
 class TestDrawShift:
+    """Column j of D holds the shift components Delta_j of the drawn lattices."""
+
     def test_range_and_determinism(self):
         config = LatticeConfig(101, 5)
-        d1 = draw_shift(config, rng_stream(9, 1, PURPOSE_SHIFT))
-        d2 = draw_shift(config, rng_stream(9, 1, PURPOSE_SHIFT))
-        assert d1.delta == d2.delta
-        assert all(0.0 <= v < 1.0 for v in d1.delta)
+        _, D1 = _lattices(config, 9, 4)
+        _, D2 = _lattices(config, 9, 4)
+        assert D1.dtype == np.float64 and D1.shape == (4, 5)
+        assert D1.tobytes() == D2.tobytes()
+        assert np.all((D1 >= 0.0) & (D1 < 1.0))
 
     def test_kolmogorov_smirnov_uniformity(self):
-        config = LatticeConfig(101, 2)
-        rng = rng_stream(2025, 0, PURPOSE_SHIFT)
-        draws = np.array([draw_shift(config, rng).delta for _ in range(100_000)])
-        for j in range(2):
-            p = stats.kstest(draws[:, j], "uniform").pvalue
+        _, D = _uniformity_sample()
+        for j in range(D.shape[1]):
+            p = stats.kstest(D[:, j], "uniform").pvalue
             assert p > 1e-3, f"component {j}: KS p={p:.2e}"
+
+
+class TestPinnedDraws:
+    """The drawn Z and D equal literal values, for run's purposes and for the
+    harnesses' (2, 3), including master seeds 0 and 2^63 - 1."""
+
+    # (N, d, purposes, keys, Z, D)
+    CASES = [
+        (39409, 3, (PURPOSE_GENVEC, PURPOSE_SHIFT), [(0, 0), (0, 1), (2**63 - 1, 0), (7919, 24)],
+         [[5345, 555, 36955], [4585, 23936, 20790], [11192, 2076, 39045], [8848, 1935, 15257]],
+         [[0.9645594021303441, 0.38009964438079247, 0.7398519961848009],
+          [0.9799939816368156, 0.09974389385865956, 0.27164086479515837],
+          [0.9882700133395879, 0.5676957361251382, 0.7908549903560673],
+          [0.7804290056126559, 0.0338571846146547, 0.10328063451018843]]),
+        (39409, 3, (2, 3), [(0, 0), (2**63 - 1, 3), (42, 5, 17)],
+         [[37188, 23494, 37413], [20122, 31668, 14937], [12782, 8285, 37105]],
+         [[0.19545389172725525, 0.6597508747330528, 0.7920424706377294],
+          [0.9913408304490064, 0.7996089271920672, 0.5475712101634557],
+          [0.17027449853908316, 0.8056970319840903, 0.7280291013763536]]),
+        (2147483647, 2, (PURPOSE_GENVEC, PURPOSE_SHIFT), [(0, 0), (2**63 - 1, 0), (7919, 24)],
+         [[291248085, 30208729], [609878285, 113091480], [482122024, 105444766]],
+         [[0.9645594021303441, 0.38009964438079247],
+          [0.9882700133395879, 0.5676957361251382],
+          [0.7804290056126559, 0.0338571846146547]]),
+        (2147483647, 2, (2, 3), [(0, 0), (2**63 - 1, 3), (42, 5, 17)],
+         [[2026472792, 1280252668], [1096466016, 1725657267], [696496236, 451425255]],
+         [[0.19545389172725525, 0.6597508747330528],
+          [0.9913408304490064, 0.7996089271920672],
+          [0.17027449853908316, 0.8056970319840903]]),
+    ]
+
+    @pytest.mark.parametrize("N, d, purposes, keys, Z, D", CASES)
+    def test_literal_values(self, N, d, purposes, keys, Z, D):
+        got_Z, got_D = _draw_lattices(LatticeConfig(N, d), keys, *purposes)
+        assert got_Z.dtype == np.int64 and got_Z.tolist() == Z
+        assert got_D.dtype == np.float64 and got_D.tolist() == D
 
 
 class TestRootsOfUnity:
@@ -131,42 +184,38 @@ class TestRootsOfUnity:
 class TestEstimator:
     def _setup(self, N=101, d=2, seed=11):
         config = LatticeConfig(N, d)
-        z = draw_generating_vector(config, rng_stream(seed, 0, PURPOSE_GENVEC))
-        delta = draw_shift(config, rng_stream(seed, 0, PURPOSE_SHIFT))
-        return config, z, delta
+        Z, D = _lattices(config, seed, 1)
+        return config, Z, D
 
     def test_constant_at_zero_mode(self):
-        config, z, delta = self._setup()
+        config, Z, D = self._setup()
         (out,) = estimate_coefficients(
-            lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [FrequencyIndex([0, 0])]
+            lambda pts: np.ones(pts.shape[0]), config, Z, D, _freqs([0, 0])
         )
         assert abs(out[0] - 1.0) < 1e-14
 
     def test_exponential_mode_recovered(self):
         """f = e^{2 pi i h.x} estimated at the same h gives exactly 1."""
-        config, z, delta = self._setup()
-        h = FrequencyIndex([3, -2])
+        config, Z, D = self._setup()
         hv = np.array([3.0, -2.0])
         (out,) = estimate_coefficients(
-            lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, [(z, delta)], [h]
+            lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, Z, D, _freqs([3, -2])
         )
         assert abs(out[0] - 1.0) < 1e-12
 
     def test_full_cancellation(self):
         """Constant input at a non-dual frequency sums a full set of N-th roots."""
-        config, z, delta = self._setup()
-        h = FrequencyIndex([1, 0])
-        assert not dual_membership(h, config, z)
+        config, Z, D = self._setup()
+        assert not dual_membership([1, 0], config, Z[0])
         (out,) = estimate_coefficients(
-            lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [h]
+            lambda pts: np.ones(pts.shape[0]), config, Z, D, _freqs([1, 0])
         )
         assert abs(out[0]) < 1e-10
 
     def test_conjugate_symmetry(self):
-        config, z, delta = self._setup(N=241)
+        config, Z, D = self._setup(N=241)
         f = lambda pts: np.cos(2 * np.pi * pts[:, 0]) + pts[:, 1] * (1 - pts[:, 1])
-        targets = [FrequencyIndex([2, 1]), FrequencyIndex([-2, -1])]
-        (out,) = estimate_coefficients(f, config, [(z, delta)], targets)
+        (out,) = estimate_coefficients(f, config, Z, D, _freqs([2, 1], [-2, -1]))
         assert abs(out[1] - out[0].conjugate()) < 1e-12
 
     def test_single_batched_evaluation(self):
@@ -177,15 +226,15 @@ class TestEstimator:
             calls.append(pts.shape)
             return np.ones(pts.shape[0])
 
-        config, z, delta = self._setup(N=61)
-        targets = [FrequencyIndex([i, 0]) for i in range(-5, 6)]
-        estimate_coefficients(f, config, [(z, delta)], targets)
+        config, Z, D = self._setup(N=61)
+        estimate_coefficients(f, config, Z, D, _freqs(*([i, 0] for i in range(-5, 6))))
         assert calls == [(61, 2)]
 
     def test_rejects_empty_targets(self):
-        config, z, delta = self._setup()
-        with pytest.raises(ValueError):
-            estimate_coefficients(lambda pts: np.ones(pts.shape[0]), config, [(z, delta)], [])
+        config, Z, D = self._setup()
+        for targets in ([], np.empty((0, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="targets must be nonempty"):
+                estimate_coefficients(lambda pts: np.ones(pts.shape[0]), config, Z, D, targets)
 
     def test_nodes_shifted_correctly(self):
         """Estimator sees {k z / N + delta} mod 1: check via a recorded batch."""
@@ -195,11 +244,25 @@ class TestEstimator:
             seen["pts"] = pts.copy()
             return np.ones(pts.shape[0])
 
-        config, z, delta = self._setup(N=13)
-        estimate_coefficients(f, config, [(z, delta)], [FrequencyIndex([0, 0])])
+        config, Z, D = self._setup(N=13)
+        estimate_coefficients(f, config, Z, D, _freqs([0, 0]))
         k = np.arange(13)[:, None]
-        expected = (k * np.asarray(z.z)[None, :] / 13.0 + np.asarray(delta.delta)) % 1.0
+        expected = (k * Z[0][None, :] / 13.0 + D[0]) % 1.0
         assert np.max(np.abs(seen["pts"] - expected)) < 1e-14
+
+    def test_targets_outside_int64_rejected(self):
+        """A uint64 target above 2^63 - 1 raises instead of wrapping to a
+        negative frequency (2^64 - 1 would read as h = -1)."""
+        config = LatticeConfig(101, 1)
+        Z, D = np.array([[3]]), np.array([[0.25]])
+        f = lambda pts: np.exp(-2j * np.pi * pts[:, 0])
+        for h in (2**64 - 1, 2**63):
+            with pytest.raises(ValueError, match="inside int64"):
+                estimate_coefficients(f, config, Z, D, np.array([[h]], dtype=np.uint64))
+        top = np.array([[2**63 - 1]], dtype=np.uint64)
+        assert estimate_coefficients(f, config, Z, D, top).tobytes() == estimate_coefficients(
+            f, config, Z, D, top.astype(np.int64)
+        ).tobytes()
 
 
 _SMALL_PRIMES = [p for p in range(2, 128) if all(p % q for q in range(2, p))]
@@ -212,8 +275,8 @@ def _direct_sum(f, config, z, delta, h):
     carry no rounding from the unreduced products k z_j.
     """
     k = np.arange(config.N)[:, None]
-    nodes = ((k * np.asarray(z.z)[None, :]) % config.N / config.N + np.asarray(delta.delta)) % 1.0
-    phases = np.exp(-2j * np.pi * (nodes @ np.asarray(h.components, dtype=float)))
+    nodes = ((k * np.asarray(z)[None, :]) % config.N / config.N + np.asarray(delta)) % 1.0
+    phases = np.exp(-2j * np.pi * (nodes @ np.asarray(h, dtype=float)))
     return complex(np.mean(f(nodes) * phases))
 
 
@@ -221,27 +284,24 @@ def _direct_sum(f, config, z, delta, h):
 def _lattice_case(draw):
     N = draw(st.sampled_from(_SMALL_PRIMES))
     d = draw(st.integers(1, 3))
-    lattices = [
-        (
-            GeneratingVector([draw(st.integers(1, N - 1)) for _ in range(d)]),
-            RandomShift([draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(d)]),
-        )
-        for _ in range(draw(st.integers(1, 5)))
-    ]
+    n = draw(st.integers(1, 5))
+    Z = np.array([[draw(st.integers(1, N - 1)) for _ in range(d)] for _ in range(n)])
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    D = np.array([[draw(unit) for _ in range(d)] for _ in range(n)])
     # negative components and |h_j| >= N both occur
     comp = st.integers(-2 * N, 2 * N)
     # counts on both sides of the rule: fewer than log2(N) targets take the
     # chirp sums, the rest the FFT
-    targets = [
-        FrequencyIndex([draw(comp) for _ in range(d)])
+    targets = _freqs(*(
+        [draw(comp) for _ in range(d)]
         for _ in range(draw(st.integers(1, 2 * math.ceil(math.log2(N)) + 1)))
-    ]
+    ))
     mode = np.asarray([draw(st.integers(-N, N)) for _ in range(d)], dtype=float)
     if draw(st.booleans()):
         f = lambda pts: np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0] * (1 - pts[:, -1])
     else:
         f = lambda pts: np.exp(2j * np.pi * (pts @ mode)) * (1 + 0.5j * pts[:, 0])
-    return LatticeConfig(N, d), lattices, targets, f
+    return LatticeConfig(N, d), (Z, D), targets, f
 
 
 class TestFFTAgainstDirectSum:
@@ -253,16 +313,17 @@ class TestFFTAgainstDirectSum:
         on their own pair (2k, 2k+1) bit for bit when f is real, and the
         one-lattice call when f is complex or the lattice is an odd trailing
         one."""
-        config, lattices, targets, f = case
-        out = estimate_coefficients(f, config, lattices, targets)
-        assert out.shape == (len(lattices), len(targets))
-        for row, (z, delta) in zip(out, lattices):
+        config, (Z, D), targets, f = case
+        out = estimate_coefficients(f, config, Z, D, targets)
+        assert out.shape == (len(Z), len(targets))
+        for row, z, delta in zip(out, Z, D):
             for j, h in enumerate(targets):
                 assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
         group = 1 if np.iscomplexobj(f(np.zeros((1, config.dim)))) else 2
-        for start in range(0, len(lattices), group):
-            alone = estimate_coefficients(f, config, lattices[start:start + group], targets)
-            assert out[start:start + group].tobytes() == alone.tobytes()
+        for start in range(0, len(Z), group):
+            part = slice(start, start + group)
+            alone = estimate_coefficients(f, config, Z[part], D[part], targets)
+            assert out[part].tobytes() == alone.tobytes()
 
     def test_rows_span_blocks_bitwise(self):
         """A call spanning several FFT blocks evaluates f once per lattice on
@@ -273,37 +334,25 @@ class TestFFTAgainstDirectSum:
         N, d, count = 10903, 2, 13
         assert count > 2 * (_BLOCK_BYTES // (16 * N))
         config = LatticeConfig(N, d)
-        lattices = [
-            (
-                draw_generating_vector(config, rng_stream(3, r, PURPOSE_GENVEC)),
-                draw_shift(config, rng_stream(3, r, PURPOSE_SHIFT)),
-            )
-            for r in range(count)
-        ]
-        targets = [FrequencyIndex([a, b]) for a in range(-3, 4) for b in (-1, 0, 2)]
+        Z, D = _lattices(config, 3, count)
+        targets = _freqs(*([a, b] for a in range(-3, 4) for b in (-1, 0, 2)))
         calls = []
 
         def f(pts):
             calls.append(pts.shape)
             return np.cos(2 * np.pi * pts[:, 0]) + pts[:, 1] ** 2
 
-        out = estimate_coefficients(f, config, lattices, targets)
+        out = estimate_coefficients(f, config, Z, D, targets)
         assert calls == [(N, d)] * count
         for start in range(0, count, 2):
-            pair = estimate_coefficients(f, config, lattices[start:start + 2], targets)
+            pair = estimate_coefficients(f, config, Z[start:start + 2], D[start:start + 2], targets)
             assert out[start:start + 2].tobytes() == pair.tobytes()
 
     def test_non_finite_value_raises(self):
         """One NaN at one node of the second lattice raises, naming the
         count and the row."""
         config = LatticeConfig(101, 2)
-        lattices = [
-            (
-                draw_generating_vector(config, rng_stream(8, r, PURPOSE_GENVEC)),
-                draw_shift(config, rng_stream(8, r, PURPOSE_SHIFT)),
-            )
-            for r in range(3)
-        ]
+        Z, D = _lattices(config, 8, 3)
         calls = []
 
         def f(pts):
@@ -314,7 +363,7 @@ class TestFFTAgainstDirectSum:
             return vals
 
         with pytest.raises(ValueError, match="1 non-finite values on lattice row 1") as info:
-            estimate_coefficients(f, config, lattices, [FrequencyIndex([0, 0])])
+            estimate_coefficients(f, config, Z, D, _freqs([0, 0]))
         assert isinstance(info.value, NonFiniteValueError)
         assert (info.value.count, info.value.row) == (1, 1)
 
@@ -326,17 +375,11 @@ class TestFFTAgainstDirectSum:
         sum."""
         N, d, count = 10903, 2, 15
         config = LatticeConfig(N, d)
-        lattices = [
-            (
-                draw_generating_vector(config, rng_stream(4, r, PURPOSE_GENVEC)),
-                draw_shift(config, rng_stream(4, r, PURPOSE_SHIFT)),
-            )
-            for r in range(count)
-        ]
+        Z, D = _lattices(config, 4, count)
         # five packed pairs and lone lattice 10 fill the first block's six
         # rows; 11 and 12 are complex, so 13 and the trailing 14 are alone
         assert _BLOCK_BYTES // (16 * N) == 6
-        complex_shifts = {lattices[r][1].delta for r in (11, 12)}
+        complex_shifts = {tuple(D[r]) for r in (11, 12)}
         mode = np.array([2.0, -1.0])
 
         def f(pts):
@@ -346,10 +389,10 @@ class TestFFTAgainstDirectSum:
                 return vals * (1 + 0.5j * pts[:, 1])
             return vals
 
-        targets = [FrequencyIndex([a, b]) for a in (-2, 0, 2, 5, 7) for b in (-1, 1, N + 3)]
+        targets = _freqs(*([a, b] for a in (-2, 0, 2, 5, 7) for b in (-1, 1, N + 3)))
         assert len(targets) >= math.log2(N)
-        out = estimate_coefficients(f, config, lattices, targets)
-        for row, (z, delta) in zip(out, lattices):
+        out = estimate_coefficients(f, config, Z, D, targets)
+        for row, z, delta in zip(out, Z, D):
             for j, h in enumerate(targets):
                 assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
 
@@ -358,14 +401,8 @@ class TestFFTAgainstDirectSum:
         block, names that lattice's row, not its partner's or the block's."""
         N, d = 10903, 2
         config = LatticeConfig(N, d)
-        lattices = [
-            (
-                draw_generating_vector(config, rng_stream(9, r, PURPOSE_GENVEC)),
-                draw_shift(config, rng_stream(9, r, PURPOSE_SHIFT)),
-            )
-            for r in range(15)
-        ]
-        bad_shift = lattices[13][1].delta
+        Z, D = _lattices(config, 9, 15)
+        bad_shift = tuple(D[13])
 
         def f(pts):
             vals = np.cos(2 * np.pi * pts[:, 0])
@@ -374,10 +411,10 @@ class TestFFTAgainstDirectSum:
                 vals[41] = np.inf
             return vals
 
-        targets = [FrequencyIndex([a, 0]) for a in range(14)]
+        targets = _freqs(*([a, 0] for a in range(14)))
         assert len(targets) >= math.log2(N)
         with pytest.raises(NonFiniteValueError, match="2 non-finite values on lattice row 13$") as info:
-            estimate_coefficients(f, config, lattices, targets)
+            estimate_coefficients(f, config, Z, D, targets)
         assert (info.value.count, info.value.row) == (2, 13)
 
     def test_rejects_oversized_N_before_evaluating(self):
@@ -390,27 +427,15 @@ class TestFFTAgainstDirectSum:
 
         config = LatticeConfig(2147483659, 1)
         with pytest.raises(ValueError):
-            estimate_coefficients(
-                f, config, [(GeneratingVector([1]), RandomShift([0.0]))], [FrequencyIndex([1])]
-            )
+            estimate_coefficients(f, config, np.array([[1]]), np.array([[0.0]]), _freqs([1]))
         assert calls == []
-
-
-def _lattices(config, seed, count):
-    return [
-        (
-            draw_generating_vector(config, rng_stream(seed, r, PURPOSE_GENVEC)),
-            draw_shift(config, rng_stream(seed, r, PURPOSE_SHIFT)),
-        )
-        for r in range(count)
-    ]
 
 
 class TestChirpSums:
     """Calls with fewer than log2(N) targets, which take the chirp sums."""
 
     N, d = 10903, 2
-    TARGETS = [FrequencyIndex([1, 0]), FrequencyIndex([0, 0]), FrequencyIndex([-3, N + 2])]
+    TARGETS = _freqs([1, 0], [0, 0], [-3, N + 2])
 
     def _case(self, seed=6, count=5):
         config = LatticeConfig(self.N, self.d)
@@ -425,44 +450,41 @@ class TestChirpSums:
         """The same targets, padded past log2(N) so that the call takes the
         FFT, give the same estimates to 1e-12; real and complex f."""
         config, lattices = self._case()
-        padded = self.TARGETS + [FrequencyIndex([a, 5]) for a in range(12)]
+        padded = np.vstack([self.TARGETS, _freqs(*([a, 5] for a in range(12)))])
         for f in (self._f, lambda pts: self._f(pts) * np.exp(2j * np.pi * pts[:, 1])):
-            few = estimate_coefficients(f, config, lattices, self.TARGETS)
-            many = estimate_coefficients(f, config, lattices, padded)
+            few = estimate_coefficients(f, config, *lattices, self.TARGETS)
+            many = estimate_coefficients(f, config, *lattices, padded)
             assert np.max(np.abs(few - many[:, : len(self.TARGETS)])) < 1e-12
 
     def test_complex_values_match_direct_sum(self):
         config, lattices = self._case(count=2)
         f = lambda pts: np.exp(2j * np.pi * (pts @ np.array([1.0, -3.0]))) * (1 + 0.5j * pts[:, 0])
-        out = estimate_coefficients(f, config, lattices, self.TARGETS)
-        for row, (z, delta) in zip(out, lattices):
+        out = estimate_coefficients(f, config, *lattices, self.TARGETS)
+        for row, z, delta in zip(out, *lattices):
             for j, h in enumerate(self.TARGETS):
                 assert abs(row[j] - _direct_sum(f, config, z, delta, h)) < 1e-12
 
     # for real f: h = 0 twice, the pair {(1, 0), (-1, 0)} with -h repeated,
     # the pair {(2, -3), (-2, 3)} with h repeated, the unpaired (5, 1), and
     # (N - 5, -1), which is -(5, 1) mod N but not its negation
-    PAIRED = [
-        FrequencyIndex(h)
-        for h in ([0, 0], [1, 0], [-1, 0], [2, -3], [-2, 3], [2, -3], [-1, 0],
-                  [5, 1], [N - 5, -1], [0, 0])
-    ]
+    PAIRED = _freqs([0, 0], [1, 0], [-1, 0], [2, -3], [-2, 3], [2, -3], [-1, 0],
+                    [5, 1], [N - 5, -1], [0, 0])
 
-    @pytest.mark.parametrize("targets", [PAIRED, PAIRED[:1], PAIRED[:1] * 2, PAIRED[7:9]])
+    @pytest.mark.parametrize("targets", [PAIRED, PAIRED[:1], PAIRED[[0, 0]], PAIRED[7:9]])
     def test_real_pairs_agree_with_the_transform_and_direct_sum(self, targets):
         config, lattices = self._case(count=4)
         assert len(targets) < math.log2(self.N)
-        few = estimate_coefficients(self._f, config, lattices, targets)
-        padded = targets + [FrequencyIndex([a, 5]) for a in range(14)]
-        many = estimate_coefficients(self._f, config, lattices, padded)
+        few = estimate_coefficients(self._f, config, *lattices, targets)
+        padded = np.vstack([targets, _freqs(*([a, 5] for a in range(14)))])
+        many = estimate_coefficients(self._f, config, *lattices, padded)
         assert np.max(np.abs(few - many[:, : len(targets)])) < 1e-12
-        for row, (z, delta) in zip(few, lattices):
+        for row, z, delta in zip(few, *lattices):
             for j, h in enumerate(targets):
                 assert abs(row[j] - _direct_sum(self._f, config, z, delta, h)) < 1e-12
 
     def test_minus_h_is_the_conjugate_of_h_bitwise(self):
         config, lattices = self._case()
-        out = estimate_coefficients(self._f, config, lattices, self.PAIRED)
+        out = estimate_coefficients(self._f, config, *lattices, self.PAIRED)
         for h, minus in ((1, 2), (3, 4), (5, 4), (1, 6)):
             assert out[:, minus].tobytes() == np.conj(out[:, h]).tobytes()
         # repeated targets read the same estimate
@@ -476,14 +498,14 @@ class TestChirpSums:
     def test_rows_equal_the_one_lattice_call_bitwise(self):
         config, lattices = self._case()
         for targets in (self.TARGETS, self.PAIRED):
-            out = estimate_coefficients(self._f, config, lattices, targets)
-            for i, lattice in enumerate(lattices):
-                alone = estimate_coefficients(self._f, config, [lattice], targets)
+            out = estimate_coefficients(self._f, config, *lattices, targets)
+            for i, (z, delta) in enumerate(zip(*lattices)):
+                alone = estimate_coefficients(self._f, config, [z], [delta], targets)
                 assert out[i].tobytes() == alone[0].tobytes()
 
     def test_non_finite_value_names_its_row(self):
         config, lattices = self._case()
-        bad_shift = lattices[3][1].delta
+        bad_shift = tuple(lattices[1][3])
 
         def f(pts):
             vals = self._f(pts)
@@ -492,14 +514,14 @@ class TestChirpSums:
             return vals
 
         with pytest.raises(NonFiniteValueError, match="1 non-finite values on lattice row 3$") as info:
-            estimate_coefficients(f, config, lattices, self.TARGETS)
+            estimate_coefficients(f, config, *lattices, self.TARGETS)
         assert (info.value.count, info.value.row) == (1, 3)
 
     @pytest.mark.parametrize("shape", [(10902,), (10903, 1), ()])
     def test_wrong_output_shape_raises(self, shape):
         config, lattices = self._case(count=1)
         with pytest.raises(ValueError, match=r"expected \(10903,\)"):
-            estimate_coefficients(lambda pts: np.ones(shape), config, lattices, self.TARGETS)
+            estimate_coefficients(lambda pts: np.ones(shape), config, *lattices, self.TARGETS)
 
 
 class TestCostModel:
@@ -518,12 +540,12 @@ class TestCostModel:
 
         monkeypatch.setattr(np.fft, "fft", counted)
         estimate_coefficients(
-            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, _lattices(config, 2, count), targets
+            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, *_lattices(config, 2, count), targets
         )
         return calls
 
     def test_few_targets_make_no_transform(self, monkeypatch):
-        targets = [FrequencyIndex([a, 0]) for a in (-1, 0, 1)]
+        targets = _freqs([-1, 0], [0, 0], [1, 0])
         assert self._count_ffts(monkeypatch, targets, 9) == []
 
     @pytest.mark.parametrize("real, sums", [(True, 1), (False, 3)])
@@ -544,15 +566,15 @@ class TestCostModel:
         estimate_coefficients(
             lambda pts: np.cos(2 * np.pi * pts[:, 0]) * phase,
             config,
-            _lattices(config, 2, count),
-            [FrequencyIndex(h) for h in ([0, 0], [1, 0], [-1, 0])],
+            *_lattices(config, 2, count),
+            _freqs([0, 0], [1, 0], [-1, 0]),
         )
         assert lengths == [(N,)] * (sums * count)
 
     @pytest.mark.parametrize("count", [1, 12, 13, 25])
     def test_many_targets_make_one_transform_per_block(self, monkeypatch, count):
         N = 10903
-        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        targets = _freqs(*([a, 1] for a in range(math.ceil(math.log2(N)))))
         rows = _BLOCK_BYTES // (16 * N)
         pairs = (count + 1) // 2
         assert len(self._count_ffts(monkeypatch, targets, count)) == -(-pairs // rows)
@@ -574,9 +596,9 @@ class TestCostModel:
         monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
         config = LatticeConfig(N, 2)
-        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
+        targets = _freqs(*([a, 1] for a in range(math.ceil(math.log2(N)))))
         estimate_coefficients(
-            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, _lattices(config, 2, 3), targets
+            lambda pts: np.cos(2 * np.pi * pts[:, 0]), config, *_lattices(config, 2, 3), targets
         )
         assert lengths
         assert N not in lengths
@@ -609,7 +631,8 @@ class TestChirpConvolution:
         and this one up to 1.0e-15 at N=39409."""
         assert _BLOCK_BYTES // (16 * N) < 2
         config = LatticeConfig(N, 2)
-        u, v = (self._f(_lattice_nodes(config, *lattice)) for lattice in _lattices(config, 5, 2))
+        Z, D = _lattices(config, 5, 2)
+        u, v = (self._f(_lattice_nodes(config, z, delta)) for z, delta in zip(Z, D))
         rng = np.random.default_rng(N)
         noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         for x in (u + 1j * v, noise):
@@ -623,24 +646,25 @@ class TestChirpConvolution:
         more."""
         config = LatticeConfig(N, 2)
         lattices = _lattices(config, 7, 3)
-        targets = [FrequencyIndex([a, 2 - a]) for a in range(-8, 8)] + [FrequencyIndex([N + 1, -3])]
+        targets = _freqs(*([a, 2 - a] for a in range(-8, 8)), [N + 1, -3])
         assert len(targets) >= math.log2(N)
         complex_f = lambda pts: self._f(pts) * np.exp(2j * np.pi * pts[:, 1])
         for f in (self._f, complex_f):
-            out = estimate_coefficients(f, config, lattices, targets)
-            for row, (z, delta) in zip(out, lattices):
+            out = estimate_coefficients(f, config, *lattices, targets)
+            for row, z, delta in zip(out, *lattices):
                 for j in (0, 9, len(targets) - 1):
                     assert abs(row[j] - _direct_sum(f, config, z, delta, targets[j])) < 1e-12
 
     @pytest.mark.parametrize("N", PRIMES)
     def test_rows_equal_the_pair_call_bitwise(self, N):
         config = LatticeConfig(N, 2)
-        lattices = _lattices(config, 8, 5)
-        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
-        out = estimate_coefficients(self._f, config, lattices, targets)
-        for start in range(0, len(lattices), 2):
-            pair = estimate_coefficients(self._f, config, lattices[start:start + 2], targets)
-            assert out[start:start + 2].tobytes() == pair.tobytes()
+        Z, D = _lattices(config, 8, 5)
+        targets = _freqs(*([a, 1] for a in range(math.ceil(math.log2(N)))))
+        out = estimate_coefficients(self._f, config, Z, D, targets)
+        for start in range(0, len(Z), 2):
+            pair = slice(start, start + 2)
+            got = estimate_coefficients(self._f, config, Z[pair], D[pair], targets)
+            assert out[pair].tobytes() == got.tobytes()
 
     def test_second_call_at_the_same_N_builds_no_table(self, monkeypatch):
         counted = self._count_chirps(monkeypatch)
@@ -674,8 +698,8 @@ class TestChirpConvolution:
     def _call(N):
         """A pair-packed call of 3 lattices at N, with log2(N) targets."""
         config = LatticeConfig(N, 2)
-        targets = [FrequencyIndex([a, 1]) for a in range(math.ceil(math.log2(N)))]
-        return config, _lattices(config, 9, 3), targets
+        targets = _freqs(*([a, 1] for a in range(math.ceil(math.log2(N)))))
+        return config, *_lattices(config, 9, 3), targets
 
     @staticmethod
     def _count_chirps(monkeypatch):
@@ -695,11 +719,11 @@ def _outer_product_nodes(config, z, delta):
     """Reference nodes: all d coordinates at once, as an outer product on a
     point-major (N, d) array."""
     k = np.arange(config.N, dtype=np.int64)
-    frac = np.multiply.outer(k, np.asarray(z.z, dtype=np.int64))
+    frac = np.multiply.outer(k, np.asarray(z, dtype=np.int64))
     frac %= config.N
     nodes = frac.astype(float)
     nodes /= config.N
-    nodes += np.asarray(delta.delta, dtype=float)
+    nodes += np.asarray(delta, dtype=float)
     nodes -= np.floor(nodes)
     return nodes
 
@@ -719,7 +743,7 @@ class TestLatticeNodes:
         shifts[1][0], shifts[1][-1] = 0.0, self.LAST_BELOW_ONE
         for z in zs:
             for delta in shifts:
-                yield GeneratingVector(z), RandomShift(delta)
+                yield z, delta
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("N", [2, 3, 13, 101, 10903, 39409])
@@ -748,7 +772,7 @@ class TestLatticeNodes:
         N = 10903
         config = LatticeConfig(N, 2)
         lattices = _lattices(config, 8, 13)
-        targets = [FrequencyIndex([a, 1 - a]) for a in range(count)]
+        targets = _freqs(*([a, 1 - a] for a in range(count)))
 
         def f(pts):
             return np.cos(2 * np.pi * (pts @ np.array([1.0, -2.0]))) + pts[:, 0] * pts[:, 1]
@@ -764,9 +788,9 @@ class TestLatticeNodes:
 
         # the overwriting call goes first, so nodes kept for a later call
         # would reach the well-behaved one overwritten
-        got = estimate_coefficients(overwriting, config, lattices, targets)
-        expected = estimate_coefficients(f, config, lattices, targets)
-        assert len(kept) == len(lattices)
+        got = estimate_coefficients(overwriting, config, *lattices, targets)
+        expected = estimate_coefficients(f, config, *lattices, targets)
+        assert len(kept) == 13
         assert got.tobytes() == expected.tobytes()
 
     def test_f_may_keep_its_inputs(self):
@@ -780,10 +804,10 @@ class TestLatticeNodes:
             kept.append(pts)
             return np.cos(2 * np.pi * pts[:, 0])
 
-        estimate_coefficients(keeping, config, lattices, [FrequencyIndex([a, 1]) for a in range(14)])
-        assert len(kept) == len(lattices)
-        for pts, lattice in zip(kept, lattices):
-            assert np.array_equal(pts, _outer_product_nodes(config, *lattice))
+        estimate_coefficients(keeping, config, *lattices, _freqs(*([a, 1] for a in range(14))))
+        assert len(kept) == 13
+        for pts, z, delta in zip(kept, *lattices):
+            assert np.array_equal(pts, _outer_product_nodes(config, z, delta))
 
 
 class TestAliasing:
@@ -795,8 +819,8 @@ class TestAliasing:
         N, d = config.N, config.dim
         while True:
             ell = [int(rng.integers(-3, 4)) for _ in range(d - 1)]
-            rest = sum(int(zj) * lj for zj, lj in zip(z.z[:-1], ell))
-            inv = pow(int(z.z[-1]), -1, N)
+            rest = sum(int(zj) * lj for zj, lj in zip(z[:-1], ell))
+            inv = pow(int(z[-1]), -1, N)
             last = (-rest * inv) % N
             if last > N // 2:
                 last -= N
@@ -804,7 +828,7 @@ class TestAliasing:
                 last = N   # N e_d is always in the dual lattice
             candidate = ell + [last]
             if any(candidate):
-                return FrequencyIndex(candidate)
+                return candidate
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_identity_over_random_draws(self, d):
@@ -812,29 +836,27 @@ class TestAliasing:
         for trial in range(15):
             N = int(rng.choice([53, 101, 149]))
             config = LatticeConfig(N, d)
-            z = draw_generating_vector(config, rng_stream(trial, 0, PURPOSE_GENVEC))
-            delta = draw_shift(config, rng_stream(trial, 0, PURPOSE_SHIFT))
-            h = FrequencyIndex([int(rng.integers(-4, 5)) for _ in range(d)])
+            Z, D = _draw_lattices(config, [(trial, 0)], PURPOSE_GENVEC, PURPOSE_SHIFT)
+            z, delta = Z[0], D[0]
+            h = [int(rng.integers(-4, 5)) for _ in range(d)]
 
             ell = self._dual_vector(rng, config, z)
-            h_src = FrequencyIndex([a + b for a, b in zip(h, ell)])
-            assert dual_membership(FrequencyIndex([a - b for a, b in zip(h_src, h)]), config, z)
-            hv = np.asarray(list(h_src), dtype=float)
+            h_src = [a + b for a, b in zip(h, ell)]
+            assert dual_membership([a - b for a, b in zip(h_src, h)], config, z)
+            hv = np.asarray(h_src, dtype=float)
             (out,) = estimate_coefficients(
-                lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, [(z, delta)], [h]
+                lambda pts: np.exp(2j * np.pi * (pts @ hv)), config, Z, D, _freqs(h)
             )
-            diff = np.asarray(list(h_src), dtype=float) - np.asarray(list(h), dtype=float)
-            expected = np.exp(2j * np.pi * float(diff @ np.asarray(delta.delta)))
+            diff = np.asarray(h_src, dtype=float) - np.asarray(h, dtype=float)
+            expected = np.exp(2j * np.pi * float(diff @ delta))
             assert abs(out[0] - expected) < 1e-10
 
             # a non-dual offset must vanish
-            h_far = FrequencyIndex([c + 1 for c in h_src])
-            if not dual_membership(
-                FrequencyIndex([a - b for a, b in zip(h_far, h)]), config, z
-            ):
-                hv2 = np.asarray(list(h_far), dtype=float)
+            h_far = [c + 1 for c in h_src]
+            if not dual_membership([a - b for a, b in zip(h_far, h)], config, z):
+                hv2 = np.asarray(h_far, dtype=float)
                 (out2,) = estimate_coefficients(
-                    lambda pts: np.exp(2j * np.pi * (pts @ hv2)), config, [(z, delta)], [h]
+                    lambda pts: np.exp(2j * np.pi * (pts @ hv2)), config, Z, D, _freqs(h)
                 )
                 assert abs(out2[0]) < 1e-10
 
@@ -842,52 +864,87 @@ class TestAliasing:
 class TestDualMembership:
     def test_zero_always_member(self):
         config = LatticeConfig(5, 2)
-        z = GeneratingVector([1, 2])
-        assert dual_membership(FrequencyIndex([0, 0]), config, z)
+        assert dual_membership(FrequencyIndex([0, 0]), config, [1, 2])
 
     def test_coarse_lattice_members(self):
         config = LatticeConfig(7, 3)
-        z = GeneratingVector([1, 2, 3])
-        assert dual_membership(FrequencyIndex([7, -14, 21]), config, z)
+        assert dual_membership(FrequencyIndex([7, -14, 21]), config, (1, 2, 3))
 
     def test_hand_computed_case(self):
         config = LatticeConfig(5, 2)
-        z = GeneratingVector([1, 2])
+        z = np.array([1, 2])
         assert dual_membership(FrequencyIndex([1, 2]), config, z)
         assert not dual_membership(FrequencyIndex([1, 1]), config, z)
 
     def test_huge_components_no_overflow(self):
+        """Exact Python-int products, for a sequence and for an int64 row of Z,
+        where int64 arithmetic would overflow."""
         N = 2147483647
         config = LatticeConfig(N, 2)
-        z = GeneratingVector([N - 1, N - 2])
-        assert dual_membership(FrequencyIndex([N, 2 * N]), config, z)
-        assert dual_membership(FrequencyIndex([1, (N - 1) * pow(N - 2, -1, N) * -1 % N]), config, z)
+        for z in ([N - 1, N - 2], np.array([[N - 1, N - 2]], dtype=np.int64)[0]):
+            assert dual_membership(FrequencyIndex([N, 2 * N]), config, z)
+            assert dual_membership(
+                FrequencyIndex([1, (N - 1) * pow(N - 2, -1, N) * -1 % N]), config, z
+            )
+            assert dual_membership([2**62 * N, 3 * N], config, z)
 
     def test_collision_rate(self):
         """Random z hits a fixed nonzero ell with frequency about 1/(N-1)."""
         N = 101
         config = LatticeConfig(N, 2)
         ell = FrequencyIndex([3, -5])
-        rng = rng_stream(909, 0, PURPOSE_GENVEC)
-        hits = sum(
-            dual_membership(ell, config, draw_generating_vector(config, rng))
-            for _ in range(10_000)
-        )
+        Z, _ = _lattices(config, 909, 10_000)
+        hits = sum(dual_membership(ell, config, z) for z in Z)
         p = 1.0 / (N - 1)
         assert hits / 10_000 <= p + 3.0 * math.sqrt(p * (1 - p) / 10_000)
 
+    def test_rejects_a_z_of_another_dimension(self):
+        with pytest.raises(ValueError, match="lattice dimension"):
+            dual_membership([1, 2], LatticeConfig(5, 2), [1, 2, 3])
+
 
 class TestConfigValidation:
+    """The refusals of the lattice inputs, made on the whole Z and D arrays
+    before f is evaluated."""
+
+    @staticmethod
+    def _estimate(Z, D, N=101, d=2):
+        calls = []
+
+        def f(pts):
+            calls.append(pts.shape)
+            return np.ones(pts.shape[0])
+
+        estimate_coefficients(f, LatticeConfig(N, d), Z, D, _freqs(*([[0] * d] * 20)))
+        return calls
+
     def test_composite_N_rejected(self):
         with pytest.raises(ValueError):
             LatticeConfig(100, 2)
 
     def test_generating_vector_range(self):
-        with pytest.raises(ValueError):
-            GeneratingVector([0, 1])
+        inside = [[3, 5], [1, 100]]
+        for Z in ([[0, 1]], [[1, 101]], [[-3, 5]], inside + [[200, 1]]):
+            with pytest.raises(ValueError, match=r"must lie in \{1,...,N-1\}"):
+                self._estimate(Z, np.zeros((len(Z), 2)))
+        with pytest.raises(ValueError, match=r"must lie in \{1,...,N-1\}"):
+            self._estimate(np.array([[2**63 + 5]], dtype=np.uint64), [[0.5]], d=1)
+        assert self._estimate(inside, np.zeros((2, 2))) == [(101, 2)] * 2
 
     def test_shift_range(self):
-        with pytest.raises(ValueError):
-            RandomShift([0.5, 1.0])
-        with pytest.raises(ValueError):
-            RandomShift([-0.1])
+        for D in ([[0.5, 1.0]], [[-0.1, 0.5]], [[np.nan, 0.5]], [[0.5, np.inf]], [[0.5, -np.inf]]):
+            with pytest.raises(ValueError, match=r"shift components must lie in \[0, 1\)"):
+                self._estimate([[1, 2]], D)
+        assert self._estimate([[1, 2]], [[0.0, np.nextafter(1.0, 0.0)]]) == [(101, 2)]
+
+    def test_shapes_must_match_the_dimension(self):
+        for Z, D in (
+            ([[1, 2, 3]], [[0.1, 0.2, 0.3]]),  # d = 3 against config.dim = 2
+            ([[1, 2]], [[0.1, 0.2], [0.3, 0.4]]),  # two shifts for one z
+            ([[1, 2]], [0.1, 0.2]),
+            ([1, 2], [0.1, 0.2]),
+        ):
+            with pytest.raises(ValueError, match="z and delta must match the lattice dimension"):
+                self._estimate(Z, D)
+        with pytest.raises(ValueError, match="lattices must be nonempty"):
+            self._estimate(np.empty((0, 2), dtype=np.int64), np.empty((0, 2)))

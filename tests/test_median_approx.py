@@ -51,9 +51,7 @@ from medlattice.korobov import SpectralOracle
 from medlattice.lattice import (
     _BLOCK_BYTES,
     PURPOSE_SHIFT,
-    LatticeConfig,
     _chirp_plan,
-    draw_shift,
     rng_stream,
 )
 from medlattice.median_approx import (
@@ -309,11 +307,11 @@ class TestRun:
         ap = params_for(12, D1, W1)
         last = ap.R - 1
         # node 0 of a lattice is its shift, which identifies the repetition
-        shift = draw_shift(LatticeConfig(ap.N, 1), rng_stream(ap.master_seed, last, PURPOSE_SHIFT))
+        shift = tuple(rng_stream(ap.master_seed, last, PURPOSE_SHIFT).random(1))
 
         def f(pts):
             vals = np.ones(pts.shape[0])
-            if tuple(pts[0]) == shift.delta:
+            if tuple(pts[0]) == shift:
                 vals[5] = np.nan
             return vals
 
@@ -330,11 +328,11 @@ class TestRun:
         assert odd % 2 == 1
         # enough frequencies for the pair-packed FFTs, where R-2 is in a pair
         assert len(enumerate_hyperbolic_cross(ap.N_star, D1, W1)) >= math.log2(ap.N)
-        shift = draw_shift(LatticeConfig(ap.N, 1), rng_stream(ap.master_seed, odd, PURPOSE_SHIFT))
+        shift = tuple(rng_stream(ap.master_seed, odd, PURPOSE_SHIFT).random(1))
 
         def f(pts):
             vals = np.cos(2 * np.pi * pts[:, 0])
-            if tuple(pts[0]) == shift.delta:
+            if tuple(pts[0]) == shift:
                 vals[7] = np.nan
             return vals
 
