@@ -52,14 +52,10 @@ from .params import (
     PolynomialDecayWeights,
     SelectedParams,
     check_conditions,
-    choose_R_budget,
-    choose_R_window,
     compute_Nstar,
     compute_PN,
     corollary2_constant,
-    find_Nmax,
     is_prime,
-    prev_prime,
     select_params,
     tau_roots,
     theorem1_bound,
@@ -94,8 +90,6 @@ __all__ = [
     "bound_min_q",
     "bound_refined",
     "check_conditions",
-    "choose_R_budget",
-    "choose_R_window",
     "compute_Nstar",
     "compute_PN",
     "corollary2_constant",
@@ -108,12 +102,10 @@ __all__ = [
     "evaluate",
     "exact_squared_error",
     "figure3_table",
-    "find_Nmax",
     "fit_rate",
     "is_prime",
     "korobov_norm_sq_truncated",
     "load_approximation",
-    "prev_prime",
     "r_weight",
     "riemann_zeta",
     "rng_stream",

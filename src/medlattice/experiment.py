@@ -80,7 +80,6 @@ class ExperimentConfig:
     runs_per_budget: int = 1
     out: Optional[str] = None
     workers: int = 1
-    h0: Optional[Tuple[int, ...]] = None   # exp mode only; default all-ones
 
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
@@ -101,8 +100,7 @@ class ExperimentConfig:
         if self.function == "f2":
             return test_function_f2(self.dim)
         if self.function == "exp":
-            h0 = self.h0 if self.h0 is not None else (1,) * self.dim
-            return cosine_pair_oracle(h0)
+            return cosine_pair_oracle((1,) * self.dim)
         raise ValueError(f"unknown function {self.function!r}")
 
 

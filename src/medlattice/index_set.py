@@ -22,12 +22,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .korobov import FrequencyIndex, ProductWeights, SmoothnessParams
-from .params import log_PN
+from .korobov import FrequencyIndex, ProductWeights, SmoothnessParams, riemann_zeta
+from .params import _bisect_increasing, is_prime, log_PN
 
 __all__ = [
     "HyperbolicCross",
-    "PartialZetaSum",
     "enumerate_hyperbolic_cross",
     "bound_basic",
     "bound_min_q",
@@ -129,8 +128,8 @@ def enumerate_hyperbolic_cross(
     products of many small weights cannot underflow.  Coordinate j + 1
     extends each prefix by every h_{j+1} with |h_{j+1}| <= exp(budget left
     + (1/(2*alpha))*log gamma_{j+1}), in ascending order, which keeps the
-    rows lexicographic.  Each finished row then passes the exact membership
-    test.
+    rows lexicographic.  A finished row whose budget left is near zero then
+    passes the exact membership test; the others are inside by a margin.
 
     While a cross enumerated from the same (L, params, weights, cap) is
     still referenced anywhere, that cross is returned instead of a new one;
@@ -184,7 +183,12 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
         c = np.arange(len(prefix)) - np.repeat(np.cumsum(width) - m - 1, width)
         left = left[prefix] - np.where(c != 0, np.log(np.maximum(np.abs(c), 1)) + cost, 0.0)
         rows = np.column_stack((rows[prefix], c))
-    rows = rows[[_admits(h, log_budget, costs) for h in rows.tolist()]]
+    # a row that left at least twice the slack spent at most log L - 2*slack
+    # up to rounding, which _admits accepts; the rest take the exact check
+    keep = left >= 4.0 * _LOG_SLACK
+    near = np.flatnonzero(~keep)
+    keep[near] = [_admits(h, log_budget, costs) for h in rows[near].tolist()]
+    rows = rows[keep]
     if len(rows) > cap:
         raise ValueError(f"enumerated {len(rows)} indices, exceeding the cap {cap}")
     return HyperbolicCross(L=L, params=params, weights=weights, H=rows)
@@ -194,26 +198,14 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
 # cardinality bounds
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialZetaSum:
-    """The partial sum H_L(q) = sum_{n=1}^{floor(L)} n^(-q) with L and q."""
-
-    L: float
-    q: float
-    value: float
-
-    @classmethod
-    def of(cls, L: float, q: float) -> "PartialZetaSum":
-        if q < 1.0:
-            raise ValueError("q must be >= 1")
-        n = int(L)
-        if n < 1:
-            raise ValueError("L must be >= 1")
-        return cls(L=float(L), q=float(q), value=math.fsum(k ** (-q) for k in range(1, n + 1)))
-
-
 def _H(L: float, q: float) -> float:
-    return PartialZetaSum.of(L, q).value
+    # the partial sum H_L(q) = sum_{n=1}^{floor(L)} n^(-q)
+    if q < 1.0:
+        raise ValueError("q must be >= 1")
+    n = int(L)
+    if n < 1:
+        raise ValueError("L must be >= 1")
+    return math.fsum(k ** (-q) for k in range(1, n + 1))
 
 
 def _H_prime(L: float, q: float) -> float:
@@ -255,8 +247,6 @@ def bound_min_q(
     Args:
         q_grid: finite grid of exponents, all strictly greater than 1.
     """
-    from .korobov import riemann_zeta
-
     if L < 1.0:
         raise ValueError("bound_min_q requires L >= 1")
     if not q_grid:
@@ -298,10 +288,6 @@ def bound_refined(L: float, params: SmoothnessParams, weights: ProductWeights) -
 
     Args:
         L: radius, must be >= 2 so that H_L is a nontrivial sum.
-
-    Raises:
-        ArithmeticError: bisection failed to locate the crossing within
-            200 iterations at tolerance 1e-10.
     """
     if L < 2.0:
         raise ValueError("bound_refined requires L >= 2")
@@ -343,20 +329,8 @@ def bound_refined(L: float, params: SmoothnessParams, weights: ProductWeights) -
             _refined_value(L, 1.0, gammas, inv2a),
             _refined_value(L, q_hi, gammas, inv2a),
         )
-    lo, hi = 1.0, q_hi
-    converged = False
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) > logL:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, mid):
-            converged = True
-            break
-    if not converged:
-        raise ArithmeticError("bisection for the minimizing q did not converge")
-    return _refined_value(L, 0.5 * (lo + hi), gammas, inv2a)
+    q = _bisect_increasing(lambda q: logL - lhs(q), 1.0, q_hi)
+    return _refined_value(L, q, gammas, inv2a)
 
 
 def corollary_cap(N: int, tau: float, N_star: float) -> float:
@@ -367,8 +341,6 @@ def corollary_cap(N: int, tau: float, N_star: float) -> float:
     Raises:
         ValueError: N not prime, tau <= 0, or N_star < 1.
     """
-    from .params import is_prime
-
     if not is_prime(N):
         raise ValueError("N must be prime")
     if tau <= 0.0:

@@ -78,7 +78,6 @@ class Provenance:
     params: AlgorithmParams
     problem: SmoothnessParams
     weights: ProductWeights
-    rep_seeds: tuple
 
 
 class _CoefficientView(Mapping):
@@ -311,25 +310,12 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _provenance(
-    params: AlgorithmParams, problem: SmoothnessParams, weights: ProductWeights
-) -> Provenance:
-    """The Provenance of a run with these parameters; rep_seeds holds a
-    fingerprint of each repetition's generating-vector stream."""
-    rep_seeds = tuple(
-        int(np.random.SeedSequence([params.master_seed, r, PURPOSE_GENVEC]).generate_state(1)[0])
-        for r in range(params.R)
-    )
-    return Provenance(params=params, problem=problem, weights=weights, rep_seeds=rep_seeds)
-
-
 def run(
     f_eval,
     params: AlgorithmParams,
     problem: SmoothnessParams,
     weights: ProductWeights,
     workers: int = 1,
-    cap: int = 10**8,
 ) -> MedianApproximation:
     """Run the full algorithm: R repetitions, one median per frequency.
 
@@ -353,16 +339,12 @@ def run(
         Thread count for the repetition map; each thread estimates one
         contiguous slice of whole pairs of the R lattices, so at most
         (R + 1) // 2 threads run.
-    cap : int
-        Index-set memory guard.
 
     Returns
     -------
     MedianApproximation
     """
-    if problem.dim < 1:
-        raise ValueError("problem dimension must be >= 1")
-    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights, cap=cap)
+    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
     config = LatticeConfig(params.N, problem.dim)
     Z, D = _draw_lattices(
         config, [(params.master_seed, r) for r in range(params.R)], PURPOSE_GENVEC, PURPOSE_SHIFT
@@ -408,7 +390,7 @@ def run(
     return MedianApproximation(
         index_set=cross,
         coefficients=_CoefficientView(cross, _median(ests, axis=0)),
-        provenance=_provenance(params, problem, weights),
+        provenance=Provenance(params, problem, weights),
         eval_count=eval_count,
     )
 
@@ -479,7 +461,6 @@ def epsilon_bound(
     problem: SmoothnessParams,
     weights: ProductWeights,
     tail_radius: int = 8,
-    norm_radius: int = _NORM_RADIUS,
 ) -> float:
     """The per-frequency concentration threshold epsilon(h).
 
@@ -487,13 +468,13 @@ def epsilon_bound(
                                             + tail(h) ),
 
     where tail(h) sums |f_hat(ell+h)|^2 over the nonzero coarse-lattice
-    shifts ell in N*Z^d and ||f|| is the Korobov norm truncated at
-    ``norm_radius``.  The tail is truncated at ``tail_radius`` coarse cells
+    shifts ell in N*Z^d and ||f|| is the Korobov norm truncated at radius
+    2^12.  The tail is truncated at ``tail_radius`` coarse cells
     per coordinate; a convergence check against half the radius warns when
     the truncation looks unconverged (relative change >= 1e-4).
     """
     h = np.array(FrequencyIndex(h).components, dtype=np.int64)
-    norm_sq = korobov_norm_sq_truncated(f, problem, weights, norm_radius)
+    norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     return _epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=3)
 
 
@@ -513,6 +494,10 @@ def _epsilon(
     ``stacklevel`` is that of the convergence warning, counted from this
     function, so that it names the line that called the public entry point.
     """
+    if len(h) != problem.dim:
+        raise ValueError(
+            f"frequency {tuple(h.tolist())} has {len(h)} components, not d = {problem.dim}"
+        )
     tail = _aliasing_tail_sq(h, f, params.N, tail_radius)
     lead = norm_sq / (params.N_star ** (2.0 * problem.alpha) * (params.N - 1))
     factor = 1.0 / params.tau + log(params.N_star)
@@ -759,6 +744,6 @@ def load_approximation(path) -> MedianApproximation:
     return MedianApproximation(
         index_set=cross,
         coefficients=_CoefficientView(cross, vector),
-        provenance=_provenance(params, problem, weights),
+        provenance=Provenance(params, problem, weights),
         eval_count=field("eval_count", int, params.R * params.N),
     )

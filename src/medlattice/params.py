@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import exp, log
-from typing import Optional, Sequence
+from typing import Optional
 
 from .korobov import ProductWeights, SmoothnessParams, riemann_zeta
 
@@ -23,12 +23,8 @@ __all__ = [
     "SelectedParams",
     "TauRoots",
     "is_prime",
-    "prev_prime",
     "compute_PN",
     "compute_Nstar",
-    "find_Nmax",
-    "choose_R_window",
-    "choose_R_budget",
     "tau_roots",
     "select_params",
     "theorem1_bound",
@@ -71,7 +67,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prev_prime(n: int) -> int:
+def _prev_prime(n: int) -> int:
     """Largest prime <= n."""
     if n < 2:
         raise ValueError("no prime <= n for n < 2")
@@ -190,7 +186,7 @@ def _budget_lhs(N: int, delta: float) -> float:
     return N * (2.0 * math.log1p((N - 1) / _FOUR_E) + 2.0 * log(1.0 / delta) + 1.0)
 
 
-def find_Nmax(budget: BudgetSpec) -> int:
+def _find_Nmax(budget: BudgetSpec) -> int:
     """Largest prime N with N*(2*log(1+(N-1)/(4e)) + 2*log(1/delta) + 1) <= M_max.
 
     Bisects on the strictly increasing left-hand side, then scans down to a
@@ -207,25 +203,10 @@ def find_Nmax(budget: BudgetSpec) -> int:
             lo = mid
         else:
             hi = mid
-    return prev_prime(lo)
+    return _prev_prime(lo)
 
 
-def choose_R_window(N: int, delta: float) -> int:
-    """The odd integer in [c-1, c+1] with c = 2*log(1+(N-1)/(4e)) + 2*log(1/delta).
-
-    A closed window of width two contains exactly one odd integer unless both
-    endpoints are odd (the center is an even integer), in which case the
-    larger is taken.
-    """
-    c = 2.0 * math.log1p((N - 1) / _FOUR_E) + 2.0 * log(1.0 / delta)
-    lo, hi = c - 1.0, c + 1.0
-    cands = [r for r in range(math.ceil(lo), math.floor(hi) + 1) if r % 2 == 1]
-    if not cands:
-        raise ValueError(f"no odd integer in [{lo}, {hi}]")
-    return max(cands)
-
-
-def choose_R_budget(N: int, M_max: int) -> int:
+def _choose_R_budget(N: int, M_max: int) -> int:
     """Largest odd R with R <= M_max / N (at least 1)."""
     if M_max < N:
         raise ValueError("M_max must be at least N")
@@ -280,7 +261,9 @@ def _bisect_increasing(g, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bracket_increasing(g) -> tuple:
+def _root_increasing(g) -> float:
+    # the zero of g, strictly increasing, bracketed by halving and doubling
+    # from 1
     lo = 1.0
     while g(lo) >= 0.0:
         lo *= 0.5
@@ -291,7 +274,7 @@ def _bracket_increasing(g) -> tuple:
         hi *= 2.0
         if hi > _TAU_HI_CAP:
             raise ArithmeticError("bracket expansion hit the upper tau cap")
-    return lo, hi
+    return _bisect_increasing(g, lo, hi)
 
 
 def tau_roots(N: int, params: SmoothnessParams, weights: ProductWeights) -> TauRoots:
@@ -313,14 +296,8 @@ def tau_roots(N: int, params: SmoothnessParams, weights: ProductWeights) -> TauR
     bs = _root_gammas(params, weights)
     logN = log(N)
 
-    tau0 = _bisect_increasing(
-        lambda t: -_FOUR_E / t + _S(t, bs, logN),
-        *_bracket_increasing(lambda t: -_FOUR_E / t + _S(t, bs, logN)),
-    )
-    tau0p = _bisect_increasing(
-        lambda t: -1.0 / t + _S(t, bs, logN),
-        *_bracket_increasing(lambda t: -1.0 / t + _S(t, bs, logN)),
-    )
+    tau0 = _root_increasing(lambda t: -_FOUR_E / t + _S(t, bs, logN))
+    tau0p = _root_increasing(lambda t: -1.0 / t + _S(t, bs, logN))
 
     def log_F(t: float) -> float:
         # log of exp(4e/t) * P_N(t); strictly decreasing below tau0, increasing above
@@ -412,10 +389,9 @@ def select_params(
     N is the largest prime fitting the budget constraint, tau_star is
     max(tau0_prime, tau1) (degrading to tau0_prime when the feasibility
     inequality fails at tau0), and R follows the experiment convention of
-    the largest odd integer with R*N <= M_max.  The window rule based on the
-    failure probability is available separately as :func:`choose_R_window`.
+    the largest odd integer with R*N <= M_max.
     """
-    N = find_Nmax(budget)
+    N = _find_Nmax(budget)
     roots = tau_roots(N, params, weights)
     if roots.feasible:
         tau_star = max(roots.tau0_prime, roots.tau1)
@@ -426,7 +402,7 @@ def select_params(
             "min_tau exp(4e/tau)*P_N(tau) exceeds exp(-4e)*(N-1); "
             "using the unconstrained maximizer of N_star"
         )
-    R = choose_R_budget(N, budget.M_max)
+    R = _choose_R_budget(N, budget.M_max)
     P_N = compute_PN(tau_star, params, weights, N)
     N_star = compute_Nstar(tau_star, params, weights, N)
     runnable = N_star >= 1.0
@@ -607,15 +583,14 @@ def _G_d(gamma_fn, d: int, alpha: float) -> float:
 
 
 _SAMPLE_J = 100_000
+_SAMPLE_N = (101, 10007, 1000003)
 
 
 def tractability_diagnostics(
-    generator,
-    params: SmoothnessParams,
-    eta: float,
-    sample_N: Sequence[int] = (101, 10007, 1000003),
+    generator, params: SmoothnessParams, eta: float
 ) -> TractabilityReport:
-    """Classify a weight sequence and verify P_N(eta/G_d) <= exp(G_d) * N^eta.
+    """Classify a weight sequence and verify P_N(eta/G_d) <= exp(G_d) * N^eta
+    at N = 101, 10007 and 1000003.
 
     ``generator`` is either a :class:`PolynomialDecayWeights` (closed-form
     tail) or any object with a ``gamma(j)`` method, sampled out to j = 1e5.
@@ -630,7 +605,7 @@ def tractability_diagnostics(
     G_d = _G_d(gamma_fn, d, alpha)
 
     if isinstance(generator, PolynomialDecayWeights):
-        G_inf = 2.0 * generator.root_sum(alpha) if math.isfinite(generator.root_sum(alpha)) else math.inf
+        G_inf = 2.0 * generator.root_sum(alpha)
     else:
         # partial sums out to j = 1e5; declared summable when increments have
         # clearly flattened out
@@ -656,12 +631,9 @@ def tractability_diagnostics(
 
     tau = eta / G_d
     weights_d = ProductWeights([min(1.0, gamma_fn(j)) for j in range(1, d + 1)])
-    ok = True
-    for N in sample_N:
-        lhs = log_PN(tau, params, weights_d, N)
-        rhs = G_d + eta * log(N)
-        if lhs > rhs + 1e-12:
-            ok = False
+    ok = not any(
+        log_PN(tau, params, weights_d, N) > G_d + eta * log(N) + 1e-12 for N in _SAMPLE_N
+    )
     return TractabilityReport(
         G_d=G_d,
         G_inf=G_inf,
@@ -670,5 +642,5 @@ def tractability_diagnostics(
         case=case,
         fitted_D=fitted_D,
         inequality_ok=ok,
-        checked_N=tuple(int(n) for n in sample_N),
+        checked_N=_SAMPLE_N,
     )

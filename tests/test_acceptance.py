@@ -32,10 +32,8 @@ from medlattice import (
     enumerate_hyperbolic_cross,
     evaluate,
     exact_squared_error,
-    find_Nmax,
     fit_rate,
     is_prime,
-    prev_prime,
     run,
     run_experiment,
     select_params,
@@ -46,7 +44,7 @@ from medlattice import (
 from medlattice import test_function_f2 as function_f2
 from medlattice.experiment import emit_csv
 from medlattice.median_approx import AlgorithmParams
-from medlattice.params import log_PN
+from medlattice.params import _find_Nmax, _prev_prime, log_PN
 
 FOUR_E = 4.0 * math.e
 GRID = tuple(2**e for e in range(10, 19))
@@ -217,7 +215,7 @@ class TestCardinalityBoundSuite:
                 if L >= 2.0:
                     checks += 1
                     violations += card > bound_refined(L, p, w) * (1 + 1e-9)
-                N = prev_prime(int(rng.integers(50, 5000)))
+                N = _prev_prime(int(rng.integers(50, 5000)))
                 tau = float(rng.uniform(0.1, 2.0))
                 ns = compute_Nstar(tau, p, w, N)
                 if ns >= 1.0:
@@ -440,7 +438,7 @@ class TestParameterMachinery:
         first_M = int(math.ceil(costs[0]))
         for M in range(first_M, 2**16 + 1):
             want = int(primes[bisect.bisect_right(costs, M) - 1])
-            mism += find_Nmax(BudgetSpec(M, 0.01)) != want
+            mism += _find_Nmax(BudgetSpec(M, 0.01)) != want
         ok &= mism == 0
         details.append(f"{mism} mismatches in the exhaustive N_max scan to 2^16")
 

@@ -1,7 +1,8 @@
 """
-Tests for the package's public surface: every exported name resolves, once,
-and every library name the benchmark's tracer wraps exists, so a renamed
-function fails here instead of leaving a traced benchmark run without spans.
+Tests for the package's public surface: the exports are a fixed list, every
+exported name resolves, once, and every library name the benchmark's tracer
+wraps exists, so a renamed function fails here instead of leaving a traced
+benchmark run without spans.
 """
 
 import importlib
@@ -17,6 +18,63 @@ MODULES = ("medlattice",) + tuple(
     f"medlattice.{m}"
     for m in ("korobov", "index_set", "lattice", "params", "median_approx", "experiment")
 )
+
+
+# the package's exports: a name joins or leaves them only with an edit here
+PACKAGE_ALL = [
+    "AlgorithmParams",
+    "BudgetSpec",
+    "ExperimentConfig",
+    "ExperimentRecord",
+    "FrequencyIndex",
+    "HyperbolicCross",
+    "LatticeConfig",
+    "MedianApproximation",
+    "PolynomialDecayWeights",
+    "ProductWeights",
+    "SelectedParams",
+    "SmoothnessParams",
+    "SpectralOracle",
+    "bound_basic",
+    "bound_min_q",
+    "bound_refined",
+    "check_conditions",
+    "compute_Nstar",
+    "compute_PN",
+    "corollary2_constant",
+    "corollary_cap",
+    "cosine_pair_oracle",
+    "dual_membership",
+    "enumerate_hyperbolic_cross",
+    "epsilon_bound",
+    "estimate_coefficients",
+    "evaluate",
+    "exact_squared_error",
+    "figure3_table",
+    "fit_rate",
+    "is_prime",
+    "korobov_norm_sq_truncated",
+    "load_approximation",
+    "r_weight",
+    "riemann_zeta",
+    "rng_stream",
+    "run",
+    "run_experiment",
+    "save_approximation",
+    "select_params",
+    "tau_roots",
+    "test_function_f1",
+    "test_function_f2",
+    "theorem1_bound",
+    "tractability_diagnostics",
+    "verify_concentration",
+    "verify_median_amplification",
+]
+
+
+def test_package_exports_are_pinned():
+    assert len(PACKAGE_ALL) == 47
+    assert medlattice.__all__ == PACKAGE_ALL
 
 
 @pytest.mark.parametrize("name", MODULES)

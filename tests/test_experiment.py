@@ -57,7 +57,7 @@ def hand_built_approx(oracle, L, perturb=None):
     ap = AlgorithmParams(
         N=5, R=1, tau=1.0, P_N=1.0, N_star=4.0 / math.e, master_seed=0
     )
-    prov = Provenance(params=ap, problem=D1, weights=W1, rep_seeds=())
+    prov = Provenance(params=ap, problem=D1, weights=W1)
     return MedianApproximation(
         index_set=cross, coefficients=coeffs, provenance=prov, eval_count=5
     )
@@ -332,9 +332,8 @@ class TestConfig:
 
     def test_oracles(self):
         assert ExperimentConfig(function="f1", dim=3).oracle().dim == 3
-        assert ExperimentConfig(function="exp", dim=2, h0=(2, 1)).oracle().coefficient(
-            (2, 1)
-        ) == pytest.approx(0.5)
+        exp = ExperimentConfig(function="exp", dim=2).oracle()
+        assert exp.coefficient((1, 1)) == pytest.approx(0.5)
 
 
 class TestCommandLine:

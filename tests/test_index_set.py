@@ -22,7 +22,7 @@ from medlattice import (
     corollary_cap,
     enumerate_hyperbolic_cross,
 )
-from medlattice.index_set import PartialZetaSum, read_indices_csv, write_indices_csv
+from medlattice.index_set import _H, _admits, _log_costs, read_indices_csv, write_indices_csv
 
 
 def box_scan(L, params, weights):
@@ -108,6 +108,29 @@ class TestEnumerate:
             got = {tuple(h) for h in enumerate_hyperbolic_cross(L, p, w).H.tolist()}
             assert got == box_scan(L, p, w), (
                 f"mismatch at d={p.dim} alpha={p.alpha} gammas={w.gammas} L={L}"
+            )
+
+    def test_matches_exact_check_on_every_row(self):
+        """The enumeration checks only rows near the boundary exactly; it
+        equals the box filtered by that exact check on every row.  Integer L
+        (unit weights, and gamma = 4^(-alpha), which costs exactly log 2)
+        and L within a few slacks of them put rows on the boundary; at
+        L * (1 - 1.5e-9) the exact check drops rows the running budget kept."""
+        cases = [
+            (SmoothnessParams(alpha, d), ProductWeights(gammas), base * scale)
+            for d, bases in ((1, (2, 7, 64)), (2, (6, 12, 36)), (3, (4, 6, 12)), (4, (2, 4, 6)))
+            for alpha in (0.75, 1.0, 2.5)
+            for gammas in ([1.0] * d, [1.0] + [4.0 ** -alpha] * (d - 1), [4.0 ** -alpha] * d)
+            for base in bases
+            for scale in (1.0, 1 - 1e-10, 1 + 1e-10, 1 - 1.5e-9, 1 - 3e-9, 1 + 3e-9)
+        ]
+        for p, w, L in cases:
+            box = np.array(sorted(box_scan(L * (1 + 1e-6), p, w)), dtype=np.int64)
+            costs = _log_costs(p, w)
+            want = box[[_admits(h, math.log(L), costs) for h in box.tolist()]]
+            got = enumerate_hyperbolic_cross(L, p, w).H
+            assert np.array_equal(got, want), (
+                f"mismatch at d={p.dim} alpha={p.alpha} gammas={w.gammas} L={L!r}"
             )
 
     def test_symmetric_and_odd(self):
@@ -298,18 +321,18 @@ class TestBoundsDominateCardinality:
 
 class TestPartialZetaSum:
     def test_harmonic_numbers(self):
-        assert PartialZetaSum.of(10.0, 1.0).value == pytest.approx(2.9289682539682538, rel=1e-15)
-        assert PartialZetaSum.of(10.9, 1.0).value == pytest.approx(2.9289682539682538, rel=1e-15)
+        assert _H(10.0, 1.0) == pytest.approx(2.9289682539682538, rel=1e-15)
+        assert _H(10.9, 1.0) == pytest.approx(2.9289682539682538, rel=1e-15)
 
     def test_quadratic_partial_sum(self):
         direct = math.fsum(1.0 / n**2 for n in range(1, 8))
-        assert PartialZetaSum.of(7.0, 2.0).value == pytest.approx(direct, rel=1e-15)
+        assert _H(7.0, 2.0) == pytest.approx(direct, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            PartialZetaSum.of(0.5, 1.0)
+            _H(0.5, 1.0)
         with pytest.raises(ValueError):
-            PartialZetaSum.of(5.0, 0.5)
+            _H(5.0, 0.5)
 
 
 class TestIndexCsv:

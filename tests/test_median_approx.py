@@ -132,9 +132,7 @@ def approximation_from(coeffs):
     return MedianApproximation(
         index_set=cross,
         coefficients={FrequencyIndex(h): c for h, c in coeffs.items()},
-        provenance=Provenance(
-            params=params_for(12, D1, W1), problem=problem, weights=weights, rep_seeds=()
-        ),
+        provenance=Provenance(params=params_for(12, D1, W1), problem=problem, weights=weights),
         eval_count=0,
     )
 
@@ -298,7 +296,6 @@ class TestRun:
         serial = run(f.evaluate, ap, D2, W2, workers=1)
         threaded = run(f.evaluate, ap, D2, W2, workers=4)
         assert serial.coefficients == threaded.coefficients
-        assert serial.provenance.rep_seeds == threaded.provenance.rep_seeds
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_value_raises(self, workers):
@@ -398,7 +395,7 @@ class TestRun:
         gc.collect()
         assert cross() is None
         with pytest.raises(ValueError, match="exceeds the cap 1"):
-            run(f.evaluate, ap, D1, W1, cap=1)
+            enumerate_hyperbolic_cross(ap.N_star, D1, W1, cap=1)
         assert (float(ap.N_star), D1, W1, 1) not in index_set._LIVE_CROSSES
 
     def test_conjugate_symmetry_real_input(self):
@@ -526,7 +523,7 @@ class TestEvaluate:
         approx = MedianApproximation(
             index_set=empty,
             coefficients={},
-            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            provenance=Provenance(params=ap, problem=D1, weights=W1),
             eval_count=0,
         )
         assert evaluate(approx, np.array([0.3])) == 0.0
@@ -555,7 +552,7 @@ class TestEvaluate:
         bad = MedianApproximation(
             index_set=cross,
             coefficients=coeffs,
-            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            provenance=Provenance(params=ap, problem=D1, weights=W1),
             eval_count=ap.R * ap.N,
         )
         with pytest.raises(ValueError, match="imaginary"):
@@ -627,7 +624,7 @@ class TestEvaluate:
         bad = MedianApproximation(
             index_set=cross,
             coefficients=coeffs,
-            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            provenance=Provenance(params=ap, problem=D1, weights=W1),
             eval_count=ap.R * ap.N,
         )
         rows = bad._plan.chunk_rows
@@ -649,7 +646,7 @@ class TestEvaluate:
         approx = MedianApproximation(
             index_set=cross,
             coefficients={h: f.coefficient(h) for h in cross},
-            provenance=Provenance(params=ap, problem=D2, weights=W2, rep_seeds=()),
+            provenance=Provenance(params=ap, problem=D2, weights=W2),
             eval_count=ap.R * ap.N,
         )
         X = np.random.default_rng(5).random((65536, 2))
@@ -703,7 +700,7 @@ class TestEvaluate:
         bad = MedianApproximation(
             index_set=cross,
             coefficients=coeffs,
-            provenance=Provenance(params=ap, problem=D1, weights=W1, rep_seeds=()),
+            provenance=Provenance(params=ap, problem=D1, weights=W1),
             eval_count=ap.R * ap.N,
         )
         X = np.full((8, 1), 0.37)
@@ -801,6 +798,17 @@ class TestEpsilonBound:
         assert abs(vals[1] - vals[2]) / vals[2] < 1e-6
         assert vals[0] <= vals[1] + 1e-15 and vals[1] <= vals[2] + 1e-15
 
+
+    @pytest.mark.parametrize("h", [[1], [1, 0, 0]])
+    def test_rejects_wrong_length(self, h):
+        """At d=2 a frequency of one or three components is refused by name,
+        by epsilon_bound and by the harnesses."""
+        ap = params_for(14, D2, W2, R=3)
+        f = function_f2(2)
+        with pytest.raises(ValueError, match=f"{len(h)} components, not d = 2"):
+            epsilon_bound(h, f, ap, D2, W2)
+        with pytest.raises(ValueError, match=f"{len(h)} components, not d = 2"):
+            verify_concentration(f, ap, D2, W2, trials=1, indices=[h])
 
     @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
     def test_harness_epsilon_is_epsilon_bound(self, harness):

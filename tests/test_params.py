@@ -26,21 +26,17 @@ from medlattice import (
     ProductWeights,
     SmoothnessParams,
     check_conditions,
-    choose_R_budget,
-    choose_R_window,
     compute_Nstar,
     compute_PN,
     corollary2_constant,
-    find_Nmax,
     is_prime,
-    prev_prime,
     riemann_zeta,
     select_params,
     tau_roots,
     theorem1_bound,
     tractability_diagnostics,
 )
-from medlattice.params import log_PN
+from medlattice.params import _choose_R_budget, _find_Nmax, _prev_prime, log_PN
 
 FOUR_E = 4.0 * math.e
 
@@ -103,11 +99,11 @@ class TestPrimes:
         assert not is_prime(2**61 + 1)
 
     def test_prev_prime(self):
-        assert prev_prime(100) == 97
-        assert prev_prime(97) == 97
-        assert prev_prime(2) == 2
+        assert _prev_prime(100) == 97
+        assert _prev_prime(97) == 97
+        assert _prev_prime(2) == 2
         with pytest.raises(ValueError):
-            prev_prime(1)
+            _prev_prime(1)
 
 
 class TestBudgetSpec:
@@ -123,7 +119,7 @@ class TestBudgetSpec:
 
 class TestFindNmax:
     def test_worked_example(self):
-        assert find_Nmax(BudgetSpec(2**14, 0.01)) == 863
+        assert _find_Nmax(BudgetSpec(2**14, 0.01)) == 863
 
     def test_against_exhaustive(self):
         """Agreement with the brute-force maximum over a sieve, both deltas."""
@@ -132,11 +128,11 @@ class TestFindNmax:
             costs = [budget_cost(int(p), delta) for p in primes]
             for M in (2**10, 2**12, 2**14, 2**16, 5000, 33333):
                 want = max(int(p) for p, c in zip(primes, costs) if c <= M)
-                assert find_Nmax(BudgetSpec(M, delta)) == want
+                assert _find_Nmax(BudgetSpec(M, delta)) == want
 
     def test_definition(self):
         """The result fits the budget and the next prime does not."""
-        N = find_Nmax(BudgetSpec(2**14, 0.01))
+        N = _find_Nmax(BudgetSpec(2**14, 0.01))
         assert budget_cost(N, 0.01) <= 2**14
         succ = N + 1
         while not is_prime(succ):
@@ -144,45 +140,27 @@ class TestFindNmax:
         assert budget_cost(succ, 0.01) > 2**14
 
     def test_monotone_in_budget(self):
-        values = [find_Nmax(BudgetSpec(2**e, 0.01)) for e in range(8, 19)]
+        values = [_find_Nmax(BudgetSpec(2**e, 0.01)) for e in range(8, 19)]
         assert values == sorted(values)
         assert all(is_prime(v) for v in values)
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError, match="budget too small"):
-            find_Nmax(BudgetSpec(20, 0.01))
+            _find_Nmax(BudgetSpec(20, 0.01))
         # 2*(2*log(1+1/(4e)) + 2*log(100) + 1) = 20.77, so 21 admits N = 2
-        assert find_Nmax(BudgetSpec(21, 0.01)) == 2
-        assert find_Nmax(BudgetSpec(32, 0.01)) == 3
+        assert _find_Nmax(BudgetSpec(21, 0.01)) == 2
+        assert _find_Nmax(BudgetSpec(32, 0.01)) == 3
 
 
 class TestChooseR:
-    def test_window_examples(self):
-        # N = 101: c = 2*log(1 + 100/(4e)) + 2*log(1/delta)
-        # delta = 0.507 puts c at 6.003, window [5.003, 7.003] -> 7
-        assert choose_R_window(101, 0.507) == 7
-        # delta = 0.685 puts c at 5.401, window [4.401, 6.401] -> 5
-        assert choose_R_window(101, 0.685) == 5
-
-    @given(
-        N=st.integers(min_value=3, max_value=10**6),
-        delta=st.floats(min_value=1e-6, max_value=0.999),
-    )
-    def test_window_property(self, N, delta):
-        """The result is an odd integer within one of the window center."""
-        R = choose_R_window(N, delta)
-        c = 2.0 * math.log1p((N - 1) / FOUR_E) + 2.0 * log(1.0 / delta)
-        assert R % 2 == 1
-        assert abs(R - c) <= 1.0 + 1e-9
-
     def test_budget_examples(self):
-        assert choose_R_budget(101, 1000) == 9
-        assert choose_R_budget(101, 1520) == 15
-        assert choose_R_budget(101, 101) == 1
+        assert _choose_R_budget(101, 1000) == 9
+        assert _choose_R_budget(101, 1520) == 15
+        assert _choose_R_budget(101, 101) == 1
 
     def test_budget_requires_M_at_least_N(self):
         with pytest.raises(ValueError):
-            choose_R_budget(101, 100)
+            _choose_R_budget(101, 100)
 
     @given(
         N=st.integers(min_value=2, max_value=10**5),
@@ -191,7 +169,7 @@ class TestChooseR:
     def test_budget_property(self, N, mult):
         """Largest odd R with R*N <= M_max, never below 1."""
         M = int(N * mult)
-        R = choose_R_budget(N, M)
+        R = _choose_R_budget(N, M)
         assert R % 2 == 1 and R >= 1
         assert R * N <= M or R == 1
         if (R + 2) * N <= M:
