@@ -70,6 +70,11 @@ _NORM_RADIUS = 2**12
 # of points
 _CHUNK_BYTES = 2**20
 
+# what one more matrix product per chunk costs evaluate in calls and BLAS
+# set-up, about 1 us, as complex multiply-adds in its small products (see
+# _groups)
+_GROUP_COST = 2**14
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -152,41 +157,103 @@ class MedianApproximation:
 class _EvaluationPlan:
     """One approximation's coefficients laid out for ``evaluate``.
 
-    With e(t) = exp(2*pi*i*t), the sum over A is grouped by the prefix
-    p = (h_1..h_{d-1}) of each frequency:
+    Half cross.  With e(t) = exp(2*pi*i*t) and c_h = 0 for h outside A, let
+    B hold h = 0, every h in A whose first nonzero component is positive,
+    and -h for every other h in A whose -h is not in A.  Then
 
-        sum_h c_h e(h.x) = sum_p prod_{j<d} e(p_j x_j) * sum_k S[p, k] e(k x_d),
+        Re sum_A c_h e(h.x) = sum_{g in B} Re(b_g e(g.x)),
+        Im sum_A c_h e(h.x) = sum_{g in B} Im(d_g e(g.x)),
 
-    where k runs over -K_d..K_d.  A point then needs only the tables e(k x_j)
-    for |k| <= K_j = max |h_j|, not one exponential per frequency.  One
-    table of e(k x_j) for |k| <= K = max_j K_j serves every coordinate of a
-    chunk; it costs one cosine and one sine per coordinate and point, the
-    rest is complex products (``_phase_table``).  Coordinates with K_j < K
-    leave rows of it unused, and ``bytes_per_point`` counts them.
+    with b_g = c_g + conj(c_{-g}) and d_g = c_g - conj(c_{-g}), except
+    b_0 = Re c_0 and d_0 = i Im c_0.  B has about |A|/2 members, and about
+    half of A's prefixes (below), since its first coordinate is >= 0.
+
+    Prefixes.  The sum over B is grouped by the prefix p = (g_1..g_{d-1}):
+
+        sum_g b_g e(g.x) = sum_p prod_{j<d} e(p_j x_j) * sum_k S[p, k] e(k x_d).
+
+    A point then needs only the tables e(k x_j) for |k| <= K = max |h_j|,
+    not one exponential per frequency.  One table serves every coordinate
+    of a chunk; it costs one complex exponential per coordinate and point,
+    the rest is complex products (``_phase_table``).
+
+    Ragged fold.  Each prefix meets only its own range of k, so S is kept
+    as blocks, one per group of prefixes (``_groups``), each spanning the
+    union of its prefixes' ranges and folded by one matrix product per
+    chunk.  In a hyperbolic cross a block row is less than twice its
+    prefix's range until groups merge to save a product, so the blocks
+    hold between |A|/2 and about |A| entries, not the (#prefixes, 2K_d+1)
+    box; that is the multiply-adds per point.  ``S`` holds b's blocks;
+    ``S_imag`` holds those of -i d, whose real parts are the imaginary
+    parts of the sums, and is None when |d_0| + sum |d_g| is within
+    ``residual_tol``, so that no point can exceed it.
+
+    Per chunk, the table is copied point-major once.  The products read
+    their columns of the last coordinate from it, the prefixes' factors
+    are taken from it, and each point's terms are summed along its row, so
+    the arithmetic on a point does not depend on the others in its chunk.
     """
 
     def __init__(self, index_set: HyperbolicCross, c: np.ndarray):
         d = index_set.params.dim
-        # (|A|, d) frequencies and the aligned coefficients c, in index-set
-        # order; A is not empty
+        # (|A|, d) frequencies in index-set order; A is not empty
         self.H = index_set.H
-        self.c = c
-        _check_finite_coefficients(self.c)
-        radii = np.abs(self.H).max(axis=0)
-        self.K = int(radii.max())
-        prefixes, prefix_of = np.unique(self.H[:, :-1], axis=0, return_inverse=True)
-        K_d = int(radii[-1])
-        self.S = np.zeros((len(prefixes), 2 * K_d + 1), dtype=np.complex128)
-        self.S[prefix_of.reshape(-1), self.H[:, -1] + K_d] = self.c
-        # table rows of the last coordinate's k = -K_d..K_d, and of each
-        # prefix's component j
-        self.last_rows = slice(self.K - K_d, self.K + K_d + 1)
-        self.prefix_rows = [prefixes[:, j] + self.K for j in range(d - 1)]
-        self.residual_tol = 1e-9 * np.abs(self.c).sum()
+        _check_finite_coefficients(c)
+        self.residual_tol = 1e-9 * np.abs(c).sum()
+        self.K = K = int(np.abs(self.H).max())
+        B, b, d_imag = _half_cross(self.H, c)
+        prefixes, prefix_of = np.unique(B[:, :-1], axis=0, return_inverse=True)
+        prefix_of = prefix_of.reshape(-1)
+        k = B[:, -1]
+        # each prefix's range lo..hi of k
+        lo = np.full(len(prefixes), K)
+        hi = np.full(len(prefixes), -K)
+        np.minimum.at(lo, prefix_of, k)
+        np.maximum.at(hi, prefix_of, k)
+        self.prefix_count = len(prefixes)
         # the arrays of _work, per point
-        self.bytes_per_point = 16 * (
-            (2 * self.K + 1) * d + 2 * K_d + 1 + (1 + min(2, d - 1)) * len(prefixes) + 1
-        )
+        self.bytes_per_point = 16 * (2 * (2 * K + 1) * d + 2 * len(prefixes) + 1)
+        # chunk_rows as it reads now: the grouping is fixed here
+        rows = max(1, _CHUNK_BYTES // self.bytes_per_point)
+        group_of = _groups(lo, hi, _GROUP_COST / rows)
+        # prefixes in group order, a group's in rows first[g]:first[g+1]
+        order = np.argsort(group_of, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first = np.concatenate([[0], np.cumsum(np.bincount(group_of))])
+        g_lo = np.minimum.reduceat(lo[order], first[:-1])
+        g_hi = np.maximum.reduceat(hi[order], first[:-1])
+        widths = g_hi - g_lo + 1
+        # per group: its prefixes, and its columns k = g_lo..g_hi of the
+        # last coordinate in the point-major table
+        at = (d - 1) * (2 * K + 1) + K
+        self.groups = [
+            (int(p0), int(p1), slice(int(at + a), int(at + z + 1)))
+            for p0, p1, a, z in zip(first[:-1], first[1:], g_lo, g_hi)
+        ]
+        # per prefix coordinate j, the columns of its prefixes' p_j
+        self.prefix_columns = [
+            j * (2 * K + 1) + K + prefixes[order, j] for j in range(d - 1)]
+        # the blocks lie one after another in a flat array; each member of B
+        # has its place in them
+        start = np.concatenate([[0], np.cumsum(np.diff(first) * widths)])
+        self.entries = int(start[-1])
+        g = group_of[prefix_of]
+        slots = start[g] + (rank[prefix_of] - first[g]) * widths[g] + k - g_lo[g]
+
+        def blocks(values):
+            # each group's block of S, transposed: (width, prefixes)
+            flat = np.zeros(self.entries, dtype=np.complex128)
+            flat[slots] = values
+            return [
+                flat[a:z].reshape(p1 - p0, -1).T
+                for (p0, p1, _), a, z in zip(self.groups, start[:-1], start[1:])
+            ]
+
+        self.S = blocks(b)
+        self.S_imag = None
+        if np.abs(d_imag).sum() > self.residual_tol:
+            self.S_imag = blocks(-1j * d_imag)
 
     @cached_property
     def chunk_rows(self) -> int:
@@ -194,19 +261,19 @@ class _EvaluationPlan:
         _CHUNK_BYTES; fixed on the first evaluate call."""
         return max(1, _CHUNK_BYTES // self.bytes_per_point)
 
-    def sums(self, pts: np.ndarray):
-        """Re sum_h c_h e(h.x) at each row x of the (n, d) array ``pts``,
-        and the largest |Im| of these sums.
+    def real_parts(self, pts: np.ndarray, S: list) -> np.ndarray:
+        """Re sum_{g in B} s_g e(g.x) at each row x of the (n, d) array
+        ``pts``, for the coefficients s_g whose blocks are ``S`` (``self.S``
+        or ``self.S_imag``).
 
-        A lone point goes on as two copies once their cosine and sine are
-        taken, because numpy hands one-row and one-column arrays to other
-        BLAS routines and loops than longer ones, which round differently;
-        so a point's value does not depend on its batch.
+        A lone point goes on as two copies once its phases are taken,
+        because numpy hands one-row and one-column arrays to other BLAS
+        routines and loops than longer ones, which round differently; so a
+        point's value does not depend on its batch.
         """
         n, d = pts.shape
         rows = self.chunk_rows
         out = np.empty(n + 1)  # a lone last point writes two values
-        worst = 0.0
         for lo in range(0, n, rows):
             chunk = pts[lo:lo + rows]
             if lo == 0 or len(chunk) < rows:
@@ -214,39 +281,103 @@ class _EvaluationPlan:
                 # chunk can be handed back to the system and faulted in
                 # again every time
                 work = self._work(len(chunk), d)
-            table, last, G, factors, sums = work
+            table, points, G, factor, sums = work
             size = len(sums)
             _phase_table(chunk, table)
-            # the last coordinate's block, point-major: with one prefix the
-            # product is a matrix-vector one, and on the transposed view it
-            # rounds differently for different numbers of points
-            last[...] = table[self.last_rows, (d - 1) * size:].T
-            # (prefixes, points) after the matmul, so that the sum over
-            # prefixes adds whole rows in order, the same for every point
-            prod = np.matmul(last, self.S.T, out=G).T
-            for j, prefix_rows in enumerate(self.prefix_rows):
-                factor = factors[j % 2]
-                table[:, j * size:(j + 1) * size].take(
-                    prefix_rows, axis=0, out=factor, mode="clip")
-                prod = np.multiply(prod, factor, out=factor)
-            np.add.reduce(prod, axis=0, out=sums)
+            # point-major, each point's row holding its coordinates' tables
+            # one after another: a group of one prefix takes a
+            # matrix-vector product, which on a transposed view rounds
+            # differently for different numbers of points
+            points.reshape(size, d, -1)[...] = table.reshape(-1, d, size).T
+            for (p0, p1, columns), block_T in zip(self.groups, S):
+                # column slices with unit stride go to BLAS as they are, so
+                # each product writes its columns of G without a copy
+                np.matmul(points[:, columns], block_T, out=G[:, p0:p1])
+            for prefix_columns in self.prefix_columns:
+                points.take(prefix_columns, axis=1, out=factor, mode="clip")
+                np.multiply(G, factor, out=G)
+            # each point's sum over its row, the same for any number of rows
+            np.einsum("ij->i", G, out=sums)
             out[lo:lo + size] = sums.real
-            worst = max(worst, np.maximum.reduce(np.abs(sums.imag)))
-        return out[:n], worst
+        return out[:n]
 
     def _work(self, m: int, d: int) -> tuple:
         """Work arrays for a chunk of m points, two for a lone point: its
-        table, the copy of the last coordinate's block, the matmul result,
-        the prefix factors (the running product lands in the factor it was
-        multiplied by, so two take turns) and the sums."""
-        size, P, c = max(m, 2), len(self.S), np.complex128
+        table, the table point-major, the groups' matmul results G, a
+        prefix coordinate's factors and the sums."""
+        size, P, c = max(m, 2), self.prefix_count, np.complex128
         return (
             np.empty((2 * self.K + 1, d * size), dtype=c),
-            np.empty((size, self.S.shape[1]), dtype=c),
+            np.empty((size, d * (2 * self.K + 1)), dtype=c),
             np.empty((size, P), dtype=c),
-            np.empty((min(2, d - 1), P, size), dtype=c),
+            np.empty((size, P), dtype=c),
             np.empty(size, dtype=c),
         )
+
+
+def _groups(lo: np.ndarray, hi: np.ndarray, overhead: float) -> np.ndarray:
+    """Group ids, numbered from 0, for prefixes with ranges lo..hi of k.
+
+    A prefix's class is the least power of two s for which the 2s values
+    of k from the multiple of s at or below lo reach hi, with that
+    multiple.  A class's block, over the union of its ranges, is then less
+    than four times as wide as any of its prefixes' ranges.  A hyperbolic
+    cross's ranges are -m..m (s is the least power of two above m, and the
+    block less than twice as wide), and 0..m for the zero prefix, so it
+    has at most ceil(log2(K_d+1)) + 2 classes.  In the order of
+    (s, multiple), a class joins the group before it when the merged block
+    has fewer entries than the two blocks plus ``overhead``, the entries
+    whose multiply-adds per chunk cost what one more matrix product does.
+    """
+    s = np.ones_like(lo)
+    while True:
+        short = hi >= lo // s * s + 2 * s
+        if not short.any():
+            break
+        s[short] *= 2
+    _, cls = np.unique(np.stack([s, lo // s * s], axis=1), axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    count = np.bincount(cls).tolist()
+    c_lo = np.full(len(count), hi.max())
+    c_hi = np.full(len(count), lo.min())
+    np.minimum.at(c_lo, cls, lo)
+    np.maximum.at(c_hi, cls, hi)
+    labels, group, size = [], -1, 0
+    for n, a, z in zip(count, c_lo.tolist(), c_hi.tolist()):
+        if size and (size + n) * (max(z, top) - min(a, bottom) + 1) < (
+                size * (top - bottom + 1) + n * (z - a + 1) + overhead):
+            size, bottom, top = size + n, min(a, bottom), max(z, top)
+        else:
+            group, size, bottom, top = group + 1, n, a, z
+        labels.append(group)
+    return np.array(labels)[cls]
+
+
+def _half_cross(H: np.ndarray, c: np.ndarray) -> tuple:
+    """B, b and d of ``_EvaluationPlan`` for the frequencies H and their
+    coefficients c: B as an int64 array of rows, b and d aligned with it."""
+    lead = H[np.arange(len(H)), np.argmax(H != 0, axis=1)]  # 0 for h = 0
+    partner = _negatives(H)
+    c_neg = np.where(partner >= 0, c[partner], 0.0)  # c_{-h}
+    pos, zero = lead > 0, lead == 0
+    lone = (lead < 0) & (partner < 0)
+    B = np.concatenate([H[zero], H[pos], -H[lone]])
+    b = np.concatenate([c[zero].real, c[pos] + np.conj(c_neg[pos]), np.conj(c[lone])])
+    d = np.concatenate([1j * c[zero].imag, c[pos] - np.conj(c_neg[pos]), -np.conj(c[lone])])
+    return B, b, d
+
+
+def _negatives(H: np.ndarray) -> np.ndarray:
+    """The row of -h for each row h of H, -1 where -h is not a row.  In a
+    symmetric H in lexicographic order, as enumerated, it is the mirror row;
+    otherwise one sort of H and -H finds it."""
+    n = len(H)
+    if np.array_equal(H[::-1], -H):
+        return np.arange(n - 1, -1, -1)
+    _, first, inverse = np.unique(
+        np.concatenate([H, -H]), axis=0, return_index=True, return_inverse=True)
+    row = first[inverse.reshape(-1)[n:]]
+    return np.where(row < n, row, -1)
 
 
 def _check_finite_coefficients(c: np.ndarray) -> None:
@@ -264,21 +395,20 @@ def _phase_table(pts: np.ndarray, table: np.ndarray) -> np.ndarray:
     columns j*m..(j+1)*m - 1.  A lone point, ``pts`` of shape (1, d), takes
     a table of m = 2 columns per coordinate and fills both.
 
-    Row K+1 takes one cosine and one sine per coordinate of each point.
-    Then, for s = 1, 2, 4, ..., rows K+s+1..K+2s are the products
-    e(s x) * e(r x) for r = 1..s, and the rows of negative k are the
-    conjugates.
+    Row K+1 takes one complex exponential, the cosine and sine of 2 pi x,
+    per coordinate of each point.  Then, for s = 1, 2, 4, ..., rows
+    K+s+1..K+2s are the products e(s x) * e(r x) for r = 1..s, and the rows
+    of negative k are the conjugates.
     """
     K = len(table) // 2
     pos = table[K:]  # row k is e(k x)
     pos[0] = 1.0
     if K:
-        theta = pts.T * (2.0 * math.pi)
-        first = pos[1].reshape(len(theta), -1)
-        np.cos(theta, out=first.real[:, :len(pts)])
-        np.sin(theta, out=first.imag[:, :len(pts)])
+        row = pos[1].reshape(pts.shape[1], -1)
+        first = np.multiply(pts.T, 2j * math.pi, out=row[:, :len(pts)])
+        np.exp(first, out=first)
         if len(pts) == 1:
-            first[:, 1] = first[:, 0]
+            row[:, 1] = row[:, 0]
         for known, step, filled in _doublings(K):
             np.multiply(pos[known], pos[step], out=pos[filled])
         np.conjugate(pos[1:], out=table[K - 1::-1])
@@ -409,10 +539,14 @@ def evaluate(approx: MedianApproximation, x):
 
     The points are taken in chunks of fixed memory.  Per point and
     coordinate j, the table of e(k x_j) for |k| <= K (K = max |h_j| over A
-    and j) costs one cosine, one sine, K - 1 complex products and K
-    conjugates; the fold then takes about |A| to (2K_d+1) * #prefixes
-    multiply-adds per point; see ``_EvaluationPlan``.  A point's value does
-    not depend on the batch it comes in.
+    and j) costs one complex exponential, K - 1 complex products and K
+    conjugates.  The fold runs over half of A, one member of each pair
+    {h, -h}, and each group of prefixes over its own range of h_d: in a
+    hyperbolic cross, between |A|/2 and |A| multiply-adds per point, and
+    the products of about half the prefixes; see ``_EvaluationPlan``.  The
+    imaginary part takes a second fold only when |Im c_0| plus
+    sum |c_h - conj(c_{-h})| over that half exceeds the tolerance.  A
+    point's value does not depend on the batch it comes in.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -429,12 +563,14 @@ def evaluate(approx: MedianApproximation, x):
     if not approx.coefficients:
         return 0.0 if single else np.zeros(len(pts))
     plan = approx._plan
-    vals, worst = plan.sums(pts)
-    if worst > plan.residual_tol:
-        raise ValueError(
-            f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "
-            "coefficients are not conjugate-symmetric"
-        )
+    vals = plan.real_parts(pts, plan.S)
+    if plan.S_imag is not None:
+        worst = np.maximum.reduce(np.abs(plan.real_parts(pts, plan.S_imag)))
+        if worst > plan.residual_tol:
+            raise ValueError(
+                f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "
+                "coefficients are not conjugate-symmetric"
+            )
     return float(vals[0]) if single else vals
 
 
@@ -574,7 +710,12 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if indices is not None:
-        H = np.array([FrequencyIndex(h).components for h in indices], dtype=np.int64)
+        rows = [FrequencyIndex(h).components for h in indices]
+        for h in rows:
+            if len(h) != problem.dim:
+                raise ValueError(
+                    f"probe {h} has {len(h)} components, not d = {problem.dim}")
+        H = np.array(rows, dtype=np.int64)
     else:
         cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
         H = _default_probe_indices(cross, problem, weights)

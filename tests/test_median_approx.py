@@ -737,8 +737,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("rows", [2, 5, 9])
     def test_uneven_radii(self, radii, rows):
         """Unequal radii, one of them 0, over chunks of 2 to 9 points: the
-        dense sum, the batch value of a lone point, and one cosine and one
-        sine per coordinate and point."""
+        dense sum, the batch value of a lone point, and one complex
+        exponential per coordinate and point."""
         data = box_coefficients(radii, seed=rows)
         approx = approximation_from(data)
         assert tuple(np.abs(approx._plan.H).max(axis=0)) == radii
@@ -747,7 +747,7 @@ class TestEvaluate:
         d = len(radii)
         n = 3 * rows + 1
         X = np.random.default_rng(rows).uniform(-1.0, 2.0, (n, d))
-        calls = {"cos": 0, "sin": 0}
+        calls = {"exp": 0}
 
         def counted(name):
             ufunc = getattr(np, name)
@@ -761,17 +761,131 @@ class TestEvaluate:
             mp.setattr(
                 median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point
             )
-            mp.setattr(np, "cos", counted("cos"))
-            mp.setattr(np, "sin", counted("sin"))
+            mp.setattr(np, "exp", counted("exp"))
             got = evaluate(approx, X)
             assert approx._plan.chunk_rows == rows
-            assert calls["cos"] <= n * d and calls["sin"] <= n * d
-            calls.update(cos=0, sin=0)
+            assert 0 < calls["exp"] <= n * d
+            calls.update(exp=0)
             singles = np.array([evaluate(approx, x) for x in X])
-            assert calls["cos"] <= n * d and calls["sin"] <= n * d
+            assert 0 < calls["exp"] <= n * d
         want = (np.exp(2j * np.pi * (X @ H.T)) @ c).real
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(c).sum()
         assert np.array_equal(singles, got)
+
+
+def exact_cross_approximation(exponent, alpha, d, multiple, H=None):
+    """f2's exact coefficients on A_d(multiple * N_star) for the budget
+    2^exponent at smoothness alpha, unit weights; ``H``, if given, maps the
+    cross's rows to the rows kept, in any order."""
+    problem = SmoothnessParams(alpha, d)
+    weights = ProductWeights([1.0] * d)
+    params = select_params(BudgetSpec(2**exponent, 0.01), problem, weights).algorithm_params(7)
+    cross = enumerate_hyperbolic_cross(multiple * params.N_star, problem, weights)
+    if H is not None:
+        cross = HyperbolicCross(L=cross.L, params=problem, weights=weights, H=H(cross.H))
+    vector = np.asarray(function_f2(d).coefficients(cross.H), dtype=np.complex128)
+    return MedianApproximation(
+        index_set=cross,
+        coefficients=median_approx._CoefficientView(cross, vector.copy()),
+        provenance=Provenance(params=params, problem=problem, weights=weights),
+        eval_count=0,
+    )
+
+
+# (budget exponent, alpha, d, multiple of N_star, |A|): d=2 at 2^24's N_star
+# (as in a 2^24 f2 run), d=2 at 10 N_star of 2^20's f1 selection, and d=3
+GENUINE_CROSSES = [(24, 2.5, 2, 1, 7653), (20, 1.5, 2, 10, 8309), (22, 1.5, 3, 10, 9397)]
+
+
+class TestRaggedFold:
+    """evaluate on hyperbolic crosses, where each prefix has its own range
+    of the last component."""
+
+    @pytest.mark.parametrize(
+        "group_cost", [0, median_approx._GROUP_COST], ids=["classes", "merged"])
+    @pytest.mark.parametrize("cross", GENUINE_CROSSES, ids=["2^24", "10N*", "d=3"])
+    def test_singles_and_dense_sum(self, cross, group_cost, monkeypatch):
+        """Single points equal their batch values bit for bit over chunks
+        ending in a lone point, and the batch matches the dense sum.  With
+        no cost per product the groups are the power-of-two classes, and
+        the zero prefix is a group of its own."""
+        *case, size = cross
+        monkeypatch.setattr(median_approx, "_GROUP_COST", group_cost)
+        approx = exact_cross_approximation(*case)
+        assert len(approx.index_set) == size
+        plan = approx._plan
+        counts = [p1 - p0 for p0, p1, _ in plan.groups]
+        assert len(counts) > 1
+        if group_cost == 0:
+            assert 1 in counts
+        d = case[2]
+        rows = plan.chunk_rows
+        X = np.random.default_rng(size).uniform(-1.0, 2.0, (2 * rows + 1, d))
+        batch = evaluate(approx, X)
+        assert np.array_equal([evaluate(approx, x) for x in X], batch)
+        assert np.array_equal(evaluate(approx, X[rows - 1:]), batch[rows - 1:])
+        c = approx.coefficients.vector
+        want = (np.exp(2j * np.pi * (X @ approx.index_set.H.T)) @ c).real
+        assert np.max(np.abs(batch - want)) <= 1e-12 * np.abs(c).sum()
+
+    def test_rows_in_any_order(self):
+        """A cross given with its rows shuffled finds each -h by search,
+        not as the mirror row, and evaluates bit for bit as the sorted one."""
+        rng = np.random.default_rng(3)
+        approx = exact_cross_approximation(24, 2.5, 2, 1)
+        shuffled = exact_cross_approximation(24, 2.5, 2, 1, H=lambda H: rng.permutation(H))
+        assert not np.array_equal(shuffled.index_set.H, approx.index_set.H)
+        X = np.random.default_rng(4).random((100, 2))
+        assert np.array_equal(evaluate(shuffled, X), evaluate(approx, X))
+
+    def test_cross_lacking_some_negatives(self):
+        """Without some -h the real and imaginary folds still match the
+        dense sum, point by point as in the batch, and evaluate raises."""
+        rng = np.random.default_rng(5)
+        approx = exact_cross_approximation(
+            24, 2.5, 2, 1, H=lambda H: H[rng.random(len(H)) < 0.9])
+        H = approx.index_set.H
+        members = set(map(tuple, H.tolist()))
+        assert any(tuple(-v for v in h) not in members for h in members)
+        plan = approx._plan
+        assert plan.S_imag is not None
+        X = np.random.default_rng(6).uniform(-1.0, 2.0, (2 * plan.chunk_rows + 1, 2))
+        c = approx.coefficients.vector
+        want = np.exp(2j * np.pi * (X @ H.T)) @ c
+        tol = 1e-12 * np.abs(c).sum()
+        for S, part in ((plan.S, want.real), (plan.S_imag, want.imag)):
+            got = plan.real_parts(X, S)
+            assert np.max(np.abs(got - part)) <= tol
+            assert np.array_equal([plan.real_parts(x[None], S)[0] for x in X], got)
+        with pytest.raises(ValueError, match="imaginary residual .* not conjugate-symmetric"):
+            evaluate(approx, X)
+
+    @pytest.mark.parametrize(
+        "cross", GENUINE_CROSSES + [(20, 1.5, 2, 100, 110801)],
+        ids=["2^24", "10N*", "d=3", "100N*"])
+    def test_fold_has_at_most_A_entries(self, cross):
+        """The blocks hold at most |A| coefficients: half the cross, padded
+        less than twice, where at d=2 the (#prefixes, 2K_d+1) box held 41 to
+        330 times |A|."""
+        *case, size = cross
+        plan = exact_cross_approximation(*case)._plan
+        assert size / 2 <= plan.entries <= size
+        assert plan.S_imag is None
+
+    def test_large_cross_memory(self):
+        """4096 points on the 100 N_star cross at 2^20 (|A| = 110,801), plan
+        included, stay under 64 MiB; its (#prefixes, 2K_d+1) box alone was
+        558 MiB."""
+        approx = exact_cross_approximation(20, 1.5, 2, 100)
+        X = np.random.default_rng(7).random((4096, 2))
+        tracemalloc.start()
+        try:
+            values = evaluate(approx, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.array_equal(values[:3], [evaluate(approx, x) for x in X[:3]])
 
 
 class TestEpsilonBound:
@@ -809,6 +923,28 @@ class TestEpsilonBound:
             epsilon_bound(h, f, ap, D2, W2)
         with pytest.raises(ValueError, match=f"{len(h)} components, not d = 2"):
             verify_concentration(f, ap, D2, W2, trials=1, indices=[h])
+
+    @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([[1], [1, 0]], r"probe \(1,\) has 1 components, not d = 2"),
+            ([[1, 0], [0, 1, 0]], r"probe \(0, 1, 0\) has 3 components, not d = 2"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_harness_rejects_probes_of_another_length(
+        self, harness, indices, message, monkeypatch
+    ):
+        """Probes of differing lengths are refused by name, before any
+        lattice is drawn, not by numpy's inhomogeneous-shape error."""
+        def no_draw(*args):
+            raise AssertionError("a lattice was drawn")
+
+        monkeypatch.setattr(median_approx, "_draw_lattices", no_draw)
+        ap = params_for(14, D2, W2, R=3)
+        with pytest.raises(ValueError, match=message):
+            harness(function_f2(2), ap, D2, W2, trials=1, indices=indices)
 
     @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
     def test_harness_epsilon_is_epsilon_bound(self, harness):
