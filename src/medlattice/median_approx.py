@@ -368,12 +368,9 @@ def _half_cross(H: np.ndarray, c: np.ndarray) -> tuple:
 
 
 def _negatives(H: np.ndarray) -> np.ndarray:
-    """The row of -h for each row h of H, -1 where -h is not a row.  In a
-    symmetric H in lexicographic order, as enumerated, it is the mirror row;
-    otherwise one sort of H and -H finds it."""
+    """The row of -h for each row h of H, -1 where -h is not a row, found
+    by one sort of H and -H."""
     n = len(H)
-    if np.array_equal(H[::-1], -H):
-        return np.arange(n - 1, -1, -1)
     _, first, inverse = np.unique(
         np.concatenate([H, -H]), axis=0, return_index=True, return_inverse=True)
     row = first[inverse.reshape(-1)[n:]]
@@ -565,7 +562,7 @@ def evaluate(approx: MedianApproximation, x):
     plan = approx._plan
     vals = plan.real_parts(pts, plan.S)
     if plan.S_imag is not None:
-        worst = np.maximum.reduce(np.abs(plan.real_parts(pts, plan.S_imag)))
+        worst = np.maximum.reduce(np.abs(plan.real_parts(pts, plan.S_imag)), initial=0.0)
         if worst > plan.residual_tol:
             raise ValueError(
                 f"imaginary residual {worst:.3e} exceeds {plan.residual_tol:.3e}; "

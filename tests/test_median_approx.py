@@ -829,8 +829,8 @@ class TestRaggedFold:
         assert np.max(np.abs(batch - want)) <= 1e-12 * np.abs(c).sum()
 
     def test_rows_in_any_order(self):
-        """A cross given with its rows shuffled finds each -h by search,
-        not as the mirror row, and evaluates bit for bit as the sorted one."""
+        """A cross given with its rows shuffled evaluates bit for bit as the
+        sorted one."""
         rng = np.random.default_rng(3)
         approx = exact_cross_approximation(24, 2.5, 2, 1)
         shuffled = exact_cross_approximation(24, 2.5, 2, 1, H=lambda H: rng.permutation(H))
@@ -840,7 +840,8 @@ class TestRaggedFold:
 
     def test_cross_lacking_some_negatives(self):
         """Without some -h the real and imaginary folds still match the
-        dense sum, point by point as in the batch, and evaluate raises."""
+        dense sum, point by point as in the batch, and evaluate raises; an
+        empty batch still gives an empty array."""
         rng = np.random.default_rng(5)
         approx = exact_cross_approximation(
             24, 2.5, 2, 1, H=lambda H: H[rng.random(len(H)) < 0.9])
@@ -859,6 +860,7 @@ class TestRaggedFold:
             assert np.array_equal([plan.real_parts(x[None], S)[0] for x in X], got)
         with pytest.raises(ValueError, match="imaginary residual .* not conjugate-symmetric"):
             evaluate(approx, X)
+        assert evaluate(approx, X[:0]).shape == (0,)
 
     @pytest.mark.parametrize(
         "cross", GENUINE_CROSSES + [(20, 1.5, 2, 100, 110801)],
