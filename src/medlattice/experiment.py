@@ -37,6 +37,7 @@ from .params import (
     BudgetSpec,
     PolynomialDecayWeights,
     SelectedParams,
+    _find_Nmax,
     check_conditions,
     select_params,
 )
@@ -56,10 +57,8 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_BUDGET_EXPONENTS = tuple(range(10, 19))
 FIG3_EXPONENTS = tuple(range(10, 27))
 DEFAULT_ALPHA = {"f1": 1.5, "f2": 2.5, "exp": 1.5}
-DEFAULT_DELTA = 0.01
 
 
 def _fmt(v: float) -> str:
@@ -74,8 +73,8 @@ class ExperimentConfig:
     alpha: Optional[float] = None     # None -> per-function default
     gammas: Optional[object] = None   # list of floats, "poly:beta", or None (all ones)
     dim: int = 2
-    delta: float = DEFAULT_DELTA
-    budgets: Tuple[int, ...] = tuple(2**e for e in DEFAULT_BUDGET_EXPONENTS)
+    delta: float = 0.01
+    budgets: Tuple[int, ...] = tuple(2**e for e in range(10, 19))
     seed: int = 20240801
     runs_per_budget: int = 1
     out: Optional[str] = None
@@ -502,7 +501,26 @@ def write_svg_scatter(
 # CLI
 # --------------------------------------------------------------------------
 
+def _flag_type(parse, ok, expected: str):
+    """An argparse type: ``parse(text)``, which must satisfy ``ok``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
     p = argparse.ArgumentParser(
         prog="medlattice",
         description=(
@@ -511,56 +529,66 @@ def _build_parser() -> argparse.ArgumentParser:
             "exact L2 errors"
         ),
     )
-    p.add_argument("--function", choices=("f1", "f2", "exp"), default="f1")
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--function", choices=("f1", "f2", "exp"), default=defaults.function)
+    p.add_argument("--alpha", type=float, default=defaults.alpha,
                    help="smoothness parameter (default depends on --function)")
-    p.add_argument("--gamma", default=None,
+    p.add_argument("--gamma", default=defaults.gammas,
                    help='comma list "1,0.5,..." or decay spec "poly:beta" (default all ones)')
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--dim", type=_COUNT, default=defaults.dim)
+    p.add_argument("--delta", default=defaults.delta,
+                   type=_flag_type(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"))
     p.add_argument("--budgets", default=None,
+                   type=_flag_type(lambda t: tuple(int(e) for e in t.split(",")),
+                                   lambda v: min(v) >= 0, "integers >= 0 separated by commas"),
                    help="comma list of power-of-2 exponents, default 10..18")
-    p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--runs", type=int, default=1, help="runs per budget")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--seed", type=_flag_type(int, lambda v: v >= 0, "an integer >= 0"),
+                   default=defaults.seed)
+    p.add_argument("--runs", type=_COUNT, default=defaults.runs_per_budget,
+                   help="runs per budget")
+    p.add_argument("--out", default=defaults.out, help="CSV output path (default stdout)")
     p.add_argument("--fig", type=int, choices=(1, 2, 3), default=1,
                    help="1: error vs M; 2: error vs N_star; 3: N_star vs M")
     p.add_argument("--svg", default=None, help="also write an SVG plot here")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_COUNT, default=defaults.workers,
                    help="threads for the repetition loop")
     return p
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.budgets is not None:
-        budgets = tuple(2 ** int(e) for e in args.budgets.split(","))
-    else:
-        budgets = tuple(2**e for e in DEFAULT_BUDGET_EXPONENTS)
+    budgets = {} if args.budgets is None else {"budgets": tuple(2**e for e in args.budgets)}
     return ExperimentConfig(
         function=args.function,
         alpha=args.alpha,
         gammas=args.gamma,
         dim=args.dim,
         delta=args.delta,
-        budgets=budgets,
         seed=args.seed,
         runs_per_budget=args.runs,
         out=args.out,
         workers=args.workers,
+        **budgets,
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     config = _config_from_args(args)
+    exps = args.budgets or FIG3_EXPONENTS
+    budgets = [2**e for e in exps] if args.fig == 3 else config.budgets
+    # flags whose validity depends on others: parser.error names the flag
+    for flag, check in (
+        ("--alpha", config.problem),
+        ("--gamma", config.resolved_weights),
+        ("--budgets", lambda: [_find_Nmax(BudgetSpec(M, config.delta)) for M in budgets]),
+    ):
+        try:
+            check()
+        except ValueError as err:
+            parser.error(f"argument {flag}: {err}")
     alpha = config.resolved_alpha()
 
     if args.fig == 3:
-        exps = (
-            tuple(int(e) for e in args.budgets.split(","))
-            if args.budgets is not None
-            else FIG3_EXPONENTS
-        )
         rows = figure3_table(config, exponents=exps)
         text = emit_figure3_csv(config, rows)
         if config.out:
@@ -568,47 +596,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        if args.svg:
-            write_svg_scatter(
-                args.svg,
-                [(r.M, r.N_star) for r in rows if r.N_star > 0],
-                xlabel="M",
-                ylabel="N_star",
+        pts = [(r.M, r.N_star) for r in rows if r.N_star > 0]
+        labels = {"xlabel": "M", "ylabel": "N_star"}
+    else:
+        selections: Dict[int, SelectedParams] = {}
+        records = run_experiment(config, selections)
+        if not config.out:
+            sys.stdout.write(emit_csv(config, records, selections))
+        feasible = [r for r in records if r.feasible and r.squared_L2_error is not None]
+        usable = [r for r in feasible if r.squared_L2_error > 0]
+        if len(usable) >= 3:
+            errs = [math.sqrt(r.squared_L2_error) for r in usable]
+            vs_M = fit_rate(list(zip((r.M for r in usable), errs)))
+            vs_Nstar = fit_rate(list(zip((r.N_star for r in usable), errs)))
+            print(
+                f"rate vs M:      slope {vs_M.slope:+.4f}  (R^2 {vs_M.r_squared:.4f})",
+                file=sys.stderr,
             )
+            print(
+                f"rate vs N_star: slope {vs_Nstar.slope:+.4f}  (R^2 {vs_Nstar.r_squared:.4f})",
+                file=sys.stderr,
+            )
+        pts = [(r.N_star if args.fig == 2 else r.M, math.sqrt(r.squared_L2_error))
+               for r in usable]
+        labels = {"xlabel": "N_star" if args.fig == 2 else "M", "ylabel": "L2 error",
+                  "ref_slopes": (-alpha / 2.0, -3.0 * alpha / 4.0, -alpha)}
+    if not args.svg:
         return 0
-
-    selections: Dict[int, SelectedParams] = {}
-    records = run_experiment(config, selections)
-    if not config.out:
-        sys.stdout.write(emit_csv(config, records, selections))
-    feasible = [r for r in records if r.feasible and r.squared_L2_error is not None]
-    usable = [r for r in feasible if r.squared_L2_error > 0]
-    if len(usable) >= 3:
-        errs = [math.sqrt(r.squared_L2_error) for r in usable]
-        vs_M = fit_rate(list(zip((r.M for r in usable), errs)))
-        vs_Nstar = fit_rate(list(zip((r.N_star for r in usable), errs)))
-        print(
-            f"rate vs M:      slope {vs_M.slope:+.4f}  (R^2 {vs_M.r_squared:.4f})",
-            file=sys.stderr,
-        )
-        print(
-            f"rate vs N_star: slope {vs_Nstar.slope:+.4f}  (R^2 {vs_Nstar.r_squared:.4f})",
-            file=sys.stderr,
-        )
-    if args.svg:
-        if args.fig == 2:
-            pts = [(r.N_star, math.sqrt(r.squared_L2_error)) for r in usable]
-            xlabel = "N_star"
-        else:
-            pts = [(r.M, math.sqrt(r.squared_L2_error)) for r in usable]
-            xlabel = "M"
-        write_svg_scatter(
-            args.svg,
-            pts,
-            xlabel=xlabel,
-            ylabel="L2 error",
-            ref_slopes=(-alpha / 2.0, -3.0 * alpha / 4.0, -alpha),
-        )
+    if not pts:
+        print(f"medlattice: no positive points to plot; {args.svg} not written",
+              file=sys.stderr)
+        return 1
+    write_svg_scatter(args.svg, pts, **labels)
     return 0
 
 

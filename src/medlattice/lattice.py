@@ -301,31 +301,17 @@ def _chirp(N: int, window: np.ndarray) -> np.ndarray:
     return w
 
 
-def _conjugate_pairs(H: np.ndarray):
-    """How the targets of a lattice with real node values share chirp sums.
-
-    Returns (own, source, conj): ``own`` lists the targets that take a sum,
-    the first of each pair {h, -h} of nonzero rows to occur; target j reads
-    the estimate of ``own[source[j]]``, conjugated where ``conj[j]``, and
-    ``source[j]`` is -1 for h = 0.  Duplicate targets read the same sum.
-    Pairs are exact negations, not residues mod N: the shift phase
-    exp(-2*pi*i*h.Delta) uses h itself, so h and -h + N*e_1 are no pair.
-    """
-    own, source, conj = [], [], []
-    seen = {}
-    for j, h in enumerate(map(tuple, H.tolist())):
-        if not any(h):
-            source.append(-1)
-            conj.append(False)
-            continue
-        if h not in seen:
-            seen[h] = (len(own), False)
-            seen[tuple(-c for c in h)] = (len(own), True)
-            own.append(j)
-        k, flip = seen[h]
-        source.append(k)
-        conj.append(flip)
-    return np.array(own, dtype=np.intp), np.array(source, dtype=np.intp), np.array(conj, dtype=bool)
+def _negatives(H: np.ndarray) -> tuple:
+    """Per row h of the int64 array H, the first row equal to h and the
+    first equal to -h, -1 for none, by one sort of H and -H.  Pairs are
+    exact negations, not residues mod N (h and -h + N*e_1 are none), and a
+    row holding -2^63, whose negation wraps in int64, has no partner."""
+    n = len(H)
+    _, first, inverse = np.unique(
+        np.concatenate([H, -H]), axis=0, return_index=True, return_inverse=True)
+    row = first[inverse.reshape(-1)]
+    negatable = ~np.any(H == np.iinfo(np.int64).min, axis=1)
+    return row[:n], np.where((row[n:] < n) & negatable, row[n:], -1)
 
 
 def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
@@ -344,18 +330,25 @@ def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
     When a lattice's values are real, Y[-m] = conj(Y[m]) and the shift
     phase of -h is the conjugate of that of h, so the estimate at -h is
     exactly ``np.conj`` of the one at h: each pair {h, -h} among the
-    targets takes one sum (``_conjugate_pairs``), and h = 0, whose estimate
-    is the mean of the values, takes ``np.add.reduce`` and no sum.  A
-    lattice with complex values takes one sum per target.
+    targets takes one sum, at the pair's first row, and h = 0, whose
+    estimate is the mean of the values, takes ``np.add.reduce`` and no sum.
+    Duplicate targets read the same sum.  A lattice with complex values
+    takes one sum per target.
     """
     N = config.N
     H_mod, H_float = H % N, H.astype(float)
     window = np.empty(2 * N - 1, dtype=np.complex128)
     w = _chirp(N, window)
     xw = np.empty(N, dtype=np.complex128)
-    own, source, conj = _conjugate_pairs(H)
-    paired, zeros = np.flatnonzero(source >= 0), np.flatnonzero(source < 0)
-    reads, own_mod, own_float = source[paired], H_mod[own], H_float[own]
+    # each nonzero row reads the sum of its pair's first row (own[reads]),
+    # conjugated where it is -h of that row
+    first, negative = _negatives(H)
+    source = np.where((negative >= 0) & (negative < first), negative, first)
+    conj, nonzero = source != first, H.any(axis=1)
+    own = np.flatnonzero((source == np.arange(len(H))) & nonzero)
+    paired, zeros = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    reads = np.searchsorted(own, source[paired])
+    own_mod, own_float = H_mod[own], H_float[own]
 
     def estimates(vals, targets_mod, targets_float, z, delta):
         np.multiply(vals, w, out=xw)

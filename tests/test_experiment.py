@@ -344,6 +344,9 @@ class TestCommandLine:
         assert args.fig == 1
         assert args.workers == 1
         assert args.budgets is None
+        from medlattice.experiment import _config_from_args
+
+        assert _config_from_args(args) == ExperimentConfig()
 
     def test_parser_rejects_unknown_function(self):
         with pytest.raises(SystemExit):
@@ -416,6 +419,47 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "rate vs M:" in err
         assert "rate vs N_star:" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--budgets", "10,x"),
+            ("--budgets", "1"),
+            ("--gamma", "1"),
+            ("--dim", "0"),
+            ("--delta", "2"),
+            ("--runs", "0"),
+            ("--workers", "0"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
+        """A bad value ends in argparse's usage and one error line naming
+        the flag, exit status 2, and no CSV (--gamma 1 is bad at d=2)."""
+        argv = ["--function", "exp", "--dim", "2", "--budgets", "12", flag, value]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"medlattice: error: argument {flag}: ")
+
+    @pytest.mark.parametrize("fig", ["1", "2"])
+    def test_svg_with_no_feasible_budget_exits_1(self, tmp_path, capsys, fig):
+        """No feasible budget: the CSV is printed, no SVG is written, and one
+        stderr line says so; exit status 1."""
+        svg = tmp_path / "x.svg"
+        argv = ["--function", "f1", "--dim", "2", "--budgets", "10,11", "--fig", fig,
+                "--svg", str(svg)]
+        assert main(argv) == 1
+        assert not svg.exists()
+        captured = capsys.readouterr()
+        assert captured.out.startswith("#function=f1\n")
+        assert captured.err.splitlines() == [
+            f"medlattice: no positive points to plot; {svg} not written"]
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         """``python -m medlattice`` prints the in-process CSV and no runpy

@@ -5,10 +5,11 @@ coefficient estimator, and dual-lattice membership.
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,6 +20,7 @@ from medlattice import (
     estimate_coefficients,
     rng_stream,
 )
+from medlattice import lattice
 from medlattice.lattice import (
     _BLOCK_BYTES,
     PURPOSE_GENVEC,
@@ -431,6 +433,60 @@ class TestFFTAgainstDirectSum:
         assert calls == []
 
 
+def _reference_pairs(H):
+    """The dict loop that once chose how real f's targets share chirp sums,
+    kept as the reference for the array pairing.
+
+    Returns (own, source, conj): ``own`` lists the targets that take a sum,
+    the first of each pair {h, -h} of nonzero rows to occur; target j reads
+    the estimate of ``own[source[j]]``, conjugated where ``conj[j]``, and
+    ``source[j]`` is -1 for h = 0.
+    """
+    own, source, conj = [], [], []
+    seen = {}
+    for j, h in enumerate(map(tuple, H.tolist())):
+        if not any(h):
+            source.append(-1)
+            conj.append(False)
+            continue
+        if h not in seen:
+            seen[h] = (len(own), False)
+            seen[tuple(-c for c in h)] = (len(own), True)
+            own.append(j)
+        k, flip = seen[h]
+        source.append(k)
+        conj.append(flip)
+    return own, source, conj
+
+
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_PAIRING_N = 1009
+
+
+@st.composite
+def _paired_targets(draw):
+    """Fewer than log2(N) targets built from three base rows: h, -h, h = 0
+    and the residue twin -h + N*e_1, each possibly repeated.  A base row may
+    hold -2^63, which has no negation in int64, or 2^63 - 1."""
+    d = draw(st.integers(1, 3))
+    comp = st.one_of(st.integers(-3, 3), st.sampled_from([_INT64_MIN, -_INT64_MIN - 1]))
+    bases = [[draw(comp) for _ in range(d)] for _ in range(3)]
+    rows = []
+    for _ in range(draw(st.integers(1, math.ceil(math.log2(_PAIRING_N)) - 1))):
+        h = draw(st.sampled_from(bases))
+        small = all(abs(c) <= 3 for c in h)
+        kind = draw(st.sampled_from(["h", "-h", "zero", "twin"]))
+        if kind == "zero":
+            h = [0] * d
+        elif kind == "-h":
+            # -(-2^63) wraps to -2^63 in int64: then this row is no negation
+            h = [c if c == _INT64_MIN else -c for c in h]
+        elif kind == "twin" and small:
+            h = [_PAIRING_N - h[0]] + [-c for c in h[1:]]
+        rows.append(h)
+    return _freqs(*rows)
+
+
 class TestChirpSums:
     """Calls with fewer than log2(N) targets, which take the chirp sums."""
 
@@ -522,6 +578,46 @@ class TestChirpSums:
         config, lattices = self._case(count=1)
         with pytest.raises(ValueError, match=r"expected \(10903,\)"):
             estimate_coefficients(lambda pts: np.ones(shape), config, *lattices, self.TARGETS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_paired_targets())
+    @example(_freqs([0, 0], [1, 0], [-1, 0], [2, -3], [-2, 3], [-1, 0], [5, 1],
+                    [_PAIRING_N - 5, -1], [0, 0]))
+    @example(_freqs([_INT64_MIN, 0], [_INT64_MIN, 0], [_INT64_MIN, 1], [_INT64_MIN, -1],
+                    [-_INT64_MIN - 1, 1], [_INT64_MIN + 1, -1]))
+    @example(_freqs([_INT64_MIN]))
+    def test_pairing_matches_the_dict_reference(self, targets):
+        """For real f, the targets that take a sum, the estimate each target
+        reads and whether it conjugates it are those of the dict loop."""
+        config = LatticeConfig(_PAIRING_N, targets.shape[1])
+        Z, D = _lattices(config, 3, 2)
+        mode = np.arange(1.0, config.dim + 1)
+
+        def f(pts):
+            return np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0]
+
+        summed = []
+        residues = lattice._residues
+
+        def recording(H_mod, z, N):
+            summed.append(H_mod.copy())
+            return residues(H_mod, z, N)
+
+        with mock.patch.object(lattice, "_residues", recording):
+            out = estimate_coefficients(f, config, Z, D, targets)
+        own, source, conj = _reference_pairs(targets)
+        # one sum per lattice and pair, at the pair's first row
+        assert len(summed) == (len(Z) if own else 0)
+        for H_mod in summed:
+            assert H_mod.tobytes() == (targets[own] % config.N).tobytes()
+        for j, (k, flip) in enumerate(zip(source, conj)):
+            if k < 0:
+                means = [np.add.reduce(f(_lattice_nodes(config, z, delta))) / config.N
+                         for z, delta in zip(Z, D)]
+                want = np.array(means, dtype=np.complex128)
+            else:
+                want = np.conj(out[:, own[k]]) if flip else out[:, own[k]]
+            assert out[:, j].tobytes() == want.tobytes()
 
 
 class TestCostModel:
