@@ -32,6 +32,7 @@ from .korobov import (
     test_function_f1,
     test_function_f2,
 )
+from .index_set import _check_cap
 from .median_approx import MedianApproximation, run
 from .params import (
     BudgetSpec,
@@ -60,6 +61,18 @@ __all__ = [
 FIG3_EXPONENTS = tuple(range(10, 27))
 DEFAULT_ALPHA = {"f1": 1.5, "f2": 2.5, "exp": 1.5}
 
+# the fields ExperimentConfig checks: name, the CLI flag that sets it, the
+# test its value must pass and what that test expects
+_FIELD_CHECKS = (
+    ("function", "--function", lambda v: v in DEFAULT_ALPHA, "one of " + ", ".join(DEFAULT_ALPHA)),
+    ("dim", "--dim", lambda v: v >= 1, "an integer >= 1"),
+    ("delta", "--delta", lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+    ("budgets", "--budgets", lambda v: len(v) >= 1, "at least one budget"),
+    ("seed", "--seed", lambda v: v >= 0, "an integer >= 0"),
+    ("runs_per_budget", "--runs", lambda v: v >= 1, "an integer >= 1"),
+    ("workers", "--workers", lambda v: v >= 1, "an integer >= 1"),
+)
+
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
@@ -67,7 +80,12 @@ def _fmt(v: float) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; mirrors the CLI flags."""
+    """Everything one experiment needs; mirrors the CLI flags.
+
+    An unknown function, dim < 1, delta outside (0, 1), no budgets, seed
+    < 0, runs_per_budget < 1 or workers < 1 raises ValueError naming the
+    field, the value and what was expected, as the CLI refuses them.
+    """
 
     function: str = "f1"              # f1 | f2 | exp
     alpha: Optional[float] = None     # None -> per-function default
@@ -80,11 +98,15 @@ class ExperimentConfig:
     out: Optional[str] = None
     workers: int = 1
 
+    def __post_init__(self):
+        for name, flag, ok, expected in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if not ok(value):
+                raise _FieldError(f"{name}: expected {expected}, got {value!r}", flag)
+
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
             return float(self.alpha)
-        if self.function not in DEFAULT_ALPHA:
-            raise ValueError(f"unknown function {self.function!r}")
         return DEFAULT_ALPHA[self.function]
 
     def resolved_weights(self) -> ProductWeights:
@@ -98,9 +120,16 @@ class ExperimentConfig:
             return test_function_f1(self.dim)
         if self.function == "f2":
             return test_function_f2(self.dim)
-        if self.function == "exp":
-            return cosine_pair_oracle((1,) * self.dim)
-        raise ValueError(f"unknown function {self.function!r}")
+        return cosine_pair_oracle((1,) * self.dim)
+
+
+class _FieldError(ValueError):
+    """A value of an ExperimentConfig field that the experiment refuses,
+    with the CLI ``flag`` that sets it."""
+
+    def __init__(self, message: str, flag: str):
+        super().__init__(message)
+        self.flag = flag
 
 
 def _parse_gammas(spec, dim: int) -> ProductWeights:
@@ -173,6 +202,8 @@ def run_experiment(
     feasible=False with an empty error field, so the emitted grid always
     matches the requested one.  A dict passed as ``selections`` receives
     each budget's parameter selection, which the CSV header reports.
+    Every budget is selected before any run, and a feasible one whose index
+    set would exceed the enumeration cap raises ValueError naming it.
     """
     problem = config.problem()
     weights = config.resolved_weights()
@@ -180,10 +211,17 @@ def run_experiment(
     records: List[ExperimentRecord] = []
     if selections is None:
         selections = {}
+    for M_max in config.budgets:
+        sp = select_params(BudgetSpec(M_max, config.delta), problem, weights)
+        if sp.feasible:
+            try:
+                _check_cap(sp.N_star, problem, weights)
+            except ValueError as err:
+                raise _FieldError(f"M_max={M_max}: {err}", "--budgets") from err
+        selections[M_max] = sp
 
     for bi, M_max in enumerate(config.budgets):
-        sp = select_params(BudgetSpec(M_max, config.delta), problem, weights)
-        selections[M_max] = sp
+        sp = selections[M_max]
         for ri in range(config.runs_per_budget):
             size, err, wall_time = 0, None, None
             if sp.feasible:
@@ -516,9 +554,6 @@ def _flag_type(parse, ok, expected: str):
     return convert
 
 
-_COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     defaults = ExperimentConfig()
     p = argparse.ArgumentParser(
@@ -529,27 +564,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "exact L2 errors"
         ),
     )
-    p.add_argument("--function", choices=("f1", "f2", "exp"), default=defaults.function)
+    p.add_argument("--function", choices=tuple(DEFAULT_ALPHA), default=defaults.function)
     p.add_argument("--alpha", type=float, default=defaults.alpha,
                    help="smoothness parameter (default depends on --function)")
     p.add_argument("--gamma", default=defaults.gammas,
                    help='comma list "1,0.5,..." or decay spec "poly:beta" (default all ones)')
-    p.add_argument("--dim", type=_COUNT, default=defaults.dim)
-    p.add_argument("--delta", default=defaults.delta,
-                   type=_flag_type(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"))
+    p.add_argument("--dim", type=int, default=defaults.dim)
+    p.add_argument("--delta", type=float, default=defaults.delta)
     p.add_argument("--budgets", default=None,
                    type=_flag_type(lambda t: tuple(int(e) for e in t.split(",")),
                                    lambda v: min(v) >= 0, "integers >= 0 separated by commas"),
                    help="comma list of power-of-2 exponents, default 10..18")
-    p.add_argument("--seed", type=_flag_type(int, lambda v: v >= 0, "an integer >= 0"),
-                   default=defaults.seed)
-    p.add_argument("--runs", type=_COUNT, default=defaults.runs_per_budget,
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--runs", type=int, default=defaults.runs_per_budget,
                    help="runs per budget")
     p.add_argument("--out", default=defaults.out, help="CSV output path (default stdout)")
     p.add_argument("--fig", type=int, choices=(1, 2, 3), default=1,
                    help="1: error vs M; 2: error vs N_star; 3: N_star vs M")
     p.add_argument("--svg", default=None, help="also write an SVG plot here")
-    p.add_argument("--workers", type=_COUNT, default=defaults.workers,
+    p.add_argument("--workers", type=int, default=defaults.workers,
                    help="threads for the repetition loop")
     return p
 
@@ -573,7 +606,10 @@ def _config_from_args(args) -> ExperimentConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except _FieldError as err:
+        parser.error(f"argument {err.flag}: {err}")
     exps = args.budgets or FIG3_EXPONENTS
     budgets = [2**e for e in exps] if args.fig == 3 else config.budgets
     # flags whose validity depends on others: parser.error names the flag
@@ -600,7 +636,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         labels = {"xlabel": "M", "ylabel": "N_star"}
     else:
         selections: Dict[int, SelectedParams] = {}
-        records = run_experiment(config, selections)
+        try:
+            records = run_experiment(config, selections)
+        except _FieldError as err:
+            # a budget over the cap, refused before any run
+            parser.error(f"argument {err.flag}: {err}")
         if not config.out:
             sys.stdout.write(emit_csv(config, records, selections))
         feasible = [r for r in records if r.feasible and r.squared_L2_error is not None]

@@ -161,13 +161,7 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
     if L < 1.0:
         return HyperbolicCross(L, params, weights, np.empty((0, params.dim), dtype=np.int64))
 
-    projected = bound_basic(L, 1.0, params, weights)
-    if projected > cap:
-        raise ValueError(
-            f"projected cardinality {projected:.3g} exceeds the cap {cap}; "
-            "raise `cap` explicitly if this is intended"
-        )
-
+    _check_cap(L, params, weights, cap)
     costs = _log_costs(params, weights)
     log_budget = log(L)
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -192,6 +186,18 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
     if len(rows) > cap:
         raise ValueError(f"enumerated {len(rows)} indices, exceeding the cap {cap}")
     return HyperbolicCross(L=L, params=params, weights=weights, H=rows)
+
+
+def _check_cap(L: float, params: SmoothnessParams, weights: ProductWeights,
+               cap: int = _DEFAULT_CAP) -> None:
+    """ValueError when the analytic bound projects more than ``cap`` members
+    of A_d(L), L >= 1."""
+    projected = bound_basic(L, 1.0, params, weights)
+    if projected > cap:
+        raise ValueError(
+            f"projected cardinality {projected:.3g} exceeds the cap {cap}; "
+            "raise `cap` explicitly if this is intended"
+        )
 
 
 # --------------------------------------------------------------------------

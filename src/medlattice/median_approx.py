@@ -430,46 +430,19 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def run(
-    f_eval,
-    params: AlgorithmParams,
-    problem: SmoothnessParams,
-    weights: ProductWeights,
-    workers: int = 1,
-) -> MedianApproximation:
-    """Run the full algorithm: R repetitions, one median per frequency.
+def _repetitions(f_eval, config: LatticeConfig, Z, D, H, workers: int = 1) -> np.ndarray:
+    """The (len(Z), len(H)) complex128 estimates at the frequencies H, row r
+    from lattice r, (Z[r], D[r]), on which f is evaluated once at N nodes.
 
-    The repetitions form a parallel map with a deterministic reduce: each
-    repetition's randomness is keyed by its index, the R lattices are split
-    into contiguous slices whose estimates fill repetition-indexed rows, and
-    only then are the medians taken.  The estimator transforms repetitions
-    2k and 2k+1 together, so the slice bounds are even numbers (or R) and
-    no pair straddles two slices.  A lattice's estimates depend only on its
-    pair, not on the slice or FFT block it lands in, so the output is
-    bit-identical for any ``workers`` value.
-
-    Parameters
-    ----------
-    f_eval : callable
-        Maps an (N, d) array of points to N real values.
-    params : AlgorithmParams
-    problem, weights
-        Smoothness parameters and product weights defining A_d(N_star).
-    workers : int
-        Thread count for the repetition map; each thread estimates one
-        contiguous slice of whole pairs of the R lattices, so at most
-        (R + 1) // 2 threads run.
-
-    Returns
-    -------
-    MedianApproximation
+    At most ``workers`` threads each estimate a contiguous slice of whole
+    pairs (2k, 2k+1), which the estimator transforms together.  A row
+    depends only on its pair, not on the slice or FFT block it lands in,
+    so the matrix is bit-identical for any ``workers``.  The evaluations
+    are checked to total len(Z)*N; a non-finite value raises ValueError
+    naming its count and its row, the repetition.
     """
-    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
-    config = LatticeConfig(params.N, problem.dim)
-    Z, D = _draw_lattices(
-        config, [(params.master_seed, r) for r in range(params.R)], PURPOSE_GENVEC, PURPOSE_SHIFT
-    )
-    ests = np.empty((params.R, len(cross)), dtype=np.complex128)  # row r from repetition r
+    R = len(Z)
+    ests = np.empty((R, len(H)), dtype=np.complex128)
 
     def estimate_slice(lo: int, hi: int) -> int:
         # evaluations are counted per slice, never in state shared between
@@ -482,7 +455,7 @@ def run(
             return f_eval(X)
 
         try:
-            ests[lo:hi] = estimate_coefficients(counted, config, Z[lo:hi], D[lo:hi], cross.H)
+            ests[lo:hi] = estimate_coefficients(counted, config, Z[lo:hi], D[lo:hi], H)
         except NonFiniteValueError as err:
             # the estimator counts rows within this slice
             raise ValueError(
@@ -490,28 +463,55 @@ def run(
             ) from err
         return points
 
-    # slices hold whole pairs (2k, 2k+1), which the estimator transforms
-    # together, so a slice bound never falls inside a pair
-    pairs = (params.R + 1) // 2
+    pairs = (R + 1) // 2
     slices = max(1, min(workers, pairs))
-    bounds = [min(params.R, 2 * (pairs * s // slices)) for s in range(slices + 1)]
+    bounds = [min(R, 2 * (pairs * s // slices)) for s in range(slices + 1)]
     if slices > 1:
         with ThreadPoolExecutor(max_workers=slices) as pool:
-            counts = list(pool.map(estimate_slice, bounds[:-1], bounds[1:]))
+            eval_count = sum(pool.map(estimate_slice, bounds[:-1], bounds[1:]))
     else:
-        counts = [estimate_slice(0, params.R)]
-    eval_count = sum(counts)
+        eval_count = estimate_slice(0, R)
+    if eval_count != R * config.N:
+        raise AssertionError(f"evaluation count {eval_count} != len(Z)*N = {R * config.N}")
+    return ests
 
-    expected = params.R * params.N
-    if eval_count != expected:
-        raise AssertionError(
-            f"evaluation count {eval_count} != R*N = {expected}"
-        )
+
+def run(
+    f_eval,
+    params: AlgorithmParams,
+    problem: SmoothnessParams,
+    weights: ProductWeights,
+    workers: int = 1,
+) -> MedianApproximation:
+    """Run the full algorithm: R repetitions, one median per frequency,
+    over the rows of ``_repetitions``; repetition r's lattice is keyed by r.
+
+    Parameters
+    ----------
+    f_eval : callable
+        Maps an (N, d) array of points to N real values.
+    params : AlgorithmParams
+    problem, weights
+        Smoothness parameters and product weights defining A_d(N_star).
+    workers : int
+        Thread count for the repetition map; at most (R + 1) // 2 threads
+        run, one per slice of whole pairs of the R lattices.  The output is
+        bit-identical for any value.
+
+    Returns
+    -------
+    MedianApproximation
+    """
+    cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
+    config = LatticeConfig(params.N, problem.dim)
+    keys = [(params.master_seed, r) for r in range(params.R)]
+    Z, D = _draw_lattices(config, keys, PURPOSE_GENVEC, PURPOSE_SHIFT)
+    ests = _repetitions(f_eval, config, Z, D, cross.H, workers)  # row r from repetition r
     return MedianApproximation(
         index_set=cross,
         coefficients=_CoefficientView(cross, _median(ests, axis=0)),
         provenance=Provenance(params, problem, weights),
-        eval_count=eval_count,
+        eval_count=params.R * params.N,
     )
 
 
@@ -722,7 +722,7 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     reps = [(r,) for r in range(params.R)] if median else [()]
     keys = [(params.master_seed, t, *rep) for t in range(trials) for rep in reps]
     Z, D = _draw_lattices(config, keys, _PURPOSE_VERIFY_GENVEC, _PURPOSE_VERIFY_SHIFT)
-    ests = estimate_coefficients(f.evaluate, config, Z, D, H)  # (lattices, |probes|)
+    ests = _repetitions(f.evaluate, config, Z, D, H)  # (lattices, |probes|)
     probes = [FrequencyIndex(h) for h in H.tolist()]
     if median:
         medians = _median(ests.reshape(trials, params.R, len(probes)), axis=1)

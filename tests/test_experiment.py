@@ -335,6 +335,45 @@ class TestConfig:
         exp = ExperimentConfig(function="exp", dim=2).oracle()
         assert exp.coefficient((1, 1)) == pytest.approx(0.5)
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Any run of the algorithm fails the test."""
+        import medlattice.experiment as experiment
+
+        def run(*args, **kwargs):
+            raise AssertionError("the algorithm ran")
+
+        monkeypatch.setattr(experiment, "run", run)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("runs_per_budget", 0, "runs_per_budget: expected an integer >= 1, got 0"),
+            ("workers", 0, "workers: expected an integer >= 1, got 0"),
+            ("function", "f9", "function: expected one of f1, f2, exp, got 'f9'"),
+            ("dim", 0, "dim: expected an integer >= 1, got 0"),
+            ("delta", 1.0, r"delta: expected a number in \(0, 1\), got 1.0"),
+            ("delta", float("nan"), r"delta: expected a number in \(0, 1\), got nan"),
+            ("budgets", (), r"budgets: expected at least one budget, got \(\)"),
+            ("seed", -1, "seed: expected an integer >= 0, got -1"),
+        ],
+    )
+    def test_refuses_what_the_cli_refuses(self, field, value, message, no_run):
+        """A value the CLI refuses is refused by the config itself, before
+        run_experiment runs anything (it returned no records for
+        runs_per_budget=0 and ran workers=0 as one worker)."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(ExperimentConfig(**{"function": "exp", "budgets": (2**12,),
+                                               field: value}))
+
+    def test_over_cap_budget_refused_before_any_run(self, no_run):
+        """A budget whose cross would exceed the enumeration cap is refused,
+        naming it, before the budgets ahead of it are run."""
+        cfg = ExperimentConfig(function="exp", budgets=(2**12, 2**64))
+        with pytest.raises(ValueError, match=f"^M_max={2**64}: projected cardinality 5.63e"
+                                             r"\+15 exceeds the cap 100000000"):
+            run_experiment(cfg)
+
 
 class TestCommandLine:
     def test_parser_defaults(self):
@@ -446,6 +485,27 @@ class TestCommandLine:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert errors[0].startswith(f"medlattice: error: argument {flag}: ")
+
+    @pytest.mark.parametrize("fig", ["1", "2"])
+    def test_over_cap_budget_exits_2_naming_it(self, capsys, fig):
+        """2^64 for exp at d=2 selects a cross over the enumeration cap: one
+        error line naming --budgets and the cap, exit status 2, no CSV,
+        where it ended in a traceback after the flag checks."""
+        with pytest.raises(SystemExit) as info:
+            main(["--function", "exp", "--budgets", "12,64", "--fig", fig])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"medlattice: error: argument --budgets: M_max={2**64}: ")
+        assert "exceeds the cap" in errors[0]
+
+    def test_fig3_accepts_an_over_cap_budget(self, capsys):
+        """--fig 3 enumerates no cross, so the same budget is a table row."""
+        assert main(["--fig", "3", "--function", "exp", "--budgets", "64"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{2**64},")
 
     @pytest.mark.parametrize("fig", ["1", "2"])
     def test_svg_with_no_feasible_budget_exits_1(self, tmp_path, capsys, fig):

@@ -50,15 +50,20 @@ from medlattice.index_set import HyperbolicCross
 from medlattice.korobov import SpectralOracle
 from medlattice.lattice import (
     _BLOCK_BYTES,
+    PURPOSE_GENVEC,
     PURPOSE_SHIFT,
+    LatticeConfig,
     _chirp_plan,
+    _draw_lattices,
     rng_stream,
 )
 from medlattice.median_approx import (
+    _PURPOSE_VERIFY_SHIFT,
     AlgorithmParams,
     MedianApproximation,
     Provenance,
     _median,
+    _repetitions,
     _report,
     lemma_bound_amplified,
     lemma_bound_single,
@@ -418,6 +423,89 @@ class TestRun:
                 provenance=approx.provenance,
                 eval_count=approx.eval_count,
             )
+
+
+def counting_oracle(f, evaluate=None):
+    """``f`` with its evaluate (or ``evaluate``) wrapped to count the points
+    it is called on, in the returned list's first entry."""
+    points = [0]
+    evaluate = evaluate or f.evaluate
+
+    def counted(X):
+        points[0] += X.shape[0]
+        return evaluate(X)
+
+    oracle = SpectralOracle(
+        dim=f.dim,
+        coefficient=f.coefficient,
+        l2_norm_sq=f.l2_norm_sq,
+        evaluate=counted,
+        factor_coefficient=f.factor_coefficient,
+    )
+    return oracle, points
+
+
+class TestRepetitions:
+    """The one repetition core: ``run`` and both harnesses estimate
+    through ``_repetitions``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("exponent, fft", [(15, True), (14, False)], ids=["fft", "chirp"])
+    def test_run_is_the_median_of_the_repetitions(self, exponent, fft, workers):
+        """At 2^15 (d=2) the cross has at least log2(N) frequencies and the
+        pairs share FFTs; at 2^14 it has fewer and takes chirp sums."""
+        ap = params_for(exponent, D2, W2, seed=31)
+        H = enumerate_hyperbolic_cross(ap.N_star, D2, W2).H
+        assert (len(H) >= math.log2(ap.N)) == fft
+        f = function_f2(2)
+        config = LatticeConfig(ap.N, 2)
+        keys = [(ap.master_seed, r) for r in range(ap.R)]
+        Z, D = _draw_lattices(config, keys, PURPOSE_GENVEC, PURPOSE_SHIFT)
+        ests = _repetitions(f.evaluate, config, Z, D, H, workers=workers)
+        assert ests.shape == (ap.R, len(H)) and ests.dtype == np.complex128
+        expected = _median(ests, axis=0).tobytes()
+        approx = run(f.evaluate, ap, D2, W2, workers=workers)
+        assert approx.coefficients.vector.tobytes() == expected
+
+    @pytest.mark.parametrize("median, trials", [(True, 4), (False, 5)], ids=["median", "single"])
+    def test_harness_evaluation_count(self, median, trials):
+        """A harness evaluates f exactly trials*R*N (median) or trials*N
+        (single) times."""
+        ap = params_for(12, D1, W1, R=3, seed=2)
+        oracle, points = counting_oracle(function_f2(1))
+        harness = verify_median_amplification if median else verify_concentration
+        report = harness(oracle, ap, D1, W1, trials=trials)
+        assert points[0] == trials * (ap.R if median else 1) * ap.N
+        assert all(r.trials == trials for r in report)
+
+    def test_harness_evaluation_count_is_checked(self, monkeypatch):
+        """A harness call that saw fewer evaluations than its lattices' N
+        each fails, as run does."""
+        def skip_f(f_eval, config, Z, D, H):
+            return np.zeros((len(Z), len(H)), dtype=np.complex128)
+
+        monkeypatch.setattr(median_approx, "estimate_coefficients", skip_f)
+        ap = params_for(12, D1, W1, R=3, seed=2)
+        message = rf"^evaluation count 0 != len\(Z\)\*N = {3 * ap.N}$"
+        with pytest.raises(AssertionError, match=message):
+            verify_median_amplification(function_f2(1), ap, D1, W1, trials=1)
+
+    def test_non_finite_value_in_a_harness(self):
+        """Two NaNs on the lattice of trial 1, repetition 1 of the median
+        harness raise ValueError naming the count and the row, 1*R + 1."""
+        ap = params_for(12, D1, W1, R=3, seed=4)
+        shift = tuple(rng_stream(ap.master_seed, 1, 1, _PURPOSE_VERIFY_SHIFT).random(1))
+        f = function_f2(1)
+
+        def poisoned(X):
+            vals = f.evaluate(X)
+            if tuple(X[0]) == shift:
+                vals[[3, 9]] = np.nan
+            return vals
+
+        oracle, _ = counting_oracle(f, poisoned)
+        with pytest.raises(ValueError, match="f returned 2 non-finite values in repetition 4$"):
+            verify_median_amplification(oracle, ap, D1, W1, trials=2)
 
 
 class TestCoefficientView:

@@ -1,12 +1,14 @@
-"""Print one SHA-256 per named output of medlattice, to show that a change
-leaves the library's outputs bitwise unchanged.
+"""Print one SHA-256 per named output of medlattice and check each against
+``output_digest.expected`` beside this script, to show that a change leaves
+the library's outputs bitwise unchanged.
 
     python3 tools/output_digest.py
 
 imports medlattice from the ``src`` directory beside this script, so a copy
-of the script in another checkout digests that checkout.  Run it on two
-checkouts on the same machine, with the same numpy, and compare the lines.
-The outputs are:
+of the script in another checkout digests that checkout.  It exits 1, after
+naming on stderr each output whose digest differs from the expected file's
+or is missing from either side, and 0 when all match.  A change that alters
+an output on purpose replaces the file with the new lines.  The outputs are:
 
 - ``cli.*``: the CLI's CSV for f1 and f2 at d=2 on the default budget grid,
   f2 at d=1, and the ``--fig 3`` table;
@@ -17,7 +19,9 @@ The outputs are:
 - ``harness.*``: the reports of both verification harnesses on f2, d=1,
   M_max=2^18.
 
-It takes a few seconds and prints only; it compares nothing.
+The expected digests were recorded with numpy 2.4 on x86-64; ``evaluate.*``
+goes through BLAS matrix products, whose rounding another BLAS may change.
+It takes a few seconds.
 """
 
 import contextlib
@@ -33,10 +37,15 @@ import numpy as np  # noqa: E402
 from medlattice import experiment, korobov, median_approx, params  # noqa: E402
 
 SEEDS = (1, 7919, 2**62 + 3)
+EXPECTED = pathlib.Path(__file__).resolve().with_name("output_digest.expected")
+
+# name -> digest, in the order printed
+DIGESTS = {}
 
 
 def digest(name: str, data: bytes) -> None:
-    print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    DIGESTS[name] = hashlib.sha256(data).hexdigest()
+    print(f"{DIGESTS[name]}  {name}")
 
 
 def cli_csv(argv) -> bytes:
@@ -64,7 +73,7 @@ def approximation_bytes(approx) -> bytes:
     return approx.index_set.H.tobytes() + approx.coefficients.vector.tobytes()
 
 
-def main() -> None:
+def main() -> int:
     for name, argv in (
         ("cli.f1.d2", ["--function", "f1", "--dim", "2"]),
         ("cli.f2.d2", ["--function", "f2", "--dim", "2"]),
@@ -95,6 +104,14 @@ def main() -> None:
     digest("harness.concentration.f2.d1.2^18", repr(single).encode())
     digest("harness.median.f2.d1.2^18", repr(median).encode())
 
+    lines = EXPECTED.read_text().splitlines()
+    expected = {name: value for value, name in (line.split("  ", 1) for line in lines)}
+    differing = [name for name in {**DIGESTS, **expected}
+                 if DIGESTS.get(name) != expected.get(name)]
+    for name in differing:
+        print(f"differs from {EXPECTED.name}: {name}", file=sys.stderr)
+    return 1 if differing else 0
+
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
