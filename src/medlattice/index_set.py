@@ -161,7 +161,7 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
     if L < 1.0:
         return HyperbolicCross(L, params, weights, np.empty((0, params.dim), dtype=np.int64))
 
-    _check_cap(L, params, weights, cap)
+    _check_cap(L, params, weights, cap, hint="; raise `cap` explicitly if this is intended")
     costs = _log_costs(params, weights)
     log_budget = log(L)
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -189,15 +189,13 @@ def _enumerate(L: float, params: SmoothnessParams, weights: ProductWeights, cap:
 
 
 def _check_cap(L: float, params: SmoothnessParams, weights: ProductWeights,
-               cap: int = _DEFAULT_CAP) -> None:
+               cap: int = _DEFAULT_CAP, hint: str = "") -> None:
     """ValueError when the analytic bound projects more than ``cap`` members
-    of A_d(L), L >= 1."""
+    of A_d(L), L >= 1, naming both and ending in ``hint``: a caller who
+    cannot set the cap, such as the CLI, gets no advice to raise it."""
     projected = bound_basic(L, 1.0, params, weights)
     if projected > cap:
-        raise ValueError(
-            f"projected cardinality {projected:.3g} exceeds the cap {cap}; "
-            "raise `cap` explicitly if this is intended"
-        )
+        raise ValueError(f"projected cardinality {projected:.3g} exceeds the cap {cap}{hint}")
 
 
 # --------------------------------------------------------------------------

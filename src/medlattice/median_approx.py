@@ -15,11 +15,12 @@ threshold, and the amplified exceedance of the median estimate.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import log
 from typing import Iterable, Optional
 
@@ -68,9 +69,10 @@ _NORM_RADIUS = 2**12
 
 # bytes of work arrays evaluate holds per chunk of points (see
 # _EvaluationPlan.bytes_per_point), so memory does not grow with the number
-# of points.  numpy's temporaries in _phase_table (118 KB for the conjugate
-# step and 40-80 KB per doubling with s >= 2 at K=10, d=2, 612 points) put
-# a chunk's peak about 11 % above this; avoiding them measured slower
+# of points; each thread of a batch holds one set.  numpy's temporaries in
+# _phase_table (118 KB for the conjugate step and 40-80 KB per doubling with
+# s >= 2 at K=10, d=2, 612 points) put a chunk's peak about 11 % above
+# this; avoiding them measured slower
 _CHUNK_BYTES = 2**20
 
 # what one more matrix product per chunk costs evaluate in calls and BLAS
@@ -269,21 +271,43 @@ class _EvaluationPlan:
         ``pts``, for the coefficients s_g whose blocks are ``S`` (``self.S``
         or ``self.S_imag``).
 
+        The chunks start at multiples of ``chunk_rows`` from the first
+        point.  A batch of several chunks is split into contiguous runs of
+        whole chunks, one per usable CPU (``_fan_out``); each run has work
+        arrays of its own and writes only its own points' values.
+
         A lone point goes on as two copies once its phases are taken,
         because numpy hands one-row and one-column arrays to other BLAS
         routines and loops than longer ones, which round differently; so a
         point's value does not depend on its batch.
         """
-        n, d = pts.shape
+        n = len(pts)
         rows = self.chunk_rows
-        out = np.empty(n + 1)  # a lone last point writes two values
-        for lo in range(0, n, rows):
-            chunk = pts[lo:lo + rows]
-            if lo == 0 or len(chunk) < rows:
+        out = np.empty(n)
+        chunks = -(-n // rows)
+        # a lone point or one chunk skips the fan-out's bookkeeping, even
+        # the CPU count: together about 5 % of a lone point's time
+        runs = min(_usable_cpus(), chunks) if chunks > 1 else 1
+        if runs > 1:
+            _fan_out(partial(self._fold, pts, S, out),
+                     [min(n, chunks * r // runs * rows) for r in range(runs + 1)])
+        else:
+            self._fold(pts, S, out, 0, n)
+        return out
+
+    def _fold(self, pts: np.ndarray, S: list, out: np.ndarray, lo: int, hi: int) -> None:
+        """``real_parts`` of the points lo:hi into out[lo:hi], chunk by
+        chunk; lo is a multiple of ``chunk_rows``."""
+        d = pts.shape[1]
+        rows = self.chunk_rows
+        for start in range(lo, hi, rows):
+            chunk = pts[start:start + rows]
+            m = len(chunk)
+            if start == lo or m < rows:
                 # full chunks share one set of work arrays: fresh ones per
                 # chunk can be handed back to the system and faulted in
                 # again every time
-                work = self._work(len(chunk), d)
+                work = self._work(m, d)
             table, points, G, factor, sums = work
             size = len(sums)
             _phase_table(chunk, table)
@@ -301,8 +325,9 @@ class _EvaluationPlan:
                 np.multiply(G, factor, out=G)
             # each point's sum over its row, the same for any number of rows
             np.einsum("ij->i", G, out=sums)
-            out[lo:lo + size] = sums.real
-        return out[:n]
+            # not a lone point's copy: the slot after it may be another
+            # thread's
+            out[start:start + m] = sums.real[:m]
 
     def _work(self, m: int, d: int) -> tuple:
         """Work arrays for a chunk of m points, two for a lone point: its
@@ -430,23 +455,47 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(task, bounds: list) -> list:
+    """[task(lo, hi) for consecutive lo, hi in ``bounds``], in that order.
+
+    The first slice runs on the calling thread and each other slice on a
+    thread of its own, so tasks must write only their own slice of any
+    shared output.  A task's exception propagates once every thread has
+    ended; with one slice no thread is started.
+    """
+    if len(bounds) == 2:
+        return [task(*bounds)]
+    with ThreadPoolExecutor(max_workers=len(bounds) - 2) as pool:
+        rest = pool.map(task, bounds[1:-1], bounds[2:])
+        return [task(bounds[0], bounds[1]), *rest]
+
+
 def _repetitions(f_eval, config: LatticeConfig, Z, D, H, workers: int = 1) -> np.ndarray:
     """The (len(Z), len(H)) complex128 estimates at the frequencies H, row r
     from lattice r, (Z[r], D[r]), on which f is evaluated once at N nodes.
 
-    At most ``workers`` threads each estimate a contiguous slice of whole
-    pairs (2k, 2k+1), which the estimator transforms together.  A row
-    depends only on its pair, not on the slice or FFT block it lands in,
-    so the matrix is bit-identical for any ``workers``.  The evaluations
-    are checked to total len(Z)*N; a non-finite value raises ValueError
-    naming its count and its row, the repetition.
+    At most ``workers`` threads, the calling one among them, each estimate
+    a contiguous slice of whole pairs (2k, 2k+1), which the estimator
+    transforms together (``_fan_out``).  A row depends only on its pair,
+    not on the slice or FFT block it lands in, so the matrix is
+    bit-identical for any ``workers``.  The evaluations are checked to
+    total len(Z)*N; a non-finite value raises ValueError naming its count
+    and its row, the repetition.
     """
     R = len(Z)
     ests = np.empty((R, len(H)), dtype=np.complex128)
 
     def estimate_slice(lo: int, hi: int) -> int:
         # evaluations are counted per slice, never in state shared between
-        # worker threads, and summed after the map
+        # worker threads, and summed after the fan-out
         points = 0
 
         def counted(X):
@@ -465,12 +514,8 @@ def _repetitions(f_eval, config: LatticeConfig, Z, D, H, workers: int = 1) -> np
 
     pairs = (R + 1) // 2
     slices = max(1, min(workers, pairs))
-    bounds = [min(R, 2 * (pairs * s // slices)) for s in range(slices + 1)]
-    if slices > 1:
-        with ThreadPoolExecutor(max_workers=slices) as pool:
-            eval_count = sum(pool.map(estimate_slice, bounds[:-1], bounds[1:]))
-    else:
-        eval_count = estimate_slice(0, R)
+    eval_count = sum(_fan_out(
+        estimate_slice, [min(R, 2 * (pairs * s // slices)) for s in range(slices + 1)]))
     if eval_count != R * config.N:
         raise AssertionError(f"evaluation count {eval_count} != len(Z)*N = {R * config.N}")
     return ests
@@ -494,9 +539,9 @@ def run(
     problem, weights
         Smoothness parameters and product weights defining A_d(N_star).
     workers : int
-        Thread count for the repetition map; at most (R + 1) // 2 threads
-        run, one per slice of whole pairs of the R lattices.  The output is
-        bit-identical for any value.
+        Thread count for the repetition map, the calling thread included;
+        at most (R + 1) // 2 threads run, one per slice of whole pairs of
+        the R lattices.  The output is bit-identical for any value.
 
     Returns
     -------
@@ -529,7 +574,10 @@ def evaluate(approx: MedianApproximation, x):
 
     The points are taken in chunks of about 1 MiB of work arrays, which
     numpy's temporaries in the phase table raise by about 11 % (1.17 MB
-    per 612-point chunk at K = 10, d = 2).  Per point and
+    per 612-point chunk at K = 10, d = 2).  A batch of several chunks is
+    split into runs of whole chunks, one thread per usable CPU, the
+    calling thread among them, each with its own work arrays; so work
+    memory is about 1.17 MB per thread.  Per point and
     coordinate j, the table of e(k x_j) for |k| <= K (K = max |h_j| over A
     and j) costs one complex exponential, K - 1 complex products and K
     conjugates.  The fold runs over half of A, one member of each pair

@@ -502,6 +502,18 @@ class TestCommandLine:
         assert errors[0].startswith(f"medlattice: error: argument --budgets: M_max={2**64}: ")
         assert "exceeds the cap" in errors[0]
 
+    def test_over_cap_message_offers_no_cap_to_raise(self, capsys):
+        """The CLI sets no enumeration cap, so its error line names the
+        budget, the projected cardinality and the cap, and nothing more:
+        no advice to raise `cap`, which only a library caller can."""
+        with pytest.raises(SystemExit):
+            main(["--function", "exp", "--budgets", "64"])
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"medlattice: error: argument --budgets: M_max={2**64}: "
+            "projected cardinality 5.63e+15 exceeds the cap 100000000"
+        ]
+
     def test_fig3_accepts_an_over_cap_budget(self, capsys):
         """--fig 3 enumerates no cross, so the same budget is a table row."""
         assert main(["--fig", "3", "--function", "exp", "--budgets", "64"]) == 0

@@ -161,7 +161,7 @@ class TestEnumerate:
     def test_cardinality_cap(self):
         p = SmoothnessParams(1.0, 2)
         w = ProductWeights([1.0, 1.0])
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=r"exceeds the cap 10; raise `cap` explicitly"):
             enumerate_hyperbolic_cross(200.0, p, w, cap=10)
 
     def test_weights_must_cover_dim(self):

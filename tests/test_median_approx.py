@@ -11,9 +11,11 @@ import itertools
 import math
 import pickle
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import log
 
@@ -976,6 +978,89 @@ class TestRaggedFold:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.array_equal(values[:3], [evaluate(approx, x) for x in X[:3]])
+
+
+class TestThreads:
+    """A batch of several chunks is split over the usable CPUs, in runs of
+    whole chunks; its values do not depend on how many there are."""
+
+    @staticmethod
+    def per_cpu_count(compute):
+        """compute() with 1, 2, 3 and 8 usable CPUs, as bytes, and the
+        number of runs each fanned out to (1 where it ran inline)."""
+        values, runs = [], []
+
+        def spy(task, bounds):
+            runs[-1] = len(bounds) - 1
+            return fan_out(task, bounds)
+
+        fan_out = median_approx._fan_out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(median_approx, "_fan_out", spy)
+            for cpus in (1, 2, 3, 8):
+                mp.setattr(median_approx, "_usable_cpus", lambda: cpus)
+                runs.append(1)
+                values.append(compute().tobytes())
+        return values, runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=conjugate_symmetric_coefficients(),
+        rows=st.integers(1, 5),
+        chunks=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_for_any_cpu_count(self, data, rows, chunks, seed):
+        """Bit for bit those of one CPU, over batches ending in a lone
+        point, and at rows = 1, where every chunk is one."""
+        approx = approximation_from(data)
+        d = len(next(iter(data)))
+        X = np.random.default_rng(seed).uniform(-1.0, 2.0, (chunks * rows + 1, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point)
+            values, runs = self.per_cpu_count(lambda: evaluate(approx, X))
+        assert values[1:] == values[:1] * 3
+        assert runs == [1, 2, 3, min(8, chunks + 1)]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_imaginary_fold_for_any_cpu_count(self, rows):
+        """The fold of a plan with S_imag as well: a cross lacking some -h."""
+        rng = np.random.default_rng(5)
+        approx = exact_cross_approximation(
+            24, 2.5, 2, 1, H=lambda H: H[rng.random(len(H)) < 0.9])
+        plan = approx._plan
+        assert plan.S_imag is not None
+        X = np.random.default_rng(rows).uniform(-1.0, 2.0, (9 * rows + 1, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(median_approx, "_CHUNK_BYTES", rows * plan.bytes_per_point)
+            for S in (plan.S, plan.S_imag):
+                values, runs = self.per_cpu_count(lambda: plan.real_parts(X, S))
+                assert values[1:] == values[:1] * 3
+                assert runs == [1, 2, 3, 8]
+
+    def test_concurrent_callers(self):
+        """Four threads that evaluate one fresh approximation at once, and
+        so build its plan in a race, each get the serial values, with more
+        threads than cores, switched often."""
+        serial_approx = exact_cross_approximation(24, 2.5, 2, 1)
+        X = np.random.default_rng(8).random((3 * serial_approx._plan.chunk_rows + 1, 2))
+        serial = evaluate(serial_approx, X).tobytes()
+        approx = exact_cross_approximation(24, 2.5, 2, 1)
+        start = threading.Barrier(4)
+
+        def call():
+            start.wait(timeout=60)
+            return evaluate(approx, X).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(call) for _ in range(4)]
+                values = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert values == [serial] * 4
 
 
 class TestEpsilonBound:
