@@ -146,13 +146,17 @@ def enumerate_hyperbolic_cross(
         HyperbolicCross with lexicographically sorted rows.
 
     Raises:
-        ValueError: when the projected cardinality exceeds ``cap``.
+        ValueError: when L is not finite, or the projected cardinality
+            exceeds ``cap``.
     """
+    L = float(L)
+    if not math.isfinite(L):
+        raise ValueError(f"L = {L!r} must be finite")
     weights.require(params.dim)
-    key = (float(L), params, weights, cap)
+    key = (L, params, weights, cap)
     cross = _LIVE_CROSSES.get(key)
     if cross is None:
-        cross = _enumerate(float(L), params, weights, cap)
+        cross = _enumerate(L, params, weights, cap)
         _LIVE_CROSSES[key] = cross
     return cross
 
@@ -368,11 +372,20 @@ def write_indices_csv(cross: HyperbolicCross, path) -> None:
 
 
 def read_indices_csv(path) -> np.ndarray:
-    """Read back the (n, d) int64 array of write_indices_csv output."""
+    """Read back the (n, d) int64 array of write_indices_csv output.
+
+    A file without an h_1..h_d header raises ValueError("not an index-set
+    CSV"); a row without d fields raises ValueError naming the row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not all(name.startswith("h_") for name in header):
+        header = next(reader, [])
+        if not header or not all(name.startswith("h_") for name in header):
             raise ValueError("not an index-set CSV")
-        rows = [[int(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row {','.join(row)!r} has {len(row)} fields, expected {len(header)}")
+            rows.append([int(v) for v in row])
     return np.array(rows, dtype=np.int64).reshape(-1, len(header))

@@ -88,11 +88,15 @@ class SmoothnessParams:
 
 def _integer_tuple(values, what: str) -> tuple:
     """``values`` as Python ints; ValueError rather than truncation for one
-    that is not integral."""
+    that is not integral, NaN and infinities included."""
     values = tuple(values)
-    if tuple(int(c) for c in values) != values:
+    try:
+        ints = tuple(int(c) for c in values)
+    except (OverflowError, ValueError):
+        ints = None
+    if ints != values:
         raise ValueError(f"{what} must be integers, got {values}")
-    return tuple(int(c) for c in values)
+    return ints
 
 
 @dataclass(frozen=True)

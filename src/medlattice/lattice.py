@@ -96,13 +96,15 @@ def rng_stream(*key: int) -> np.random.Generator:
 
     ``run`` keys its streams (master_seed, repetition, purpose).  Distinct
     keys give statistically independent Philox streams, so repetition r can
-    be generated on any worker in any order with identical results.
+    be generated on any worker in any order with identical results.  A
+    component that is negative or not integral raises ValueError.
     """
     if not key:
         raise ValueError("stream key must have at least one component")
+    key = _integer_tuple(key, "stream key components")
     if any(k < 0 for k in key):
         raise ValueError("stream key components must be non-negative")
-    seq = np.random.SeedSequence([int(k) for k in key])
+    seq = np.random.SeedSequence(list(key))
     return np.random.Generator(np.random.Philox(seq))
 
 

@@ -21,6 +21,7 @@ from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import compress
 from math import log
 from typing import Iterable, Optional
 
@@ -541,12 +542,15 @@ def run(
     workers : int
         Thread count for the repetition map, the calling thread included;
         at most (R + 1) // 2 threads run, one per slice of whole pairs of
-        the R lattices.  The output is bit-identical for any value.
+        the R lattices.  The output is bit-identical for any value; one
+        that is not an integer >= 1 raises ValueError.
 
     Returns
     -------
     MedianApproximation
     """
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers = {workers!r} must be an integer >= 1")
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
     config = LatticeConfig(params.N, problem.dim)
     keys = [(params.master_seed, r) for r in range(params.R)]
@@ -618,18 +622,6 @@ def evaluate(approx: MedianApproximation, x):
 # epsilon(h) and the Monte-Carlo verification harnesses
 # --------------------------------------------------------------------------
 
-def _aliasing_tail_sq(h: np.ndarray, f: SpectralOracle, N: int, radius: int) -> float:
-    """sum over ell in N*Z^d \\ {0}, |ell/N|_inf <= radius, of |f_hat(ell+h)|^2,
-    for the int64 frequency row h."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if radius == 0:
-        return 0.0
-    js = np.indices((2 * radius + 1,) * f.dim).reshape(f.dim, -1).T - radius
-    coeffs = f.coefficients(N * js[np.any(js != 0, axis=1)] + h)
-    return math.fsum(abs(c) ** 2 for c in coeffs.tolist() if c != 0)
-
-
 def epsilon_bound(
     h,
     f: SpectralOracle,
@@ -649,45 +641,62 @@ def epsilon_bound(
     per coordinate; a convergence check against half the radius warns when
     the truncation looks unconverged (relative change >= 1e-4).
     """
-    h = np.array(FrequencyIndex(h).components, dtype=np.int64)
+    H = _probe_rows([h], problem.dim)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
-    return _epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=3)
+    return _epsilons(H, f, params, problem, norm_sq, tail_radius, stacklevel=3)[0]
 
 
-def _epsilon(
-    h: np.ndarray,
+def _probe_rows(indices, d: int) -> np.ndarray:
+    """The probe frequencies ``indices`` as the rows of an int64 array; a
+    probe without d components raises ValueError naming it."""
+    rows = [FrequencyIndex(h).components for h in indices]
+    for h in rows:
+        if len(h) != d:
+            raise ValueError(f"probe {h} has {len(h)} components, not d = {d}")
+    return np.array(rows, dtype=np.int64).reshape(-1, d)
+
+
+def _epsilons(
+    H: np.ndarray,
     f: SpectralOracle,
     params: AlgorithmParams,
     problem: SmoothnessParams,
     norm_sq: float,
     tail_radius: int,
     stacklevel: int,
-) -> float:
-    """epsilon(h) at the int64 frequency row h, given the truncated squared
-    Korobov norm, which does not depend on h, so a caller with many probes
-    computes it once.
+) -> list:
+    """epsilon(h) at each int64 frequency row h of H, given the truncated
+    squared Korobov norm, which does not depend on h.
 
+    The coarse shifts N*ell, ell in [-r, r]^d \\ {0} for r = ``tail_radius``,
+    are built once per call, and each probe takes one oracle call at
+    h + N*ell.  Its tail at radius r // 2, for the convergence check, sums
+    the part with |ell|_inf <= r // 2 of the same squares; fsum is correctly
+    rounded, so neither tail depends on the order of its terms.
     ``stacklevel`` is that of the convergence warning, counted from this
     function, so that it names the line that called the public entry point.
     """
-    if len(h) != problem.dim:
-        raise ValueError(
-            f"frequency {tuple(h.tolist())} has {len(h)} components, not d = {problem.dim}"
-        )
-    tail = _aliasing_tail_sq(h, f, params.N, tail_radius)
+    r, d = tail_radius, problem.dim
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    ell = np.indices((2 * r + 1,) * d).reshape(d, -1).T - r
+    ell = ell[np.any(ell != 0, axis=1)]
+    inner = np.all(np.abs(ell) <= r // 2, axis=1)
     lead = norm_sq / (params.N_star ** (2.0 * problem.alpha) * (params.N - 1))
     factor = 1.0 / params.tau + log(params.N_star)
-    eps = math.sqrt(factor * (lead + tail))
-    if tail_radius >= 2:
-        half = _aliasing_tail_sq(h, f, params.N, tail_radius // 2)
-        eps_half = math.sqrt(factor * (lead + half))
-        if abs(eps - eps_half) >= 1e-4 * max(eps, 1e-300):
-            warnings.warn(
-                f"aliasing tail at radius {tail_radius} not converged: "
-                f"epsilon moves from {eps_half:.6e} (radius {tail_radius // 2}) "
-                f"to {eps:.6e}",
-                stacklevel=stacklevel,
-            )
+    eps = []
+    for h in H:
+        sq = [abs(c) ** 2 for c in f.coefficients(params.N * ell + h).tolist()] if r else []
+        e = math.sqrt(factor * (lead + math.fsum(sq)))
+        if r >= 2:
+            e_half = math.sqrt(factor * (lead + math.fsum(compress(sq, inner))))
+            if abs(e - e_half) >= 1e-4 * max(e, 1e-300):
+                warnings.warn(
+                    f"aliasing tail at radius {r} not converged: "
+                    f"epsilon moves from {e_half:.6e} (radius {r // 2}) to {e:.6e}",
+                    stacklevel=stacklevel,
+                )
+        eps.append(e)
     return eps
 
 
@@ -750,21 +759,12 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if indices is not None:
-        rows = [FrequencyIndex(h).components for h in indices]
-        for h in rows:
-            if len(h) != problem.dim:
-                raise ValueError(
-                    f"probe {h} has {len(h)} components, not d = {problem.dim}")
-        H = np.array(rows, dtype=np.int64)
+        H = _probe_rows(indices, problem.dim)
     else:
         cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
         H = _default_probe_indices(cross, problem, weights)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
-    # _epsilon <- _verify <- verify_* <- caller; a loop, not a comprehension,
-    # which is a frame of its own before Python 3.12
-    eps = []
-    for h in H:
-        eps.append(_epsilon(h, f, params, problem, norm_sq, tail_radius, stacklevel=4))
+    eps = _epsilons(H, f, params, problem, norm_sq, tail_radius, stacklevel=4)
     truth = f.coefficients(H)
     config = LatticeConfig(params.N, problem.dim)
     reps = [(r,) for r in range(params.R)] if median else [()]

@@ -155,6 +155,10 @@ class AlgorithmParams:
             raise ValueError("tau must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        if not (math.isfinite(self.P_N) and self.P_N > 0.0):
+            raise ValueError(f"P_N = {self.P_N!r} must be finite and positive")
+        if not math.isfinite(self.N_star):
+            raise ValueError(f"N_star = {self.N_star!r} must be finite")
         implied = (self.N - 1) / (math.exp(1.0 / self.tau) * self.P_N)
         if abs(implied - self.N_star) > _REL_CONSISTENCY * max(abs(implied), 1.0):
             raise ValueError(

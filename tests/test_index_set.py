@@ -7,6 +7,7 @@ brute-force cardinality over random parameter draws.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestEnumerate:
         w = ProductWeights([1.0, 1.0])
         with pytest.raises(ValueError, match=r"exceeds the cap 10; raise `cap` explicitly"):
             enumerate_hyperbolic_cross(200.0, p, w, cap=10)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_refuses_non_finite_L(self, L):
+        """inf and NaN are refused by name, before numpy casts them to a
+        bogus integer with a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"L = {L!r} must be finite"):
+                enumerate_hyperbolic_cross(L, SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0]))
 
     def test_weights_must_cover_dim(self):
         p = SmoothnessParams(1.0, 3)
@@ -362,4 +372,18 @@ class TestIndexCsv:
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_indices_csv(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^not an index-set CSV$"):
+            read_indices_csv(path)
+
+    def test_rejects_row_of_another_length(self, tmp_path):
+        """A short row is refused by name, not by numpy's inhomogeneous-shape
+        error."""
+        path = tmp_path / "short.csv"
+        path.write_text("h_1,h_2\n0,0\n1\n")
+        with pytest.raises(ValueError, match=r"^row '1' has 1 fields, expected 2$"):
             read_indices_csv(path)

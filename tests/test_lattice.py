@@ -65,6 +65,16 @@ class TestStreams:
         with pytest.raises(ValueError):
             rng_stream(0, 1, 2, -3)
 
+    def test_rejects_non_integral_keys(self):
+        """1.5 is refused, not truncated to the stream of key 1, and so are
+        inf and NaN; numpy integers key the stream of the equal Python
+        ints."""
+        for key in ((1.5,), (0, 2.5, 0), (math.inf,), (0, math.nan)):
+            with pytest.raises(ValueError, match="stream key components must be integers"):
+                rng_stream(*key)
+        ref = rng_stream(7, 1).integers(0, 2**63, size=8)
+        assert np.array_equal(rng_stream(np.int64(7), np.uint8(1)).integers(0, 2**63, size=8), ref)
+
     def test_four_part_key_is_the_seed_sequence_of_the_key(self):
         """rng_stream(s, t, r, p) draws what the median harness's inline
         Philox(SeedSequence([s, t, r, p])) construction drew."""

@@ -304,6 +304,20 @@ class TestRun:
         threaded = run(f.evaluate, ap, D2, W2, workers=4)
         assert serial.coefficients == threaded.coefficients
 
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", None])
+    def test_refuses_workers_that_are_not_a_positive_integer(self, workers):
+        """Refused before any work, where 0 and -2 used to run one worker
+        and 2.5 raised TypeError only once R >= 7."""
+        ap = params_for(12, D1, W1)
+        with pytest.raises(ValueError, match=f"workers = {workers!r} must be an integer >= 1"):
+            run(function_f2(1).evaluate, ap, D1, W1, workers=workers)
+
+    def test_numpy_integer_workers(self):
+        ap = params_for(12, D1, W1)
+        f = function_f2(1)
+        serial = run(f.evaluate, ap, D1, W1, workers=1)
+        assert run(f.evaluate, ap, D1, W1, workers=np.int64(2)).coefficients == serial.coefficients
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_value_raises(self, workers):
         """A NaN at one node of the last repetition raises, naming the count
@@ -1133,6 +1147,47 @@ class TestEpsilonBound:
             for r in rep:
                 assert r.epsilon == epsilon_bound(r.h, f, ap, D2, W2, tail_radius=tail_radius)
 
+    @pytest.mark.parametrize("radius", [0, 1, 3, 8])
+    def test_epsilons_equal_a_direct_sum(self, radius):
+        """On every member of a d=2 cross, _epsilons equals with == the
+        direct sum over the probe's own box of coarse shifts, and it warns
+        exactly where the direct epsilon at half the radius moves, naming
+        both values: for f2, whose tails have converged, and for an oracle
+        whose tails have not."""
+        ap = params_for(16, D2, W2)
+        H = enumerate_hyperbolic_cross(ap.N_star, D2, W2).H
+        slow = SpectralOracle(
+            dim=2,
+            coefficient=None,
+            l2_norm_sq=1.0,
+            evaluate=lambda pts: np.zeros(len(pts)),
+            factor_coefficient=lambda m: (1.0 + abs(m)) ** -0.6,
+        )
+
+        def direct(h, f, norm_sq, r):
+            shifts = [ap.N * np.array(ell) + h
+                      for ell in itertools.product(range(-r, r + 1), repeat=2) if any(ell)]
+            coeffs = f.coefficients(np.array(shifts)) if shifts else []
+            tail = math.fsum(abs(complex(c)) ** 2 for c in coeffs)
+            lead = norm_sq / (ap.N_star ** (2 * D2.alpha) * (ap.N - 1))
+            return math.sqrt((1.0 / ap.tau + log(ap.N_star)) * (lead + tail))
+
+        f2 = function_f2(2)
+        for f, norm_sq in ((f2, korobov_norm_sq_truncated(f2, D2, W2, 2**12)), (slow, 1e-12)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = median_approx._epsilons(H, f, ap, D2, norm_sq, radius, stacklevel=1)
+            assert got == [direct(h, f, norm_sq, radius) for h in H]
+            expected = []
+            for h, e in zip(H, got):
+                half = direct(h, f, norm_sq, radius // 2)
+                if radius >= 2 and abs(e - half) >= 1e-4 * e:
+                    expected.append(f"aliasing tail at radius {radius} not converged: epsilon "
+                                    f"moves from {half:.6e} (radius {radius // 2}) to {e:.6e}")
+            assert [str(w.message) for w in caught] == expected
+            if f is slow:
+                assert len(expected) == (len(H) if radius >= 2 else 0)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -1145,13 +1200,18 @@ class TestEpsilonBound:
     def test_convergence_warning_names_the_caller(self, monkeypatch, call):
         """A tail that moves between radius 4 and 8 warns, and the warning
         points at the line here that called the public function."""
-        monkeypatch.setattr(
-            median_approx, "_aliasing_tail_sq", lambda h, f, N, radius: 1e-3 * radius
-        )
         ap = params_for(12, D1, W1, R=3, seed=1)
+        f = function_f2(1)
+        exact = f.coefficients
+        # one at every frequency of the aliasing tails, |h| >= N - 1, so the
+        # tail grows with its radius; the probes keep their own coefficients
+        monkeypatch.setattr(
+            f, "coefficients",
+            lambda H: np.where(np.abs(H).max(axis=1) >= ap.N // 2, 1.0 + 0j, exact(H)),
+        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call(function_f2(1), ap)
+            call(f, ap)
         assert caught
         for w in caught:
             assert "not converged" in str(w.message)

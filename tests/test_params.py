@@ -351,6 +351,29 @@ class TestAlgorithmParamsFromSelection:
             dataclasses.replace(ap, R=4)
 
 
+class TestAlgorithmParamsValidation:
+    @staticmethod
+    def valid():
+        return AlgorithmParams.from_problem(
+            N=101, R=3, tau=1.0, master_seed=0,
+            problem=SmoothnessParams(1.5, 1), weights=ProductWeights([1.0]),
+        )
+
+    @pytest.mark.parametrize("P_N", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_bad_P_N(self, P_N):
+        """A NaN P_N, which every comparison passes, and a zero one, which
+        divided by zero, are refused by name."""
+        with pytest.raises(ValueError, match=f"P_N = {P_N!r} must be finite and positive"):
+            AlgorithmParams(N=101, R=3, tau=1.0, P_N=P_N, N_star=math.nan, master_seed=0)
+        with pytest.raises(ValueError, match=f"P_N = {P_N!r} must be finite and positive"):
+            dataclasses.replace(self.valid(), P_N=P_N)
+
+    @pytest.mark.parametrize("N_star", [math.nan, math.inf])
+    def test_refuses_non_finite_N_star(self, N_star):
+        with pytest.raises(ValueError, match=f"N_star = {N_star!r} must be finite"):
+            dataclasses.replace(self.valid(), N_star=N_star)
+
+
 class TestTheorem1Bound:
     def test_golden(self):
         sel = select_params(BudgetSpec(2**14, 0.01), SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0]))
