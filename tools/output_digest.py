@@ -19,6 +19,9 @@ an output on purpose replaces the file with the new lines.  The outputs are:
   A 4096-point batch spans several chunks, which ``evaluate`` splits over
   the usable CPUs, so CI runs this script both as it is and under
   ``taskset -c 0``, on one CPU, against the same expected digests;
+- ``save.*`` and ``indices.*``: the bytes that ``save_approximation``
+  writes for the f2, d=2, 2^18 approximation and that ``write_indices_csv``
+  writes for its index set;
 - ``harness.*``: the reports of both verification harnesses on f2, d=1,
   M_max=2^18.
 
@@ -32,12 +35,13 @@ import hashlib
 import io
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from medlattice import experiment, korobov, median_approx, params  # noqa: E402
+from medlattice import experiment, index_set, korobov, median_approx, params  # noqa: E402
 
 SEEDS = (1, 7919, 2**62 + 3)
 EXPECTED = pathlib.Path(__file__).resolve().with_name("output_digest.expected")
@@ -72,6 +76,14 @@ def problem_of(function: str, dim: int, alpha: float, M_max: int, seed: int):
     return f, problem, weights, ap
 
 
+def written_bytes(write, obj) -> bytes:
+    """The bytes ``write(obj, path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "out.csv"
+        write(obj, path)
+        return path.read_bytes()
+
+
 def approximation_bytes(approx) -> bytes:
     return approx.index_set.H.tobytes() + approx.coefficients.vector.tobytes()
 
@@ -100,6 +112,10 @@ def main() -> int:
         digest(f"evaluate.{name}.batch", median_approx.evaluate(approx, points).tobytes())
         singles = [median_approx.evaluate(approx, x) for x in points[:16]]
         digest(f"evaluate.{name}.singles", np.array(singles).tobytes())
+
+    saved = approximations["f2.d2.2^18"]
+    digest("save.f2.d2.2^18", written_bytes(median_approx.save_approximation, saved))
+    digest("indices.f2.d2.2^18", written_bytes(index_set.write_indices_csv, saved.index_set))
 
     f, problem, weights, ap = problem_of("f2", 1, 2.5, 2**18, SEEDS[0])
     single = median_approx.verify_concentration(f, ap, problem, weights, trials=200)
