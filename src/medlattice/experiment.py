@@ -32,7 +32,7 @@ from .korobov import (
     test_function_f1,
     test_function_f2,
 )
-from .index_set import _check_cap
+from .index_set import _check_cap, _read_table, _write_table
 from .median_approx import MedianApproximation, run
 from .params import (
     BudgetSpec,
@@ -72,10 +72,6 @@ _FIELD_CHECKS = (
     ("runs_per_budget", "--runs", lambda v: v >= 1, "an integer >= 1"),
     ("workers", "--workers", lambda v: v >= 1, "an integer >= 1"),
 )
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % v
 
 
 @dataclass(frozen=True)
@@ -253,9 +249,14 @@ def run_experiment(
     return records
 
 
-_CSV_COLUMNS = (
-    "M_max,run_index,N,R,M,tau_star,N_star,index_set_size,feasible,squared_L2_error"
-)
+_CSV_COLUMNS = ["M_max", "run_index", "N", "R", "M", "tau_star", "N_star", "index_set_size",
+                "feasible", "squared_L2_error"]
+
+
+def _problem_header(config: ExperimentConfig) -> list:
+    """The header items that both CSVs give the problem."""
+    return [("alpha", config.resolved_alpha()), ("gamma", config.resolved_weights().gammas),
+            ("dim", config.dim), ("delta", config.delta)]
 
 
 def emit_csv(
@@ -268,77 +269,50 @@ def emit_csv(
     Header content depends only on the experiment definition (never on
     worker count or timing), so identical seeds give byte-identical files.
     """
-    weights = config.resolved_weights()
-    lines = [
-        f"#function={config.function}",
-        "#alpha=" + _fmt(config.resolved_alpha()),
-        "#gamma=" + ",".join(_fmt(g) for g in weights.gammas),
-        f"#dim={config.dim}",
-        "#delta=" + _fmt(config.delta),
-        f"#seed={config.seed}",
-        f"#runs_per_budget={config.runs_per_budget}",
-        "#budgets=" + ",".join(str(m) for m in config.budgets),
-    ]
+    header = [("function", config.function), *_problem_header(config),
+              ("seed", config.seed), ("runs_per_budget", config.runs_per_budget),
+              ("budgets", config.budgets)]
     if selections:
-        problem = config.problem()
+        problem, weights = config.problem(), config.resolved_weights()
         for M_max in config.budgets:
             sp = selections.get(M_max)
             if sp is None:
                 continue
-            kv = ";".join(
-                f"{k}={v if not isinstance(v, float) else _fmt(v)}"
-                for k, v in sp.header_items()
-            )
-            lines.append(f"#select.{M_max}={kv}")
             report = check_conditions(sp, problem, weights, R=sp.R, delta=config.delta)
-            kv = ";".join(f"{k}={v}" for k, v in report.header_items())
-            lines.append(f"#conditions.{M_max}={kv}")
-    lines.append(_CSV_COLUMNS)
-    for r in records:
-        err = "" if r.squared_L2_error is None else _fmt(r.squared_L2_error)
-        lines.append(
-            ",".join(
-                [
-                    str(r.M_max),
-                    str(r.run_index),
-                    str(r.N),
-                    str(r.R),
-                    str(r.M),
-                    _fmt(r.tau_star),
-                    _fmt(r.N_star),
-                    str(r.index_set_size),
-                    "true" if r.feasible else "false",
-                    err,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+            header += [(f"select.{M_max}", dict(sp.header_items())),
+                       (f"conditions.{M_max}", dict(report.header_items()))]
+    rows = [
+        (r.M_max, r.run_index, r.N, r.R, r.M, r.tau_star, r.N_star, r.index_set_size,
+         "true" if r.feasible else "false",
+         "" if r.squared_L2_error is None else r.squared_L2_error)
+        for r in records
+    ]
+    return _write_table(header, _CSV_COLUMNS, rows)
 
 
 def parse_csv(text: str) -> List[ExperimentRecord]:
     """Inverse of emit_csv (comment header ignored, wall_time not stored)."""
-    records = []
-    for line in text.splitlines():
-        if not line or line.startswith("#") or line.startswith("M_max,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise ValueError(f"malformed row: {line!r}")
-        records.append(
-            ExperimentRecord(
-                M_max=int(parts[0]),
-                run_index=int(parts[1]),
-                N=int(parts[2]),
-                R=int(parts[3]),
-                M=int(parts[4]),
-                tau_star=float(parts[5]),
-                N_star=float(parts[6]),
-                index_set_size=int(parts[7]),
-                feasible=parts[8] == "true",
-                squared_L2_error=float(parts[9]) if parts[9] else None,
-            )
+    try:
+        _, columns, rows = _read_table(text.splitlines())
+    except ValueError as err:
+        raise ValueError(f"malformed {err}") from err
+    if rows and columns != _CSV_COLUMNS:
+        raise ValueError(f"malformed column line {','.join(columns)!r}")
+    return [
+        ExperimentRecord(
+            M_max=int(parts[0]),
+            run_index=int(parts[1]),
+            N=int(parts[2]),
+            R=int(parts[3]),
+            M=int(parts[4]),
+            tau_star=float(parts[5]),
+            N_star=float(parts[6]),
+            index_set_size=int(parts[7]),
+            feasible=parts[8] == "true",
+            squared_L2_error=float(parts[9]) if parts[9] else None,
         )
-    return records
+        for parts in rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -407,21 +381,11 @@ def figure3_table(
 
 
 def emit_figure3_csv(config: ExperimentConfig, rows: Sequence[Figure3Row]) -> str:
-    weights = config.resolved_weights()
-    lines = [
-        "#alpha=" + _fmt(config.resolved_alpha()),
-        "#gamma=" + ",".join(_fmt(g) for g in weights.gammas),
-        f"#dim={config.dim}",
-        "#delta=" + _fmt(config.delta),
-        "M_max,N,R,M,tau_star,N_star",
-    ]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.M_max), str(r.N), str(r.R), str(r.M), _fmt(r.tau_star), _fmt(r.N_star)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _write_table(
+        _problem_header(config),
+        ["M_max", "N", "R", "M", "tau_star", "N_star"],
+        [(r.M_max, r.N, r.R, r.M, r.tau_star, r.N_star) for r in rows],
+    )
 
 
 # --------------------------------------------------------------------------

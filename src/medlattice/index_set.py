@@ -8,11 +8,16 @@ equivalently r_{2*alpha,gamma}(h) <= L^(2*alpha).  This module enumerates the
 set into one (|A|, d) int64 array, one coordinate at a time, provides three
 analytic upper bounds on its cardinality plus the prime-lattice cap, and
 serializes index sets to CSV.
+
+It also owns the one text-table format of every file medlattice writes (the
+CLI's error CSVs and ``--fig 3`` table, saved approximations and index-set
+CSVs): ``#key=value`` header lines, a line of column names, then one
+comma-separated line per row, LF line ends and floats as ``%.17g``.
+``_write_table`` writes it and ``_read_table`` reads it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass
@@ -362,13 +367,60 @@ def corollary_cap(N: int, tau: float, N_star: float) -> float:
 # serialization
 # --------------------------------------------------------------------------
 
+def _write_table(header, columns, rows) -> str:
+    """The text of one table: a ``#key=value`` line per (key, value) pair of
+    ``header``, the ``columns`` names, then one line per row of ``rows``,
+    each ending in LF.  A float is written as %.17g, which reads back to the
+    same float; a dict as ``k=v`` pairs joined by ";", a list or tuple as
+    its items joined by ",", and anything else with str.
+    """
+
+    def text(v):
+        if isinstance(v, float):
+            return "%.17g" % v
+        if isinstance(v, dict):
+            return ";".join(f"{k}={text(x)}" for k, x in v.items())
+        if isinstance(v, (list, tuple)):
+            return ",".join(map(text, v))
+        return str(v)
+
+    lines = [f"#{key}={text(value)}" for key, value in header]
+    lines.append(",".join(columns))
+    lines += map(text, rows)
+    return "\n".join(lines) + "\n"
+
+
+def _read_table(lines) -> tuple:
+    """(header, columns, rows) of the text ``lines`` of a table: ``header``
+    maps each ``#key=value`` line's key to its value text, ``columns`` is
+    the first other line split at commas ([] when there is none) and
+    ``rows`` the later ones, each a list of field texts.  Blank lines are
+    skipped; a row whose field count differs from the column count raises
+    ValueError naming it.
+    """
+    header, columns, rows = {}, None, []
+    for line in lines:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            header[key] = value
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            row = line.split(",")
+            if len(row) != len(columns):
+                raise ValueError(f"row {line!r} has {len(row)} fields, expected {len(columns)}")
+            rows.append(row)
+    return header, columns or [], rows
+
+
 def write_indices_csv(cross: HyperbolicCross, path) -> None:
     """Write one row per index, columns h_1..h_d, lexicographic order."""
-    d = cross.params.dim
+    columns = [f"h_{j + 1}" for j in range(cross.params.dim)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"h_{j + 1}" for j in range(d)])
-        writer.writerows(cross.H.tolist())
+        fh.write(_write_table((), columns, cross.H.tolist()))
 
 
 def read_indices_csv(path) -> np.ndarray:
@@ -378,14 +430,7 @@ def read_indices_csv(path) -> np.ndarray:
     CSV"); a row without d fields raises ValueError naming the row.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header or not all(name.startswith("h_") for name in header):
-            raise ValueError("not an index-set CSV")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {','.join(row)!r} has {len(row)} fields, expected {len(header)}")
-            rows.append([int(v) for v in row])
-    return np.array(rows, dtype=np.int64).reshape(-1, len(header))
+        _, columns, rows = _read_table(fh)
+    if not columns or not all(name.startswith("h_") for name in columns):
+        raise ValueError("not an index-set CSV")
+    return np.array(rows, dtype=np.int64).reshape(-1, len(columns))

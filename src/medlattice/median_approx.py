@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .index_set import HyperbolicCross, enumerate_hyperbolic_cross
+from .index_set import HyperbolicCross, _read_table, _write_table, enumerate_hyperbolic_cross
 from .korobov import (
     FrequencyIndex,
     ProductWeights,
@@ -845,25 +845,15 @@ def verify_median_amplification(
 
 def save_approximation(approx: MedianApproximation, path) -> None:
     """Write header (#key=value) plus one row per coefficient, 17 sig digits."""
-    p = approx.provenance.params
-    prob = approx.provenance.problem
-    gammas = ",".join("%.17g" % g for g in approx.provenance.weights.gammas)
-    d = prob.dim
+    p, prob = approx.provenance.params, approx.provenance.problem
+    header = [("N", p.N), ("R", p.R), ("tau", p.tau), ("N_star", p.N_star),
+              ("seed", p.master_seed), ("d", prob.dim), ("alpha", prob.alpha),
+              ("gamma", approx.provenance.weights.gammas), ("eval_count", approx.eval_count)]
+    columns = [f"h_{j + 1}" for j in range(prob.dim)] + ["re", "im"]
+    rows = [h + [c.real, c.imag]
+            for h, c in zip(approx.index_set.H.tolist(), approx.coefficients.vector.tolist())]
     with open(path, "w", newline="") as fh:
-        fh.write(f"#N={p.N}\n")
-        fh.write(f"#R={p.R}\n")
-        fh.write("#tau=%.17g\n" % p.tau)
-        fh.write("#N_star=%.17g\n" % p.N_star)
-        fh.write(f"#seed={p.master_seed}\n")
-        fh.write(f"#d={d}\n")
-        fh.write("#alpha=%.17g\n" % prob.alpha)
-        fh.write(f"#gamma={gammas}\n")
-        fh.write(f"#eval_count={approx.eval_count}\n")
-        fh.write(",".join([f"h_{j + 1}" for j in range(d)] + ["re", "im"]) + "\n")
-        for h, c in zip(approx.index_set.H.tolist(), approx.coefficients.vector.tolist()):
-            cols = [str(comp) for comp in h]
-            cols += ["%.17g" % c.real, "%.17g" % c.imag]
-            fh.write(",".join(cols) + "\n")
+        fh.write(_write_table(header, columns, rows))
 
 
 def load_approximation(path) -> MedianApproximation:
@@ -875,16 +865,8 @@ def load_approximation(path) -> MedianApproximation:
     are; a row without d + 2 fields, or repeating an earlier row's
     frequency, raises ValueError naming the row.
     """
-    header = {}
-    rows = []
     with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                header[key] = val
-            elif line and not line.startswith("h_"):
-                rows.append(line)
+        header, columns, rows = _read_table(fh)
 
     def field(key, parse, default=None):
         if key not in header:
@@ -908,20 +890,23 @@ def load_approximation(path) -> MedianApproximation:
         weights=weights,
     )
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
-    coefficients = {}
-    for line in rows:
-        row = line.split(",")
-        if len(row) != d + 2:
-            raise ValueError(f"row {line!r} has {len(row)} fields, expected {d + 2}")
-        h = tuple(int(v) for v in row[:d])
-        if h in coefficients:
-            raise ValueError(f"row {line!r} repeats frequency {h}")
-        coefficients[h] = complex(float(row[d]), float(row[d + 1]))
-    _check_finite_coefficients(np.array(list(coefficients.values()), dtype=np.complex128))
-    members = list(map(tuple, cross.H.tolist()))
-    if set(coefficients) != set(members):
+    expected = [f"h_{j + 1}" for j in range(d)] + ["re", "im"]
+    if columns != expected:
+        raise ValueError(f"columns {','.join(columns)!r}, expected {','.join(expected)!r}")
+    keys = [[int(v) for v in row[:d]] for row in rows]
+    # a stable sort puts each repeat after an earlier row of its frequency;
+    # the repeat that comes first in the file is the least of them
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    repeats = [b for a, b in zip(order, order[1:]) if keys[a] == keys[b]]
+    if repeats:
+        b = min(repeats)
+        raise ValueError(f"row {','.join(rows[b])!r} repeats frequency {tuple(keys[b])}")
+    H = np.array([keys[i] for i in order], dtype=np.int64).reshape(-1, d)
+    vector = np.array([complex(float(rows[i][d]), float(rows[i][d + 1])) for i in order],
+                      dtype=np.complex128)
+    _check_finite_coefficients(vector)
+    if not np.array_equal(H, cross.H):
         raise ValueError("stored rows do not match the index set implied by the header")
-    vector = np.array([coefficients[h] for h in members], dtype=np.complex128)
     return MedianApproximation(
         index_set=cross,
         coefficients=_CoefficientView(cross, vector),
