@@ -371,22 +371,24 @@ def _write_table(header, columns, rows) -> str:
     """The text of one table: a ``#key=value`` line per (key, value) pair of
     ``header``, the ``columns`` names, then one line per row of ``rows``,
     each ending in LF.  A float is written as %.17g, which reads back to the
-    same float; a dict as ``k=v`` pairs joined by ";", a list or tuple as
-    its items joined by ",", and anything else with str.
+    same float, and any other field with str; a header value may also be a
+    dict, written as ``k=v`` pairs joined by ";", or a list or tuple, its
+    items joined by ",".
     """
 
-    def text(v):
-        if isinstance(v, float):
-            return "%.17g" % v
-        if isinstance(v, dict):
-            return ";".join(f"{k}={text(x)}" for k, x in v.items())
-        if isinstance(v, (list, tuple)):
-            return ",".join(map(text, v))
-        return str(v)
+    def field(v):
+        return "%.17g" % v if isinstance(v, float) else str(v)
 
-    lines = [f"#{key}={text(value)}" for key, value in header]
+    def value(v):
+        if isinstance(v, dict):
+            return ";".join(f"{k}={field(x)}" for k, x in v.items())
+        if isinstance(v, (list, tuple)):
+            return ",".join(map(field, v))
+        return field(v)
+
+    lines = [f"#{key}={value(v)}" for key, v in header]
     lines.append(",".join(columns))
-    lines += map(text, rows)
+    lines += [",".join(map(field, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
