@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from math import fsum
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,15 +63,17 @@ FIG3_EXPONENTS = tuple(range(10, 27))
 DEFAULT_ALPHA = {"f1": 1.5, "f2": 2.5, "exp": 1.5}
 
 # the fields ExperimentConfig checks: name, the CLI flag that sets it, the
-# test its value must pass and what that test expects
+# test its value must pass and what that test expects; dim must be a Python
+# int, as SmoothnessParams requires
 _FIELD_CHECKS = (
     ("function", "--function", lambda v: v in DEFAULT_ALPHA, "one of " + ", ".join(DEFAULT_ALPHA)),
-    ("dim", "--dim", lambda v: v >= 1, "an integer >= 1"),
+    ("dim", "--dim", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("delta", "--delta", lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
     ("budgets", "--budgets", lambda v: len(v) >= 1, "at least one budget"),
-    ("seed", "--seed", lambda v: v >= 0, "an integer >= 0"),
-    ("runs_per_budget", "--runs", lambda v: v >= 1, "an integer >= 1"),
-    ("workers", "--workers", lambda v: v >= 1, "an integer >= 1"),
+    ("seed", "--seed", lambda v: isinstance(v, Integral) and v >= 0, "an integer >= 0"),
+    ("runs_per_budget", "--runs", lambda v: isinstance(v, Integral) and v >= 1,
+     "an integer >= 1"),
+    ("workers", "--workers", lambda v: isinstance(v, Integral) and v >= 1, "an integer >= 1"),
 )
 
 
@@ -78,9 +81,11 @@ _FIELD_CHECKS = (
 class ExperimentConfig:
     """Everything one experiment needs; mirrors the CLI flags.
 
-    An unknown function, dim < 1, delta outside (0, 1), no budgets, seed
-    < 0, runs_per_budget < 1 or workers < 1 raises ValueError naming the
-    field, the value and what was expected, as the CLI refuses them.
+    An unknown function, a dim that is not an integer >= 1, delta outside
+    (0, 1), no budgets, a seed that is not an integer >= 0, a
+    runs_per_budget or workers that is not an integer >= 1, an alpha that
+    SmoothnessParams refuses or gammas that give no valid weights for dim
+    raises ValueError naming the field, as the CLI refuses them.
     """
 
     function: str = "f1"              # f1 | f2 | exp
@@ -99,6 +104,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise _FieldError(f"{name}: expected {expected}, got {value!r}", flag)
+        for name, flag, check in (("alpha", "--alpha", self.problem),
+                                  ("gammas", "--gamma", self.resolved_weights)):
+            try:
+                check()
+            except ValueError as err:
+                raise _FieldError(f"{name}: {err}", flag) from err
 
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
@@ -576,16 +587,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"argument {err.flag}: {err}")
     exps = args.budgets or FIG3_EXPONENTS
     budgets = [2**e for e in exps] if args.fig == 3 else config.budgets
-    # flags whose validity depends on others: parser.error names the flag
-    for flag, check in (
-        ("--alpha", config.problem),
-        ("--gamma", config.resolved_weights),
-        ("--budgets", lambda: [_find_Nmax(BudgetSpec(M, config.delta)) for M in budgets]),
-    ):
-        try:
-            check()
-        except ValueError as err:
-            parser.error(f"argument {flag}: {err}")
+    # a budget's validity depends on --delta and, here, on --fig
+    try:
+        for M in budgets:
+            _find_Nmax(BudgetSpec(M, config.delta))
+    except ValueError as err:
+        parser.error(f"argument --budgets: {err}")
     alpha = config.resolved_alpha()
 
     if args.fig == 3:

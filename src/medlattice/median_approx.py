@@ -522,6 +522,12 @@ def _repetitions(f_eval, config: LatticeConfig, Z, D, H, workers: int = 1) -> np
     return ests
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
+
+
 def run(
     f_eval,
     params: AlgorithmParams,
@@ -549,8 +555,7 @@ def run(
     -------
     MedianApproximation
     """
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers = {workers!r} must be an integer >= 1")
+    _require_integer("workers", workers, 1)
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
     config = LatticeConfig(params.N, problem.dim)
     keys = [(params.master_seed, r) for r in range(params.R)]
@@ -639,8 +644,10 @@ def epsilon_bound(
     shifts ell in N*Z^d and ||f|| is the Korobov norm truncated at radius
     2^12.  The tail is truncated at ``tail_radius`` coarse cells
     per coordinate; a convergence check against half the radius warns when
-    the truncation looks unconverged (relative change >= 1e-4).
+    the truncation looks unconverged (relative change >= 1e-4).  A
+    ``tail_radius`` that is not an integer >= 0 raises ValueError.
     """
+    _require_integer("tail_radius", tail_radius, 0)
     H = _probe_rows([h], problem.dim)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     return _epsilons(H, f, params, problem, norm_sq, tail_radius, stacklevel=3)[0]
@@ -677,8 +684,6 @@ def _epsilons(
     function, so that it names the line that called the public entry point.
     """
     r, d = tail_radius, problem.dim
-    if r < 0:
-        raise ValueError("radius must be >= 0")
     ell = np.indices((2 * r + 1,) * d).reshape(d, -1).T - r
     ell = ell[np.any(ell != 0, axis=1)]
     inner = np.all(np.abs(ell) <= r // 2, axis=1)
@@ -755,11 +760,15 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     per trial, streams keyed (master_seed, trial, purpose), threshold
     epsilon(h)^2) and verify_median_amplification (``median`` true: the
     median of R lattices per trial, streams keyed (master_seed, trial, r,
-    purpose), threshold 2*epsilon(h)^2)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    purpose), threshold 2*epsilon(h)^2).  ``trials`` that is not an integer
+    >= 1, a ``tail_radius`` that is not an integer >= 0 or empty ``indices``
+    raise ValueError before any work."""
+    _require_integer("trials", trials, 1)
+    _require_integer("tail_radius", tail_radius, 0)
     if indices is not None:
         H = _probe_rows(indices, problem.dim)
+        if not len(H):
+            raise ValueError("indices must name at least one probe")
     else:
         cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
         H = _default_probe_indices(cross, problem, weights)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import exp, log
+from numbers import Integral
 from typing import Optional
 
 from .korobov import ProductWeights, SmoothnessParams, riemann_zeta
@@ -122,6 +123,9 @@ _REL_CONSISTENCY = 1e-9
 class AlgorithmParams:
     """Validated run parameters: lattice size, repetitions, tuning, seed.
 
+    An N, R or master_seed that is not an integer raises ValueError, as
+    does any value outside the ranges below.
+
     Attributes
     ----------
     N : int
@@ -147,14 +151,14 @@ class AlgorithmParams:
     master_seed: int
 
     def __post_init__(self):
-        if not is_prime(self.N):
-            raise ValueError(f"N = {self.N} must be prime")
-        if self.R < 1 or self.R % 2 == 0:
-            raise ValueError(f"R = {self.R} must be a positive odd integer")
+        if not (isinstance(self.N, Integral) and is_prime(self.N)):
+            raise ValueError(f"N = {self.N!r} must be a prime integer")
+        if not (isinstance(self.R, Integral) and self.R >= 1 and self.R % 2 == 1):
+            raise ValueError(f"R = {self.R!r} must be a positive odd integer")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        if not (isinstance(self.master_seed, Integral) and self.master_seed >= 0):
+            raise ValueError(f"master_seed = {self.master_seed!r} must be an integer >= 0")
         if not (math.isfinite(self.P_N) and self.P_N > 0.0):
             raise ValueError(f"P_N = {self.P_N!r} must be finite and positive")
         if not math.isfinite(self.N_star):

@@ -216,6 +216,14 @@ class TestCsvFormat:
         with pytest.raises(ValueError, match="malformed"):
             parse_csv(broken)
 
+    def test_other_columns_rejected(self):
+        """A --fig 3 table is not an error CSV, though its rows have as many
+        fields as its column line."""
+        cfg = ExperimentConfig(function="exp", dim=2)
+        text = emit_figure3_csv(cfg, figure3_table(cfg, exponents=(12,)))
+        with pytest.raises(ValueError, match="^malformed column line 'M_max,N,R,M,tau_star,N_star'$"):
+            parse_csv(text)
+
 
 class TestFitRate:
     def test_exact_power_law(self):
@@ -356,6 +364,12 @@ class TestConfig:
             ("delta", float("nan"), r"delta: expected a number in \(0, 1\), got nan"),
             ("budgets", (), r"budgets: expected at least one budget, got \(\)"),
             ("seed", -1, "seed: expected an integer >= 0, got -1"),
+            ("alpha", 0.4, "alpha: alpha must exceed 1/2"),
+            ("gammas", "poly:-1", "gammas: beta must be >= 0"),
+            ("gammas", "2,1", r"gammas: weights must lie in \(0, 1\]"),
+            ("dim", 2.5, "dim: expected an integer >= 1, got 2.5"),
+            ("seed", 1.5, "seed: expected an integer >= 0, got 1.5"),
+            ("runs_per_budget", 1.5, "runs_per_budget: expected an integer >= 1, got 1.5"),
         ],
     )
     def test_refuses_what_the_cli_refuses(self, field, value, message, no_run):

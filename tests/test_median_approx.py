@@ -96,6 +96,16 @@ def single_mode_oracle(h0):
     )
 
 
+def untouched_oracle(dim):
+    """An oracle whose every value or coefficient fails the test."""
+
+    def untouched(*args):
+        raise AssertionError("the oracle was called")
+
+    return SpectralOracle(dim=dim, coefficient=untouched, l2_norm_sq=1.0, evaluate=untouched,
+                          factor_coefficient=untouched)
+
+
 @st.composite
 def conjugate_symmetric_coefficients(draw):
     """{frequency tuple: coefficient} with c_{-h} = conj(c_h), d in {1, 2, 3}."""
@@ -1093,6 +1103,13 @@ class TestEpsilonBound:
             expected, rel=1e-12
         )
 
+    @pytest.mark.parametrize("tail_radius", [2.5, -1])
+    def test_refuses_a_tail_radius_that_is_not_a_count(self, tail_radius):
+        """2.5 used to end in np.indices' TypeError, after the norm."""
+        with pytest.raises(ValueError, match=f"^tail_radius = {tail_radius} must be an integer >= 0$"):
+            epsilon_bound(FrequencyIndex([0]), untouched_oracle(1), params_for(12, D1, W1), D1, W1,
+                          tail_radius=tail_radius)
+
     def test_stabilizes_quickly(self):
         ap = params_for(14, D2, W2)
         f = function_f2(2)
@@ -1240,6 +1257,22 @@ class TestVerifyConcentration:
             assert r.rate <= r.bound + margin
             assert not r.vacuous
 
+    @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 2.5}, "trials = 2.5 must be an integer >= 1"),
+        ({"trials": 0}, "trials = 0 must be an integer >= 1"),
+        ({"tail_radius": 2.5}, "tail_radius = 2.5 must be an integer >= 0"),
+        ({"tail_radius": -1}, "tail_radius = -1 must be an integer >= 0"),
+        ({"indices": []}, "indices must name at least one probe"),
+    ])
+    def test_refuses_bad_arguments_before_any_work(self, harness, kwargs, message):
+        """A float trials or tail_radius used to end in range's or
+        np.indices' TypeError, and no probes in the estimator's error after
+        every lattice was drawn; each is now refused before the oracle is
+        called."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            harness(untouched_oracle(1), params_for(12, D1, W1), D1, W1, **{"trials": 2, **kwargs})
+
     def test_vacuous_regime_flagged(self):
         """N small enough that N_star <= e makes the bound >= 1."""
         ap = AlgorithmParams.from_problem(
@@ -1367,6 +1400,28 @@ class TestSerialization:
         with open(path, "a") as fh:
             fh.write(f"{h},123.0,0\n")
         with pytest.raises(ValueError, match=f"row '{h},123.0,0' repeats frequency"):
+            load_approximation(path)
+
+    def test_first_repeat_in_file_order_named(self, tmp_path):
+        """Of two repeated frequencies, the error names the one whose repeat
+        comes first in the file, not the lesser frequency."""
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        (low,), (high,) = approx.index_set.H[[0, -1]].tolist()
+        with open(path, "a") as fh:
+            fh.write(f"{high},1.0,0\n{low},2.0,0\n")
+        with pytest.raises(ValueError, match=f"^row '{high},1.0,0' repeats frequency \\({high},\\)$"):
+            load_approximation(path)
+
+    def test_column_line_must_match_d(self, tmp_path):
+        """Without its column line, a file's first row would be read as one."""
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith("h_")))
+        with pytest.raises(ValueError, match="expected 'h_1,re,im'$"):
             load_approximation(path)
 
     @pytest.mark.parametrize("row", ["7,0.5", "7,0.5,0,0"])

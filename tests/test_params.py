@@ -368,6 +368,25 @@ class TestAlgorithmParamsValidation:
         with pytest.raises(ValueError, match=f"P_N = {P_N!r} must be finite and positive"):
             dataclasses.replace(self.valid(), P_N=P_N)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("N", 101.0, "N = 101.0 must be a prime integer"),
+        ("R", 3.0, "R = 3.0 must be a positive odd integer"),
+        ("master_seed", 1.5, "master_seed = 1.5 must be an integer >= 0"),
+        ("master_seed", -1, "master_seed = -1 must be an integer >= 0"),
+    ])
+    def test_refuses_non_integral_counts(self, field, value, message):
+        """A float N, R or seed used to construct and fail in run with a
+        TypeError; a seed of 1.5 would be saved as #seed=1.5, which
+        load_approximation refuses."""
+        args = {"N": 101, "R": 3, "master_seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AlgorithmParams.from_problem(tau=1.0, problem=SmoothnessParams(1.5, 1),
+                                         weights=ProductWeights([1.0]), **args)
+
+    def test_accepts_numpy_integers(self):
+        ap = dataclasses.replace(self.valid(), R=np.int64(3), master_seed=np.uint64(7))
+        assert (ap.R, ap.master_seed) == (3, 7)
+
     @pytest.mark.parametrize("N_star", [math.nan, math.inf])
     def test_refuses_non_finite_N_star(self, N_star):
         with pytest.raises(ValueError, match=f"N_star = {N_star!r} must be finite"):
