@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from math import fsum
-from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .korobov import (
     ProductWeights,
     SmoothnessParams,
     SpectralOracle,
+    _integer,
     cosine_pair_oracle,
     test_function_f1,
     test_function_f2,
@@ -63,18 +63,15 @@ FIG3_EXPONENTS = tuple(range(10, 27))
 DEFAULT_ALPHA = {"f1": 1.5, "f2": 2.5, "exp": 1.5}
 
 # the fields ExperimentConfig checks: name, the CLI flag that sets it, the
-# test its value must pass and what that test expects; dim must be a Python
-# int, as SmoothnessParams requires
+# test its value must pass and what that test expects
 _FIELD_CHECKS = (
     ("function", "--function", lambda v: v in DEFAULT_ALPHA, "one of " + ", ".join(DEFAULT_ALPHA)),
-    ("dim", "--dim", lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("delta", "--delta", lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
     ("budgets", "--budgets", lambda v: len(v) >= 1, "at least one budget"),
-    ("seed", "--seed", lambda v: isinstance(v, Integral) and v >= 0, "an integer >= 0"),
-    ("runs_per_budget", "--runs", lambda v: isinstance(v, Integral) and v >= 1,
-     "an integer >= 1"),
-    ("workers", "--workers", lambda v: isinstance(v, Integral) and v >= 1, "an integer >= 1"),
 )
+# the integer fields: name, flag and least value; each is stored as an int
+_INTEGER_FIELDS = (("dim", "--dim", 1), ("seed", "--seed", 0),
+                   ("runs_per_budget", "--runs", 1), ("workers", "--workers", 1))
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name, flag, least in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if _integer(value, least) is None:
+                raise _FieldError(f"{name}: expected an integer >= {least}, got {value!r}", flag)
+            object.__setattr__(self, name, int(value))
         for name, flag, ok, expected in _FIELD_CHECKS:
             value = getattr(self, name)
             if not ok(value):

@@ -72,6 +72,16 @@ class ProductWeights:
         return self.gammas[:dim]
 
 
+def _integer(value, least: int, name: str = ""):
+    """``value`` as an int if it is a Python or numpy integer, not a bool, and
+    >= ``least``; otherwise a ValueError naming ``name``, or None without one."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    if name:
+        raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
+    return None
+
+
 @dataclass(frozen=True)
 class SmoothnessParams:
     """Smoothness parameter alpha > 1/2 and dimension d >= 1."""
@@ -82,8 +92,7 @@ class SmoothnessParams:
     def __post_init__(self):
         if not self.alpha > 0.5:
             raise ValueError("alpha must exceed 1/2")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", _integer(self.dim, 1, "dim"))
 
 
 def _integer_tuple(values, what: str) -> tuple:
@@ -225,7 +234,7 @@ class SpectralOracle:
         modes: Optional[dict] = None,
         label: str = "",
     ):
-        self.dim = int(dim)
+        self.dim = _integer(dim, 1, "dim")
         self._coefficient = coefficient
         self.l2_norm_sq = float(l2_norm_sq)
         self._evaluate = evaluate
@@ -358,8 +367,6 @@ def test_function_f1(d: int) -> SpectralOracle:
     The factor has a kink where the support touches zero, so the function
     barely misses smoothness 3/2; its 1-D L2 norm is exactly 1.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     return _product_oracle(d, _kink_coeff_1d, _kink_eval_1d, _KINK_NORM_SQ_1D, "f1")
 
 
@@ -372,8 +379,6 @@ def test_function_f2(d: int) -> SpectralOracle:
     seam, so the function barely misses smoothness 5/2.  Its 1-D mean
     vanishes: every Fourier index with a zero component has coefficient 0.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     return _product_oracle(d, _poly_sine_coeff_1d, _poly_sine_eval_1d, _POLY_SINE_NORM_SQ_1D, "f2")
 
 
@@ -445,8 +450,7 @@ def korobov_norm_sq_truncated(
     (``_factor_norm_sq``); generic oracles fall back to a direct box scan,
     which is refused above ~2e7 points.
     """
-    if box_radius < 0:
-        raise ValueError("box_radius must be >= 0")
+    box_radius = _integer(box_radius, 0, "box_radius")
     if f.dim != params.dim:
         raise ValueError("oracle dimension does not match params")
     gammas = weights.require(params.dim)

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .korobov import FrequencyIndex, _integer_tuple
+from .korobov import FrequencyIndex, _integer, _integer_tuple
 from .params import is_prime
 
 __all__ = [
@@ -87,8 +87,8 @@ class LatticeConfig:
     def __post_init__(self):
         if not is_prime(self.N):
             raise ValueError(f"N = {self.N} is not prime")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "dim", _integer(self.dim, 1, "dim"))
 
 
 def rng_stream(*key: int) -> np.random.Generator:
@@ -129,8 +129,7 @@ def _draw_lattices(config: LatticeConfig, keys, genvec_purpose: int, shift_purpo
 
 def roots_of_unity(N: int) -> np.ndarray:
     """Table w[k] = exp(-2*pi*i*k/N), k = 0..N-1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _integer(N, 1, "N")
     return np.exp(-2j * np.pi * np.arange(N) / N)
 
 

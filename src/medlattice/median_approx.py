@@ -33,6 +33,7 @@ from .korobov import (
     ProductWeights,
     SmoothnessParams,
     SpectralOracle,
+    _integer,
     korobov_norm_sq_truncated,
 )
 from .lattice import (
@@ -522,12 +523,6 @@ def _repetitions(f_eval, config: LatticeConfig, Z, D, H, workers: int = 1) -> np
     return ests
 
 
-def _require_integer(name: str, value, least: int) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
-
-
 def run(
     f_eval,
     params: AlgorithmParams,
@@ -555,7 +550,7 @@ def run(
     -------
     MedianApproximation
     """
-    _require_integer("workers", workers, 1)
+    workers = _integer(workers, 1, "workers")
     cross = enumerate_hyperbolic_cross(params.N_star, problem, weights)
     config = LatticeConfig(params.N, problem.dim)
     keys = [(params.master_seed, r) for r in range(params.R)]
@@ -647,7 +642,7 @@ def epsilon_bound(
     the truncation looks unconverged (relative change >= 1e-4).  A
     ``tail_radius`` that is not an integer >= 0 raises ValueError.
     """
-    _require_integer("tail_radius", tail_radius, 0)
+    tail_radius = _integer(tail_radius, 0, "tail_radius")
     H = _probe_rows([h], problem.dim)
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     return _epsilons(H, f, params, problem, norm_sq, tail_radius, stacklevel=3)[0]
@@ -763,8 +758,8 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     purpose), threshold 2*epsilon(h)^2).  ``trials`` that is not an integer
     >= 1, a ``tail_radius`` that is not an integer >= 0 or empty ``indices``
     raise ValueError before any work."""
-    _require_integer("trials", trials, 1)
-    _require_integer("tail_radius", tail_radius, 0)
+    trials = _integer(trials, 1, "trials")
+    tail_radius = _integer(tail_radius, 0, "tail_radius")
     if indices is not None:
         H = _probe_rows(indices, problem.dim)
         if not len(H):

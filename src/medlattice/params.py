@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import exp, log
-from numbers import Integral
 from typing import Optional
 
-from .korobov import ProductWeights, SmoothnessParams, riemann_zeta
+from .korobov import ProductWeights, SmoothnessParams, _integer, riemann_zeta
 
 __all__ = [
     "AlgorithmParams",
@@ -44,8 +43,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
-    if n < 2:
+    """Deterministic Miller-Rabin, exact for all 64-bit inputs; False for a non-integer."""
+    n = _integer(n, 2)
+    if n is None:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
@@ -85,8 +85,7 @@ class BudgetSpec:
     delta: float
 
     def __post_init__(self):
-        if self.M_max < 2:
-            raise ValueError("M_max must be >= 2")
+        object.__setattr__(self, "M_max", _integer(self.M_max, 2, "M_max"))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -151,14 +150,15 @@ class AlgorithmParams:
     master_seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.N, Integral) and is_prime(self.N)):
+        if not is_prime(self.N):
             raise ValueError(f"N = {self.N!r} must be a prime integer")
-        if not (isinstance(self.R, Integral) and self.R >= 1 and self.R % 2 == 1):
+        if _integer(self.R, 1) is None or self.R % 2 == 0:
             raise ValueError(f"R = {self.R!r} must be a positive odd integer")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if not (isinstance(self.master_seed, Integral) and self.master_seed >= 0):
-            raise ValueError(f"master_seed = {self.master_seed!r} must be an integer >= 0")
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "R", int(self.R))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, 0, "master_seed"))
         if not (math.isfinite(self.P_N) and self.P_N > 0.0):
             raise ValueError(f"P_N = {self.P_N!r} must be finite and positive")
         if not math.isfinite(self.N_star):
@@ -462,8 +462,7 @@ def theorem1_bound(p, params: SmoothnessParams, f_norm_sq: float) -> float:
 
 def corollary2_constant(N: int, tau: float, delta: float, alpha: float) -> float:
     """The budget-form error constant C_N(tau, delta, alpha)."""
-    if N < 3:
-        raise ValueError("N must be >= 3")
+    N = _integer(N, 3, "N")
     a = (N / (N - 1.0)) ** (2.0 * alpha)
     b = (2.0 * math.log1p((N - 1) / _FOUR_E) + 2.0 * log(1.0 / delta) + 1.0) ** (2.0 * alpha)
     c = 2.0 / tau + 1.0 + 2.0 * N * log(N - 1.0) / (N - 1.0)

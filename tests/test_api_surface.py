@@ -2,11 +2,13 @@
 Tests for the package's public surface: the exports are a fixed list, every
 exported name resolves, once, and every library name the benchmark's tracer
 wraps exists, so a renamed function fails here instead of leaving a traced
-benchmark run without spans.
+benchmark run without spans.  One source check keeps the integer rule in
+one module.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import medlattice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "medlattice"
 MODULES = ("medlattice",) + tuple(
     f"medlattice.{m}"
     for m in ("korobov", "index_set", "lattice", "params", "median_approx", "experiment")
@@ -99,3 +102,22 @@ def test_traced_names_resolve():
         if not hasattr(getattr(medlattice, mod, None), attr)
     ]
     assert missing == []
+
+
+# the idioms that decide what counts as an integer
+INTEGER_IDIOMS = re.compile(
+    r"\bnumbers\.Integral\b|\bimport\b.*\bIntegral\b|\bnp\.integer\b|isinstance\([^)]*\bint\b")
+
+
+def test_one_integer_rule():
+    """Only korobov's ``_integer`` decides whether a scalar is an integer:
+    a module that names numbers.Integral, np.integer or isinstance(..., int)
+    brings back a second rule, as dim and seed once disagreed on np.int64."""
+    assert INTEGER_IDIOMS.search((SOURCES / "korobov.py").read_text())
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py")) if path.name != "korobov.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if INTEGER_IDIOMS.search(line)
+    ]
+    assert found == []

@@ -314,7 +314,7 @@ class TestRun:
         threaded = run(f.evaluate, ap, D2, W2, workers=4)
         assert serial.coefficients == threaded.coefficients
 
-    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", None])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", None, True])
     def test_refuses_workers_that_are_not_a_positive_integer(self, workers):
         """Refused before any work, where 0 and -2 used to run one worker
         and 2.5 raised TypeError only once R >= 7."""
@@ -1103,7 +1103,7 @@ class TestEpsilonBound:
             expected, rel=1e-12
         )
 
-    @pytest.mark.parametrize("tail_radius", [2.5, -1])
+    @pytest.mark.parametrize("tail_radius", [2.5, -1, True])
     def test_refuses_a_tail_radius_that_is_not_a_count(self, tail_radius):
         """2.5 used to end in np.indices' TypeError, after the norm."""
         with pytest.raises(ValueError, match=f"^tail_radius = {tail_radius} must be an integer >= 0$"):
@@ -1257,6 +1257,20 @@ class TestVerifyConcentration:
             assert r.rate <= r.bound + margin
             assert not r.vacuous
 
+    @pytest.mark.parametrize("function", [function_f1, function_f2], ids=["f1", "f2"])
+    def test_bounded_failure_rate_at_d2(self, function):
+        """d=2 at the 2^18 selection (N=10903, N_star=10.3): bound 0.661 at
+        each of 9 probes.  At d=1 and prime N every generating vector gives
+        the same node set, so the checks there sample only the shift; here
+        each trial draws z and the shift together."""
+        ap = params_for(18, D2, W2)
+        assert ap.N == 10903 and lemma_bound_single(ap) == pytest.approx(0.660529, abs=1e-6)
+        rep = verify_concentration(function(2), ap, D2, W2, trials=2000)
+        assert len(rep.results) == 9
+        for r in rep:
+            assert r.rate <= r.bound + 3.0 * math.sqrt(r.bound / r.trials)
+            assert not r.vacuous
+
     @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
     @pytest.mark.parametrize("kwargs, message", [
         ({"trials": 2.5}, "trials = 2.5 must be an integer >= 1"),
@@ -1264,6 +1278,8 @@ class TestVerifyConcentration:
         ({"tail_radius": 2.5}, "tail_radius = 2.5 must be an integer >= 0"),
         ({"tail_radius": -1}, "tail_radius = -1 must be an integer >= 0"),
         ({"indices": []}, "indices must name at least one probe"),
+        ({"trials": True}, "trials = True must be an integer >= 1"),
+        ({"tail_radius": True}, "tail_radius = True must be an integer >= 0"),
     ])
     def test_refuses_bad_arguments_before_any_work(self, harness, kwargs, message):
         """A float trials or tail_radius used to end in range's or

@@ -22,20 +22,30 @@ from scipy.optimize import brentq
 from medlattice import (
     AlgorithmParams,
     BudgetSpec,
+    ExperimentConfig,
+    FrequencyIndex,
+    LatticeConfig,
     PolynomialDecayWeights,
     ProductWeights,
     SmoothnessParams,
+    SpectralOracle,
     check_conditions,
     compute_Nstar,
     compute_PN,
     corollary2_constant,
+    corollary_cap,
+    epsilon_bound,
     is_prime,
+    korobov_norm_sq_truncated,
     riemann_zeta,
     select_params,
     tau_roots,
     theorem1_bound,
     tractability_diagnostics,
+    verify_concentration,
 )
+from medlattice import test_function_f1 as function_f1
+from medlattice import test_function_f2 as function_f2
 from medlattice.params import _choose_R_budget, _find_Nmax, _prev_prime, log_PN
 
 FOUR_E = 4.0 * math.e
@@ -88,6 +98,7 @@ class TestPrimes:
         assert not is_prime(1)
         assert is_prime(2)
         assert is_prime(3)
+        assert not is_prime(True) and not is_prime(3.0)
 
     def test_strong_pseudoprime(self):
         """3215031751 fools single-base Fermat tests; it is 151*751*28351."""
@@ -97,6 +108,19 @@ class TestPrimes:
     def test_large_mersenne(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_numpy_integers_reach_is_prime(self):
+        """is_prime converts its argument, so every caller that reaches it
+        takes a numpy N; each used to end in a TypeError from pow."""
+        N = np.int64(101)
+        problem, weights = SmoothnessParams(1.5, 1), ProductWeights([1.0])
+        assert is_prime(N) and not is_prime(np.int64(100))
+        assert LatticeConfig(N, 2) == LatticeConfig(101, 2)
+        assert tau_roots(N, problem, weights) == tau_roots(101, problem, weights)
+        assert corollary_cap(N, 1.0, 3.0) == corollary_cap(101, 1.0, 3.0)
+        ap = AlgorithmParams.from_problem(N, 3, 1.0, 0, problem, weights)
+        assert type(ap.N) is int and ap == AlgorithmParams.from_problem(101, 3, 1.0, 0, problem,
+                                                                        weights)
 
     def test_prev_prime(self):
         assert _prev_prime(100) == 97
@@ -111,7 +135,8 @@ class TestBudgetSpec:
         b = BudgetSpec(2**14, 0.01)
         assert b.M_max == 16384 and b.delta == 0.01
 
-    @pytest.mark.parametrize("M, delta", [(1, 0.5), (100, 0.0), (100, 1.0), (100, -0.1)])
+    @pytest.mark.parametrize("M, delta", [(1, 0.5), (100, 0.0), (100, 1.0), (100, -0.1),
+                                          (2.5, 0.5), (True, 0.5), (math.nan, 0.5)])
     def test_rejects(self, M, delta):
         with pytest.raises(ValueError):
             BudgetSpec(M, delta)
@@ -373,6 +398,10 @@ class TestAlgorithmParamsValidation:
         ("R", 3.0, "R = 3.0 must be a positive odd integer"),
         ("master_seed", 1.5, "master_seed = 1.5 must be an integer >= 0"),
         ("master_seed", -1, "master_seed = -1 must be an integer >= 0"),
+        ("N", 2.5, "N = 2.5 must be a prime integer"),
+        ("R", 2.5, "R = 2.5 must be a positive odd integer"),
+        ("R", True, "R = True must be a positive odd integer"),
+        ("master_seed", True, "master_seed = True must be an integer >= 0"),
     ])
     def test_refuses_non_integral_counts(self, field, value, message):
         """A float N, R or seed used to construct and fail in run with a
@@ -384,8 +413,40 @@ class TestAlgorithmParamsValidation:
                                          weights=ProductWeights([1.0]), **args)
 
     def test_accepts_numpy_integers(self):
-        ap = dataclasses.replace(self.valid(), R=np.int64(3), master_seed=np.uint64(7))
-        assert (ap.R, ap.master_seed) == (3, 7)
+        """Every scalar count, size, seed and dimension takes a numpy
+        integer and keeps it as a Python int, and refuses 2.5 and True."""
+        problem, weights = SmoothnessParams(2.5, 1), ProductWeights([1.0])
+        ap = select_params(BudgetSpec(2**12, 0.01), problem, weights).algorithm_params(42)
+        f = function_f2(1)
+        # build(n) gives back the value n is kept as
+        stored = [
+            (lambda n: SmoothnessParams(1.5, n).dim, 2),
+            (lambda n: SpectralOracle(n, None, 1.0, f.evaluate).dim, 2),
+            (lambda n: function_f1(n).dim, 2),
+            (lambda n: function_f2(n).dim, 2),
+            (lambda n: LatticeConfig(n, 2).N, 101),
+            (lambda n: LatticeConfig(101, n).dim, 2),
+            (lambda n: BudgetSpec(n, 0.01).M_max, 2**14),
+            (lambda n: dataclasses.replace(self.valid(), R=n).R, 3),
+            (lambda n: dataclasses.replace(self.valid(), master_seed=n).master_seed, 7),
+            (lambda n: ExperimentConfig(dim=n).dim, 2),
+            (lambda n: ExperimentConfig(seed=n).seed, 3),
+            (lambda n: ExperimentConfig(runs_per_budget=n).runs_per_budget, 2),
+            (lambda n: ExperimentConfig(workers=n).workers, 2),
+            (lambda n: verify_concentration(f, ap, problem, weights, trials=n).results[0].trials, 2),
+        ]
+        # arguments that are used, not kept: build(n) must equal build(int(n))
+        used = [
+            (lambda n: korobov_norm_sq_truncated(f, problem, weights, n), 64),
+            (lambda n: epsilon_bound(FrequencyIndex([1]), f, ap, problem, weights, tail_radius=n), 4),
+        ]
+        for rows, kind in ((stored, int), (used, float)):
+            for build, value in rows:
+                got = build(np.int64(value))
+                assert type(got) is kind and got == build(value)
+                for bad in (2.5, True):
+                    with pytest.raises(ValueError):
+                        build(bad)
 
     @pytest.mark.parametrize("N_star", [math.nan, math.inf])
     def test_refuses_non_finite_N_star(self, N_star):
