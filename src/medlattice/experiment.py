@@ -62,25 +62,29 @@ __all__ = [
 FIG3_EXPONENTS = tuple(range(10, 27))
 DEFAULT_ALPHA = {"f1": 1.5, "f2": 2.5, "exp": 1.5}
 
-# the fields ExperimentConfig checks: name, the CLI flag that sets it, the
-# test its value must pass and what that test expects
+# the fields ExperimentConfig checks, in order: name, the CLI flag that sets it,
+# what its value must be, and the value to store, or None to refuse the value
 _FIELD_CHECKS = (
-    ("function", "--function", lambda v: v in DEFAULT_ALPHA, "one of " + ", ".join(DEFAULT_ALPHA)),
-    ("delta", "--delta", lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
-    ("budgets", "--budgets", lambda v: len(v) >= 1, "at least one budget"),
+    ("function", "--function", "one of " + ", ".join(DEFAULT_ALPHA),
+     lambda v: v if v in DEFAULT_ALPHA else None),
+    ("dim", "--dim", "an integer >= 1", lambda v: _integer(v, 1)),
+    ("delta", "--delta", "a number in (0, 1)", lambda v: v if 0.0 < v < 1.0 else None),
+    ("budgets", "--budgets", "at least one budget", lambda v: v if len(v) >= 1 else None),
+    ("budgets", "--budgets", "integers >= 2",
+     lambda v: None if None in (ints := tuple(_integer(b, 2) for b in v)) else ints),
+    ("seed", "--seed", "an integer >= 0", lambda v: _integer(v, 0)),
+    ("runs_per_budget", "--runs", "an integer >= 1", lambda v: _integer(v, 1)),
+    ("workers", "--workers", "an integer >= 1", lambda v: _integer(v, 1)),
 )
-# the integer fields: name, flag and least value; each is stored as an int
-_INTEGER_FIELDS = (("dim", "--dim", 1), ("seed", "--seed", 0),
-                   ("runs_per_budget", "--runs", 1), ("workers", "--workers", 1))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; mirrors the CLI flags.
 
-    An unknown function, a dim that is not an integer >= 1, delta outside
-    (0, 1), no budgets, a seed that is not an integer >= 0, a
-    runs_per_budget or workers that is not an integer >= 1, an alpha that
+    An unknown function, delta outside (0, 1), no budgets, a dim, budget,
+    seed, runs_per_budget or workers that is not an integer (>= 2 for a
+    budget, >= 0 for the seed, >= 1 otherwise), an alpha that
     SmoothnessParams refuses or gammas that give no valid weights for dim
     raises ValueError naming the field, as the CLI refuses them.
     """
@@ -97,15 +101,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, flag, least in _INTEGER_FIELDS:
+        for name, flag, expected, convert in _FIELD_CHECKS:
             value = getattr(self, name)
-            if _integer(value, least) is None:
-                raise _FieldError(f"{name}: expected an integer >= {least}, got {value!r}", flag)
-            object.__setattr__(self, name, int(value))
-        for name, flag, ok, expected in _FIELD_CHECKS:
-            value = getattr(self, name)
-            if not ok(value):
+            stored = convert(value)
+            if stored is None:
                 raise _FieldError(f"{name}: expected {expected}, got {value!r}", flag)
+            object.__setattr__(self, name, stored)
         for name, flag, check in (("alpha", "--alpha", self.problem),
                                   ("gammas", "--gamma", self.resolved_weights)):
             try:

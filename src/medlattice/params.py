@@ -152,12 +152,13 @@ class AlgorithmParams:
     def __post_init__(self):
         if not is_prime(self.N):
             raise ValueError(f"N = {self.N!r} must be a prime integer")
-        if _integer(self.R, 1) is None or self.R % 2 == 0:
+        object.__setattr__(self, "N", int(self.N))
+        R = _integer(self.R, 1)
+        if R is None or R % 2 == 0:
             raise ValueError(f"R = {self.R!r} must be a positive odd integer")
+        object.__setattr__(self, "R", R)
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "R", int(self.R))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, 0, "master_seed"))
         if not (math.isfinite(self.P_N) and self.P_N > 0.0):
             raise ValueError(f"P_N = {self.P_N!r} must be finite and positive")
@@ -219,9 +220,7 @@ def _choose_R_budget(N: int, M_max: int) -> int:
     if M_max < N:
         raise ValueError("M_max must be at least N")
     R = M_max // N
-    if R % 2 == 0:
-        R -= 1
-    return max(int(R), 1)
+    return R if R % 2 == 1 else R - 1
 
 
 # --------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from medlattice import (
     exact_squared_error,
     figure3_table,
     fit_rate,
-    run,
     run_experiment,
     select_params,
-    verify_concentration,
 )
 from medlattice import test_function_f2 as function_f2
 from medlattice.experiment import (
@@ -377,12 +375,17 @@ class TestConfig:
             ("runs_per_budget", True, "runs_per_budget: expected an integer >= 1, got True"),
             ("workers", 2.5, "workers: expected an integer >= 1, got 2.5"),
             ("workers", True, "workers: expected an integer >= 1, got True"),
+            ("seed", True, "seed: expected an integer >= 0, got True"),
+            ("budgets", (1e4,), r"budgets: expected integers >= 2, got \(10000.0,\)"),
+            ("budgets", (2**12, True), r"budgets: expected integers >= 2, got \(4096, True\)"),
+            ("budgets", (2**12, 1), r"budgets: expected integers >= 2, got \(4096, 1\)"),
         ],
     )
     def test_refuses_what_the_cli_refuses(self, field, value, message, no_run):
         """A value the CLI refuses is refused by the config itself, before
         run_experiment runs anything (it returned no records for
-        runs_per_budget=0 and ran workers=0 as one worker)."""
+        runs_per_budget=0, ran workers=0 as one worker, wrote #seed=True
+        into the CSV header and failed on budgets=(1e4,) inside the run)."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_experiment(ExperimentConfig(**{"function": "exp", "budgets": (2**12,),
                                                field: value}))
@@ -573,29 +576,3 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == expected
-
-
-_D1, _W1 = SmoothnessParams(2.5, 1), ProductWeights([1.0])
-
-
-def _d1_params():
-    return select_params(BudgetSpec(2**12, 0.01), _D1, _W1).algorithm_params(1)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda out: run_experiment(ExperimentConfig(function="exp", dim=1, budgets=(2**10,),
-                                                 seed=True, out=out)),
-     "seed: expected an integer >= 0, got True"),
-    (lambda out: run(function_f2(1).evaluate, _d1_params(), _D1, _W1, workers=True),
-     "workers = True must be an integer >= 1"),
-    (lambda out: verify_concentration(function_f2(1), _d1_params(), _D1, _W1, trials=True),
-     "trials = True must be an integer >= 1"),
-], ids=["seed", "workers", "trials"])
-def test_refuses_bool_counts(tmp_path, call, message):
-    """True is an int to Python but no count: seed=True used to run and
-    write #seed=True into the CSV header, workers=True to run one worker
-    and trials=True one trial."""
-    out = tmp_path / "exp.csv"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call(str(out))
-    assert not out.exists()

@@ -414,7 +414,8 @@ class TestAlgorithmParamsValidation:
 
     def test_accepts_numpy_integers(self):
         """Every scalar count, size, seed and dimension takes a numpy
-        integer and keeps it as a Python int, and refuses 2.5 and True."""
+        integer, signed or unsigned (a 64-bit seed often arrives as
+        np.uint64), and keeps it as a Python int, and refuses 2.5 and True."""
         problem, weights = SmoothnessParams(2.5, 1), ProductWeights([1.0])
         ap = select_params(BudgetSpec(2**12, 0.01), problem, weights).algorithm_params(42)
         f = function_f2(1)
@@ -433,6 +434,7 @@ class TestAlgorithmParamsValidation:
             (lambda n: ExperimentConfig(seed=n).seed, 3),
             (lambda n: ExperimentConfig(runs_per_budget=n).runs_per_budget, 2),
             (lambda n: ExperimentConfig(workers=n).workers, 2),
+            (lambda n: ExperimentConfig(budgets=(n,)).budgets[0], 2**12),
             (lambda n: verify_concentration(f, ap, problem, weights, trials=n).results[0].trials, 2),
         ]
         # arguments that are used, not kept: build(n) must equal build(int(n))
@@ -442,8 +444,9 @@ class TestAlgorithmParamsValidation:
         ]
         for rows, kind in ((stored, int), (used, float)):
             for build, value in rows:
-                got = build(np.int64(value))
-                assert type(got) is kind and got == build(value)
+                for cast in (np.int64, np.uint64):
+                    got = build(cast(value))
+                    assert type(got) is kind and got == build(value)
                 for bad in (2.5, True):
                     with pytest.raises(ValueError):
                         build(bad)
