@@ -150,9 +150,7 @@ class AlgorithmParams:
     master_seed: int
 
     def __post_init__(self):
-        if not is_prime(self.N):
-            raise ValueError(f"N = {self.N!r} must be a prime integer")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _prime_N(self.N))
         R = _integer(self.R, 1)
         if R is None or R % 2 == 0:
             raise ValueError(f"R = {self.R!r} must be a positive odd integer")
@@ -185,9 +183,17 @@ class AlgorithmParams:
         weights: ProductWeights,
     ) -> "AlgorithmParams":
         """Compute P_N and N_star from the problem description."""
+        N = _prime_N(N)
         P_N = compute_PN(tau, problem, weights, N)
         N_star = compute_Nstar(tau, problem, weights, N)
         return cls(N=N, R=R, tau=tau, P_N=P_N, N_star=N_star, master_seed=master_seed)
+
+
+def _prime_N(N) -> int:
+    """N as a Python int; ValueError unless it is a prime integer."""
+    if not is_prime(N):
+        raise ValueError(f"N = {N!r} must be a prime integer")
+    return int(N)
 
 
 def _budget_lhs(N: int, delta: float) -> float:

@@ -402,11 +402,16 @@ class TestAlgorithmParamsValidation:
         ("R", 2.5, "R = 2.5 must be a positive odd integer"),
         ("R", True, "R = True must be a positive odd integer"),
         ("master_seed", True, "master_seed = True must be an integer >= 0"),
+        ("N", 1, "N = 1 must be a prime integer"),
+        ("N", 0, "N = 0 must be a prime integer"),
+        ("N", True, "N = True must be a prime integer"),
     ])
     def test_refuses_non_integral_counts(self, field, value, message):
         """A float N, R or seed used to construct and fail in run with a
         TypeError; a seed of 1.5 would be saved as #seed=1.5, which
-        load_approximation refuses."""
+        load_approximation refuses.  from_problem used to refuse N = 1 and
+        True with compute_Nstar's math domain error, and N = 0 with
+        log_PN's "N must be >= 1"."""
         args = {"N": 101, "R": 3, "master_seed": 0, field: value}
         with pytest.raises(ValueError, match=f"^{message}$"):
             AlgorithmParams.from_problem(tau=1.0, problem=SmoothnessParams(1.5, 1),
