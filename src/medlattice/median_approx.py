@@ -15,11 +15,12 @@ threshold, and the amplified exceedance of the median estimate.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from math import log
 from typing import Iterable, Optional
@@ -70,9 +71,10 @@ _NORM_RADIUS = 2**12
 
 # bytes of work arrays evaluate holds per chunk of points (see
 # _EvaluationPlan.bytes_per_point), so memory does not grow with the number
-# of points.  numpy's temporaries in _phase_table (118 KB for the conjugate
-# step and 40-80 KB per doubling with s >= 2 at K=10, d=2, 612 points) put
-# a chunk's peak about 11 % above this; avoiding them measured slower
+# of points; each thread of a batch holds one set.  numpy's temporaries in
+# _phase_table (118 KB for the conjugate step and 40-80 KB per doubling with
+# s >= 2 at K=10, d=2, 612 points) put a chunk's peak about 11 % above
+# this; avoiding them measured slower
 _CHUNK_BYTES = 2**20
 
 # what one more matrix product per chunk costs evaluate in calls and BLAS
@@ -272,18 +274,38 @@ class _EvaluationPlan:
         or ``self.S_imag``).
 
         The chunks start at multiples of ``chunk_rows`` from the first
-        point.  A lone point goes on as two copies once its phases are
-        taken, because numpy hands one-row and one-column arrays to other
-        BLAS routines and loops than longer ones, which round differently;
-        so a point's value does not depend on its batch.
+        point.  A batch of several chunks is split into contiguous runs of
+        whole chunks, one per usable CPU (``_fan_out``); each run has work
+        arrays of its own and writes only its own points' values.
+
+        A lone point goes on as two copies once its phases are taken,
+        because numpy hands one-row and one-column arrays to other BLAS
+        routines and loops than longer ones, which round differently; so a
+        point's value does not depend on its batch.
         """
-        n, d = pts.shape
+        n = len(pts)
         rows = self.chunk_rows
         out = np.empty(n)
-        for start in range(0, n, rows):
+        chunks = -(-n // rows)
+        # a lone point or one chunk skips the fan-out's bookkeeping, even
+        # the CPU count: together about 5 % of a lone point's time
+        runs = min(_usable_cpus(), chunks) if chunks > 1 else 1
+        if runs > 1:
+            _fan_out(partial(self._fold, pts, S, out),
+                     [min(n, chunks * r // runs * rows) for r in range(runs + 1)])
+        else:
+            self._fold(pts, S, out, 0, n)
+        return out
+
+    def _fold(self, pts: np.ndarray, S: list, out: np.ndarray, lo: int, hi: int) -> None:
+        """``real_parts`` of the points lo:hi into out[lo:hi], chunk by
+        chunk; lo is a multiple of ``chunk_rows``."""
+        d = pts.shape[1]
+        rows = self.chunk_rows
+        for start in range(lo, hi, rows):
             chunk = pts[start:start + rows]
             m = len(chunk)
-            if start == 0 or m < rows:
+            if start == lo or m < rows:
                 # full chunks share one set of work arrays: fresh ones per
                 # chunk can be handed back to the system and faulted in
                 # again every time
@@ -305,8 +327,9 @@ class _EvaluationPlan:
                 np.multiply(G, factor, out=G)
             # each point's sum over its row, the same for any number of rows
             np.einsum("ij->i", G, out=sums)
+            # not a lone point's copy: the slot after it may be another
+            # thread's
             out[start:start + m] = sums.real[:m]
-        return out
 
     def _work(self, m: int, d: int) -> tuple:
         """Work arrays for a chunk of m points, two for a lone point: its
@@ -434,6 +457,14 @@ def _median(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(task, bounds: list) -> list:
     """[task(lo, hi) for consecutive lo, hi in ``bounds``], in that order.
 
@@ -545,11 +576,12 @@ def evaluate(approx: MedianApproximation, x):
     are not, before any work is done.  A non-finite coefficient raises
     ValueError naming how many there are.
 
-    It runs on the calling thread, and several threads may call it at
-    once: each call has work arrays of its own.  The points are taken in
-    chunks of about 1 MiB of work arrays, which numpy's temporaries in the
-    phase table raise by about 11 % (1.17 MB per 612-point chunk at
-    K = 10, d = 2).  Per point and
+    The points are taken in chunks of about 1 MiB of work arrays, which
+    numpy's temporaries in the phase table raise by about 11 % (1.17 MB
+    per 612-point chunk at K = 10, d = 2).  A batch of several chunks is
+    split into runs of whole chunks, one thread per usable CPU, the
+    calling thread among them, each with its own work arrays; so work
+    memory is about 1.17 MB per thread.  Per point and
     coordinate j, the table of e(k x_j) for |k| <= K (K = max |h_j| over A
     and j) costs one complex exponential, K - 1 complex products and K
     conjugates.  The fold runs over half of A, one member of each pair

@@ -1005,42 +1005,62 @@ class TestRaggedFold:
 
 
 class TestThreads:
-    """evaluate folds every chunk of a batch on the calling thread, and
-    several threads may call it at once."""
+    """A batch of several chunks is split over the usable CPUs, in runs of
+    whole chunks; its values do not depend on how many there are."""
+
+    @staticmethod
+    def per_cpu_count(compute):
+        """compute() with 1, 2, 3 and 8 usable CPUs, as bytes, and the
+        number of runs each fanned out to (1 where it ran inline)."""
+        values, runs = [], []
+
+        def spy(task, bounds):
+            runs[-1] = len(bounds) - 1
+            return fan_out(task, bounds)
+
+        fan_out = median_approx._fan_out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(median_approx, "_fan_out", spy)
+            for cpus in (1, 2, 3, 8):
+                mp.setattr(median_approx, "_usable_cpus", lambda: cpus)
+                runs.append(1)
+                values.append(compute().tobytes())
+        return values, runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=conjugate_symmetric_coefficients(),
+        rows=st.integers(1, 5),
+        chunks=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_for_any_cpu_count(self, data, rows, chunks, seed):
+        """Bit for bit those of one CPU, over batches ending in a lone
+        point, and at rows = 1, where every chunk is one."""
+        approx = approximation_from(data)
+        d = len(next(iter(data)))
+        X = np.random.default_rng(seed).uniform(-1.0, 2.0, (chunks * rows + 1, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(median_approx, "_CHUNK_BYTES", rows * approx._plan.bytes_per_point)
+            values, runs = self.per_cpu_count(lambda: evaluate(approx, X))
+        assert values[1:] == values[:1] * 3
+        assert runs == [1, 2, 3, min(8, chunks + 1)]
 
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_chunks_on_the_calling_thread(self, rows):
-        """A batch of nine chunks and a lone point gives, through S and
-        S_imag, the bytes of its points one at a time, and evaluate starts
-        no thread; rows = 1 makes every chunk one point."""
+    def test_imaginary_fold_for_any_cpu_count(self, rows):
+        """The fold of a plan with S_imag as well: a cross lacking some -h."""
         rng = np.random.default_rng(5)
-        lacking = exact_cross_approximation(
+        approx = exact_cross_approximation(
             24, 2.5, 2, 1, H=lambda H: H[rng.random(len(H)) < 0.9])
-        symmetric = exact_cross_approximation(24, 2.5, 2, 1)
-        plan = lacking._plan
-        assert plan.S_imag is not None and symmetric._plan.S_imag is None
+        plan = approx._plan
+        assert plan.S_imag is not None
         X = np.random.default_rng(rows).uniform(-1.0, 2.0, (9 * rows + 1, 2))
-        started = []
-
-        def start(thread):
-            started.append(thread)
-            raise RuntimeError("evaluate started a thread")
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(median_approx, "_CHUNK_BYTES", rows * plan.bytes_per_point)
-            mp.setattr(threading.Thread, "start", start)
-            assert plan.chunk_rows == rows
             for S in (plan.S, plan.S_imag):
-                alone = b"".join(plan.real_parts(x[None], S).tobytes() for x in X)
-                assert plan.real_parts(X, S).tobytes() == alone
-            # both folds run before the residual check raises
-            with pytest.raises(ValueError, match="imaginary residual"):
-                evaluate(lacking, X)
-            mp.setattr(median_approx, "_CHUNK_BYTES", rows * symmetric._plan.bytes_per_point)
-            assert symmetric._plan.chunk_rows == rows
-            alone = np.array([evaluate(symmetric, x) for x in X])
-            assert evaluate(symmetric, X).tobytes() == alone.tobytes()
-        assert started == []
+                values, runs = self.per_cpu_count(lambda: plan.real_parts(X, S))
+                assert values[1:] == values[:1] * 3
+                assert runs == [1, 2, 3, 8]
 
     def test_concurrent_callers(self):
         """Four threads that evaluate one fresh approximation at once, and

@@ -13,11 +13,12 @@ an output on purpose replaces the file with the new lines.  The outputs are:
 - ``cli.*``: the CLI's CSV for f1 and f2 at d=2 on the default budget grid,
   f2 at d=1, and the ``--fig 3`` table;
 - ``run.*``: ``run``'s frequencies and coefficients on f1, d=2,
-  M_max=2^20 (N=39409, R=25) at three master seeds, with 1 and 2 workers,
-  so CI runs this script both as it is and under ``taskset -c 0``, on one
-  CPU, against the same expected digests;
+  M_max=2^20 (N=39409, R=25) at three master seeds, with 1 and 2 workers;
 - ``evaluate.*``: ``evaluate`` on those approximations and on an f2,
-  d=2, 2^18 one, at 4096 fixed points and at 16 of them one at a time;
+  d=2, 2^18 one, at 4096 fixed points and at 16 of them one at a time.
+  A 4096-point batch spans several chunks, which ``evaluate`` splits over
+  the usable CPUs, so CI runs this script both as it is and under
+  ``taskset -c 0``, on one CPU, against the same expected digests;
 - ``save.*`` and ``indices.*``: the bytes that ``save_approximation``
   writes for the f2, d=2, 2^18 approximation and that ``write_indices_csv``
   writes for its index set;
