@@ -158,7 +158,10 @@ def _parse_gammas(spec, dim: int) -> ProductWeights:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (budget, run) outcome; wall_time is informational only."""
+    """One row of a CLI table: a budget's selection and, when the budget
+    was run, that run's outcome.  A budget that was not run, infeasible or
+    in the --fig 3 table, keeps index_set_size 0 and no error; wall_time
+    is informational only."""
 
     M_max: int
     run_index: int
@@ -202,6 +205,17 @@ def _run_master_seed(seed: int, budget_index: int, run_index: int) -> int:
     return int(state[0])
 
 
+def _record(M_max: int, sp: SelectedParams, run_index: int = 0, index_set_size: int = 0,
+            squared_L2_error: Optional[float] = None,
+            wall_time: Optional[float] = None) -> ExperimentRecord:
+    """The row of budget M_max, selected as ``sp``."""
+    return ExperimentRecord(
+        M_max=M_max, run_index=run_index, N=sp.N_max, R=sp.R, M=sp.N_max * sp.R,
+        tau_star=sp.tau_star, N_star=sp.N_star, index_set_size=index_set_size,
+        feasible=sp.feasible, squared_L2_error=squared_L2_error, wall_time=wall_time,
+    )
+
+
 def run_experiment(
     config: ExperimentConfig,
     selections: Optional[Dict[int, SelectedParams]] = None,
@@ -233,28 +247,15 @@ def run_experiment(
     for bi, M_max in enumerate(config.budgets):
         sp = selections[M_max]
         for ri in range(config.runs_per_budget):
-            size, err, wall_time = 0, None, None
-            if sp.feasible:
-                t0 = time.perf_counter()
-                ap = sp.algorithm_params(_run_master_seed(config.seed, bi, ri))
-                approx = run(oracle.evaluate, ap, problem, weights, workers=config.workers)
-                size, err = len(approx.index_set), exact_squared_error(oracle, approx)
-                wall_time = time.perf_counter() - t0
-            records.append(
-                ExperimentRecord(
-                    M_max=M_max,
-                    run_index=ri,
-                    N=sp.N_max,
-                    R=sp.R,
-                    M=sp.N_max * sp.R,
-                    tau_star=sp.tau_star,
-                    N_star=sp.N_star,
-                    index_set_size=size,
-                    feasible=sp.feasible,
-                    squared_L2_error=err,
-                    wall_time=wall_time,
-                )
-            )
+            if not sp.feasible:
+                records.append(_record(M_max, sp, ri))
+                continue
+            t0 = time.perf_counter()
+            ap = sp.algorithm_params(_run_master_seed(config.seed, bi, ri))
+            approx = run(oracle.evaluate, ap, problem, weights, workers=config.workers)
+            err = exact_squared_error(oracle, approx)
+            records.append(_record(M_max, sp, ri, len(approx.index_set), err,
+                                   time.perf_counter() - t0))
 
     if config.out:
         text = emit_csv(config, records, selections)
@@ -263,8 +264,23 @@ def run_experiment(
     return records
 
 
-_CSV_COLUMNS = ["M_max", "run_index", "N", "R", "M", "tau_star", "N_star", "index_set_size",
-                "feasible", "squared_L2_error"]
+# the error CSV's columns, each with the parser of its text; the --fig 3
+# table writes the selection's columns but feasible
+_CSV_COLUMNS = {
+    "M_max": int, "run_index": int, "N": int, "R": int, "M": int, "tau_star": float,
+    "N_star": float, "index_set_size": int, "feasible": lambda t: t == "true",
+    "squared_L2_error": lambda t: float(t) if t else None,
+}
+_FIG3_COLUMNS = [c for c in _CSV_COLUMNS
+                 if c not in ("run_index", "index_set_size", "feasible", "squared_L2_error")]
+
+
+def _cells(record: ExperimentRecord, columns) -> list:
+    """The fields of ``record`` under ``columns``: a bool as true/false and
+    None as an empty field."""
+    values = [getattr(record, c) for c in columns]
+    return [("true" if v else "false") if isinstance(v, bool) else "" if v is None else v
+            for v in values]
 
 
 def _problem_header(config: ExperimentConfig) -> list:
@@ -295,13 +311,7 @@ def emit_csv(
             report = check_conditions(sp, problem, weights, R=sp.R, delta=config.delta)
             header += [(f"select.{M_max}", dict(sp.header_items())),
                        (f"conditions.{M_max}", dict(report.header_items()))]
-    rows = [
-        (r.M_max, r.run_index, r.N, r.R, r.M, r.tau_star, r.N_star, r.index_set_size,
-         "true" if r.feasible else "false",
-         "" if r.squared_L2_error is None else r.squared_L2_error)
-        for r in records
-    ]
-    return _write_table(header, _CSV_COLUMNS, rows)
+    return _write_table(header, _CSV_COLUMNS, [_cells(r, _CSV_COLUMNS) for r in records])
 
 
 def parse_csv(text: str) -> List[ExperimentRecord]:
@@ -310,21 +320,10 @@ def parse_csv(text: str) -> List[ExperimentRecord]:
         _, columns, rows = _read_table(text.splitlines())
     except ValueError as err:
         raise ValueError(f"malformed {err}") from err
-    if rows and columns != _CSV_COLUMNS:
+    if rows and columns != list(_CSV_COLUMNS):
         raise ValueError(f"malformed column line {','.join(columns)!r}")
     return [
-        ExperimentRecord(
-            M_max=int(parts[0]),
-            run_index=int(parts[1]),
-            N=int(parts[2]),
-            R=int(parts[3]),
-            M=int(parts[4]),
-            tau_star=float(parts[5]),
-            N_star=float(parts[6]),
-            index_set_size=int(parts[7]),
-            feasible=parts[8] == "true",
-            squared_L2_error=float(parts[9]) if parts[9] else None,
-        )
+        ExperimentRecord(**{c: parse(t) for (c, parse), t in zip(_CSV_COLUMNS.items(), parts)})
         for parts in rows
     ]
 
@@ -361,45 +360,20 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
 # figure 3: N_star versus M, parameter selection only
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Figure3Row:
-    M_max: int
-    N: int
-    R: int
-    M: int
-    tau_star: float
-    N_star: float
-
-
 def figure3_table(
     config: ExperimentConfig, exponents: Sequence[int] = FIG3_EXPONENTS
-) -> List[Figure3Row]:
-    """Parameter selection across an extended budget grid, no function runs."""
-    problem = config.problem()
-    weights = config.resolved_weights()
-    rows = []
-    for e in exponents:
-        M_max = 2**e
-        sp = select_params(BudgetSpec(M_max, config.delta), problem, weights)
-        rows.append(
-            Figure3Row(
-                M_max=M_max,
-                N=sp.N_max,
-                R=sp.R,
-                M=sp.N_max * sp.R,
-                tau_star=sp.tau_star,
-                N_star=sp.N_star,
-            )
-        )
-    return rows
+) -> List[ExperimentRecord]:
+    """Parameter selection across an extended budget grid, no function runs:
+    one row per budget 2^e, none of them run, with ``feasible`` telling
+    whether it could be."""
+    problem, weights = config.problem(), config.resolved_weights()
+    return [_record(2**e, select_params(BudgetSpec(2**e, config.delta), problem, weights))
+            for e in exponents]
 
 
-def emit_figure3_csv(config: ExperimentConfig, rows: Sequence[Figure3Row]) -> str:
-    return _write_table(
-        _problem_header(config),
-        ["M_max", "N", "R", "M", "tau_star", "N_star"],
-        [(r.M_max, r.N, r.R, r.M, r.tau_star, r.N_star) for r in rows],
-    )
+def emit_figure3_csv(config: ExperimentConfig, rows: Sequence[ExperimentRecord]) -> str:
+    return _write_table(_problem_header(config), _FIG3_COLUMNS,
+                        [_cells(r, _FIG3_COLUMNS) for r in rows])
 
 
 # --------------------------------------------------------------------------

@@ -456,6 +456,12 @@ def korobov_norm_sq_truncated(
     gammas = weights.require(params.dim)
     two_alpha = 2.0 * params.alpha
 
+    if f.factor_coefficient is not None:
+        out = 1.0
+        for gj in gammas:
+            out *= _factor_norm_sq(f.factor_coefficient, box_radius, two_alpha, gj)
+        return out
+
     if f.modes is not None:
         terms = [
             abs(c) ** 2 * r_weight(FrequencyIndex(h), params, weights)
@@ -463,12 +469,6 @@ def korobov_norm_sq_truncated(
             if max(abs(x) for x in h) <= box_radius
         ]
         return fsum(terms)
-
-    if f.factor_coefficient is not None:
-        out = 1.0
-        for gj in gammas:
-            out *= _factor_norm_sq(f.factor_coefficient, box_radius, two_alpha, gj)
-        return out
 
     if (2 * box_radius + 1) ** params.dim > _BOX_SCAN_LIMIT:
         raise ValueError("box scan too large for a generic oracle; reduce box_radius")

@@ -274,19 +274,22 @@ def _bisect_increasing(g, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _expand(t: float, factor: float, go_on) -> float:
+    # the first of t, t*factor, t*factor^2, ... (factor 0.5 or 2) where
+    # go_on fails, so a NaN stops the search; leaving the tau caps raises
+    while go_on(t):
+        t *= factor
+        if not _TAU_LO_CAP <= t <= _TAU_HI_CAP:
+            side = "lower" if factor < 1.0 else "upper"
+            raise ArithmeticError(f"bracket expansion hit the {side} tau cap")
+    return t
+
+
 def _root_increasing(g) -> float:
     # the zero of g, strictly increasing, bracketed by halving and doubling
     # from 1
-    lo = 1.0
-    while g(lo) >= 0.0:
-        lo *= 0.5
-        if lo < _TAU_LO_CAP:
-            raise ArithmeticError("bracket expansion hit the lower tau cap")
-    hi = max(1.0, 2.0 * lo)
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _TAU_HI_CAP:
-            raise ArithmeticError("bracket expansion hit the upper tau cap")
+    lo = _expand(1.0, 0.5, lambda t: g(t) >= 0.0)
+    hi = _expand(max(1.0, 2.0 * lo), 2.0, lambda t: g(t) <= 0.0)
     return _bisect_increasing(g, lo, hi)
 
 
@@ -323,17 +326,11 @@ def tau_roots(N: int, params: SmoothnessParams, weights: ProductWeights) -> TauR
         if log_F(tau0) >= log_level - _DEGENERATE_TOL:
             tau1 = tau2 = tau0
         else:
-            lo = tau0
-            while log_F(lo) < log_level:
-                lo *= 0.5
-                if lo < _TAU_LO_CAP:
-                    raise ArithmeticError("bracket expansion hit the lower tau cap")
+            def below(t):
+                return log_F(t) < log_level
+
+            lo, hi = _expand(tau0, 0.5, below), _expand(tau0, 2.0, below)
             tau1 = _bisect_increasing(lambda t: log_level - log_F(t), lo, tau0)
-            hi = tau0
-            while log_F(hi) < log_level:
-                hi *= 2.0
-                if hi > _TAU_HI_CAP:
-                    raise ArithmeticError("bracket expansion hit the upper tau cap")
             tau2 = _bisect_increasing(lambda t: log_F(t) - log_level, tau0, hi)
             if abs(tau2 - tau1) <= _DEGENERATE_TOL * tau0:
                 tau1 = tau2 = tau0

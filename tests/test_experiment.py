@@ -284,6 +284,19 @@ class TestFigure3:
         assert row.N == sp.N_max and row.R == sp.R
         assert row.tau_star == sp.tau_star and row.N_star == sp.N_star
 
+    def test_rows_agree_with_run_experiment(self):
+        """One builder makes both tables' rows: the --fig 3 rows carry the
+        same selection and feasibility as the records of a run, and 2^12
+        (N_star 0.504) is not runnable."""
+        cfg = ExperimentConfig(dim=2)
+        rows = figure3_table(cfg, exponents=(12, 14))
+        records = run_experiment(replace(cfg, budgets=(2**12, 2**14)))
+        fields = ("M_max", "N", "R", "M", "tau_star", "N_star", "feasible")
+        picked = [[[getattr(r, k) for k in fields] for r in t] for t in (rows, records)]
+        assert picked[0] == picked[1]
+        assert [r.feasible for r in rows] == [False, True]
+        assert rows[0].N_star == pytest.approx(0.504, abs=5e-4)
+
     def test_csv_format(self):
         cfg = ExperimentConfig(dim=2)
         rows = figure3_table(cfg, exponents=(10, 14))

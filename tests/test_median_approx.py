@@ -1271,6 +1271,19 @@ class TestVerifyConcentration:
             assert r.rate <= r.bound + 3.0 * math.sqrt(r.bound / r.trials)
             assert not r.vacuous
 
+    def test_median_failures_fall_as_R_grows_at_d2(self):
+        """f1 at d=2, alpha 1.5 and the 2^14 selection (N=863): the median
+        harness's failures at the 9 probes, 400 trials each, fall from 20
+        with R=1 to none with R=3, where each trial draws z and the shift."""
+        problem = SmoothnessParams(1.5, 2)
+        counts = []
+        for R in (1, 3):
+            ap = params_for(14, problem, W2, R=R, seed=8)
+            assert ap.N == 863
+            rep = verify_median_amplification(function_f1(2), ap, problem, W2, trials=400)
+            counts.append([r.failures for r in rep])
+        assert counts == [[0, 2, 3, 2, 3, 3, 2, 3, 2], [0] * 9]
+
     @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
     @pytest.mark.parametrize("kwargs, message", [
         ({"trials": 2.5}, "trials = 2.5 must be an integer >= 1"),
