@@ -100,7 +100,7 @@ def _integer_tuple(values, what: str) -> tuple:
     that is not integral, NaN and infinities included."""
     values = tuple(values)
     try:
-        ints = tuple(int(c) for c in values)
+        ints = tuple(map(int, values))
     except (OverflowError, ValueError):
         ints = None
     if ints != values:
@@ -222,6 +222,8 @@ class SpectralOracle:
 
     The ``coefficient`` argument, a map from a tuple of ints to the
     coefficient there, may be None when either of these gives them all.
+    An oracle has at most one of ``factor_coefficient`` and ``modes``;
+    both raise ValueError.
     """
 
     def __init__(
@@ -234,6 +236,8 @@ class SpectralOracle:
         modes: Optional[dict] = None,
         label: str = "",
     ):
+        if factor_coefficient is not None and modes is not None:
+            raise ValueError("give factor_coefficient or modes, not both")
         self.dim = _integer(dim, 1, "dim")
         self._coefficient = coefficient
         self.l2_norm_sq = float(l2_norm_sq)

@@ -37,12 +37,17 @@ the rows of an (n, d) float64 array D.  All randomness flows through
 counter-based Philox streams keyed by tuples such as (master_seed,
 repetition, purpose), one stream per row of Z and one per row of D, so
 repetitions are independent of execution order and bit-reproducible under
-any thread count.
+any thread count.  Every stream is exactly ``rng_stream``'s for its key: a
+call hashes all its keys at once, by numpy's SeedSequence hash run over
+one uint32 array per key length, and re-keys one Philox generator per
+stream instead of building a SeedSequence, a Philox and a Generator for
+each.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -91,39 +96,166 @@ class LatticeConfig:
         object.__setattr__(self, "dim", _integer(self.dim, 1, "dim"))
 
 
+def _stream_key(key) -> tuple:
+    """``key`` as a tuple of Python ints: ValueError if it is empty or a
+    component is negative, not integral, or a bool."""
+    if not key:
+        raise ValueError("stream key must have at least one component")
+    ints = _integer_tuple(key, "stream key components")
+    if not {bool, np.bool_}.isdisjoint(map(type, key)):
+        raise ValueError(f"stream key components must be integers, got {tuple(key)}")
+    if min(ints) < 0:
+        raise ValueError("stream key components must be non-negative")
+    return ints
+
+
 def rng_stream(*key: int) -> np.random.Generator:
     """Counter-based stream keyed by a tuple of non-negative ints.
 
     ``run`` keys its streams (master_seed, repetition, purpose).  Distinct
     keys give statistically independent Philox streams, so repetition r can
     be generated on any worker in any order with identical results.  A
-    component that is negative or not integral raises ValueError.
+    component that is negative, not integral or a bool raises ValueError.
     """
-    if not key:
-        raise ValueError("stream key must have at least one component")
-    key = _integer_tuple(key, "stream key components")
-    if any(k < 0 for k in key):
-        raise ValueError("stream key components must be non-negative")
-    seq = np.random.SeedSequence(list(key))
+    seq = np.random.SeedSequence(list(_stream_key(key)))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the multipliers
+# of its hashmix and mix steps, the shift of both, and its pool of 4 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(key) -> list:
+    """The uint32 words SeedSequence assembles from a key of non-negative
+    ints: each component's words, least significant first, and one word
+    for 0."""
+    words = []
+    for c in key:
+        words.append(c & _MASK32)
+        while c > _MASK32:
+            c >>= 32
+            words.append(c & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k < count, chained in Python ints, as a
+    uint32 array: a numpy uint32 scalar warns when it overflows."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, np.uint64)`` for every row of
+    the (n, w) uint32 array ``entropy``, an (n, 2) uint64 array.
+
+    The pool of four words per row is filled and mixed as SeedSequence's
+    ``mix_entropy`` does, then read out as ``generate_state`` does.  Each
+    hashmix step takes the next constant of one chain, so the steps that
+    SeedSequence takes one after another on different pool words are one
+    array operation here over a run of the chain.  uint32 arrays wrap
+    modulo 2^32, as the C original does.
+    """
+    n, w = entropy.shape
+    # one constant per hashmix step (4 per pool word and per word past the
+    # pool), and the one after the last
+    chain = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(w, _POOL_SIZE) + 1)
+    step = 0
+
+    def hashmix(value, count):
+        """The next ``count`` hashmix steps, one per column of the result,
+        of the (n, 1) or (n, count) array ``value``."""
+        nonlocal step
+        value = value ^ chain[step:step + count]
+        value *= chain[step + 1:step + count + 1]
+        value ^= value >> _XSHIFT
+        step += count
+        return value
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
+
+    # the first words, zero-padded to the pool size
+    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint32)
+    pool[:, :w] = entropy[:, :_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    # every pool word into each of the others, in SeedSequence's order
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], _POOL_SIZE - 1))
+    # each word past the pool into every pool word
+    for src in range(_POOL_SIZE, w):
+        pool = mix(pool, hashmix(entropy[:, src:src + 1], _POOL_SIZE))
+    # generate_state: one step of the second chain per pool word
+    readout = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE + 1)
+    state = pool ^ readout[:-1]
+    state *= readout[1:]
+    state ^= state >> _XSHIFT
+    # two uint64 words from four uint32 ones, the first of each pair low
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def _philox_keys(keys) -> np.ndarray:
+    """The Philox key of ``rng_stream(*key)`` for every key of ``keys``,
+    tuples of non-negative ints, as an (n, 2) uint64 array: the keys are
+    hashed together, once per word count."""
+    words = [_entropy_words(key) for key in keys]
+    rows_by_count = {}
+    for i, row in enumerate(words):
+        rows_by_count.setdefault(len(row), []).append(i)
+    out = np.empty((len(words), 2), dtype=np.uint64)
+    for count, rows in rows_by_count.items():
+        flat = itertools.chain.from_iterable(words[i] for i in rows)
+        entropy = np.fromiter(flat, dtype=np.uint32, count=len(rows) * count)
+        out[rows] = _seed_sequence_state(entropy.reshape(len(rows), count))
+    return out
 
 
 def _draw_lattices(config: LatticeConfig, keys, genvec_purpose: int, shift_purpose: int):
     """The generating vectors Z, (n, d) int64 with components uniform in
     {1, ..., N-1}, and the shifts D, (n, d) float64 uniform in [0, 1), of
-    the lattices keyed ``keys``: row r of Z comes from the stream keyed
-    (*keys[r], genvec_purpose), row r of D from (*keys[r], shift_purpose).
+    the lattices keyed ``keys``: row r of Z is
+    ``rng_stream(*keys[r], genvec_purpose).integers(1, N, size=d)`` and row
+    r of D is ``rng_stream(*keys[r], shift_purpose).random(d)``, bit for bit.
+
+    The keys are checked as ``rng_stream`` checks them, with its messages,
+    and hashed together (``_philox_keys``).  One Philox generator then draws
+    every stream: before each draw it gets the stream's key with counter 0
+    and an empty buffer, the state a new Philox seeded by the key starts in.
 
     numpy's ``Generator.integers`` uses Lemire-style rejection, so each
     component of z is exactly uniform (N = 2 leaves only z_j = 1); a shift
     component has 53-bit resolution.
     """
     N, d = config.N, config.dim
+    # a bad component is named with the generating-vector purpose, as in
+    # the first stream of its key that rng_stream would build
+    keys = [_stream_key((*key, genvec_purpose))[:-1] for key in keys]
+    purposes = _stream_key((genvec_purpose, shift_purpose))
+    philox_keys = iter(_philox_keys([(*key, p) for key in keys for p in purposes]).tolist())
+    bits = np.random.Philox(key=0)
+    generator = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer
     Z = np.empty((len(keys), d), dtype=np.int64)
     D = np.empty((len(keys), d))
-    for r, key in enumerate(keys):
-        Z[r] = rng_stream(*key, genvec_purpose).integers(1, N, size=d)
-        D[r] = rng_stream(*key, shift_purpose).random(d)
+    for z, delta in zip(Z, D):
+        state["state"]["key"] = next(philox_keys)
+        bits.state = state
+        z[:] = generator.integers(1, N, size=d)
+        state["state"]["key"] = next(philox_keys)
+        bits.state = state
+        generator.random(out=delta)
     return Z, D
 
 

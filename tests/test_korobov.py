@@ -419,22 +419,19 @@ class TestTruncatedNorm:
         b = korobov_norm_sq_truncated(generic, p, w, 12)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_factor_wins_over_modes(self):
-        """An oracle with both a factor and modes has the norm of the
-        factor, which its coefficients also read, not of the modes."""
+    def test_refuses_factor_and_modes(self):
+        """An oracle takes a factor or modes, not both: given both, it would
+        read the factor alone and ignore the modes."""
         f = function_f2(1)
-        both = SpectralOracle(
-            dim=1,
-            coefficient=None,
-            l2_norm_sq=f.l2_norm_sq,
-            evaluate=f.evaluate,
-            factor_coefficient=f.factor_coefficient,
-            modes={(1,): 0.5, (-1,): 0.5},
-        )
-        p = SmoothnessParams(2.5, 1)
-        w = ProductWeights([1.0])
-        assert both.coefficient((1,)) == f.coefficient((1,))
-        assert korobov_norm_sq_truncated(both, p, w, 64) == korobov_norm_sq_truncated(f, p, w, 64)
+        with pytest.raises(ValueError, match="factor_coefficient or modes, not both"):
+            SpectralOracle(
+                dim=1,
+                coefficient=None,
+                l2_norm_sq=f.l2_norm_sq,
+                evaluate=f.evaluate,
+                factor_coefficient=f.factor_coefficient,
+                modes={(1,): 0.5, (-1,): 0.5},
+            )
 
     def test_factorized_matches_direct_sum_1d(self):
         f = function_f1(1)

@@ -75,6 +75,12 @@ class TestStreams:
         ref = rng_stream(7, 1).integers(0, 2**63, size=8)
         assert np.array_equal(rng_stream(np.int64(7), np.uint8(1)).integers(0, 2**63, size=8), ref)
 
+    def test_rejects_bool_keys(self):
+        """True is refused, not read as the stream of key 1."""
+        for key in ((True,), (7, False), (np.True_, 0)):
+            with pytest.raises(ValueError, match="stream key components must be integers"):
+                rng_stream(*key)
+
     def test_four_part_key_is_the_seed_sequence_of_the_key(self):
         """rng_stream(s, t, r, p) draws what the median harness's inline
         Philox(SeedSequence([s, t, r, p])) construction drew."""
@@ -178,6 +184,70 @@ class TestPinnedDraws:
         got_Z, got_D = _draw_lattices(LatticeConfig(N, d), keys, *purposes)
         assert got_Z.dtype == np.int64 and got_Z.tolist() == Z
         assert got_D.dtype == np.float64 and got_D.tolist() == D
+
+
+def _component_words(c):
+    """The number of uint32 words SeedSequence makes of the component c."""
+    return max(1, -(-c.bit_length() // 32))
+
+
+# stream key components around every word boundary: one word (0, 2^32 - 1),
+# two (2^32, 2^63 - 1) and three (above 2^64)
+_KEY_COMPONENTS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**64 + 12345]),
+    st.integers(0, 2**70),
+)
+
+
+class TestBulkDraws:
+    """``_draw_lattices`` hashes every stream key of a call at once and
+    re-keys one Philox generator per stream; each row is still exactly the
+    per-key ``rng_stream`` draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.lists(st.lists(_KEY_COMPONENTS, min_size=1, max_size=4).map(tuple),
+                      min_size=1, max_size=8),
+        d=st.integers(1, 12),
+        N=st.sampled_from([2, 3, 101, 39409, 2**31 - 1]),
+        purposes=st.sampled_from([(PURPOSE_GENVEC, PURPOSE_SHIFT), (2, 3), (2**32 + 1, 0)]),
+    )
+    @example(keys=[(0,), (2**32 - 1,), (2**32,), (2**63 - 1,), (2**64 + 1, 7, 2**32, 5)],
+             d=3, N=39409, purposes=(PURPOSE_GENVEC, PURPOSE_SHIFT))
+    @example(keys=[(2**63 - 1, 2**64 + 1, 2**32, 2**40), (0,)], d=1, N=2, purposes=(2, 3))
+    def test_equals_rng_stream(self, keys, d, N, purposes):
+        """Keys of 2 to 5 components with their purpose, of 2 to 14 words,
+        mixed in one call (more than 4 words take SeedSequence's extra
+        mixing); N = 2 consumes no draw for z."""
+        genvec, shift = purposes
+        Z, D = _draw_lattices(LatticeConfig(N, d), keys, genvec, shift)
+        assert Z.shape == D.shape == (len(keys), d)
+        assert Z.dtype == np.int64 and D.dtype == np.float64
+        for r, key in enumerate(keys):
+            assert np.array_equal(Z[r], rng_stream(*key, genvec).integers(1, N, size=d))
+            assert np.array_equal(D[r], rng_stream(*key, shift).random(d))
+
+    def test_philox_keys_are_the_seed_sequence_state(self):
+        """Every word count from 1 to 12 in one call, against numpy's own
+        SeedSequence hash."""
+        rng = np.random.default_rng(5)
+        keys = [tuple(int(c) for c in rng.integers(0, 2**32, size=count)) for count in range(1, 12)]
+        keys += [(2**64 + 3, 2**63 - 1), (0, 0, 0)]
+        assert {sum(map(_component_words, k)) + 1 for k in keys} >= set(range(2, 13))
+        got = lattice._philox_keys([(*k, PURPOSE_SHIFT) for k in keys])
+        want = [np.random.SeedSequence([*k, PURPOSE_SHIFT]).generate_state(2, np.uint64)
+                for k in keys]
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [(-1,), (0, -3), (1.5,), (0, math.nan), (True,), (3, np.True_)])
+    def test_refuses_what_rng_stream_refuses(self, bad):
+        """A negative, non-integral or bool component raises ValueError with
+        rng_stream's message for the first stream of that key."""
+        with pytest.raises(ValueError) as expected:
+            rng_stream(*bad, PURPOSE_GENVEC)
+        with pytest.raises(ValueError) as got:
+            _draw_lattices(LatticeConfig(101, 2), [(0, 1), bad], PURPOSE_GENVEC, PURPOSE_SHIFT)
+        assert str(got.value) == str(expected.value)
 
 
 class TestRootsOfUnity:
