@@ -23,7 +23,13 @@ an output on purpose replaces the file with the new lines.  The outputs are:
   writes for the f2, d=2, 2^18 approximation and that ``write_indices_csv``
   writes for its index set;
 - ``harness.*``: the reports of both verification harnesses on f2, d=1,
-  M_max=2^18.
+  M_max=2^18;
+- ``estimate.*``: ``estimate_coefficients`` on what the keys above never
+  reach: f complex on every lattice, f complex on some lattices and real
+  on the others over an odd count, d=3, and targets that repeat and hold
+  h = 0, each by chirp sums (fewer than log2 N targets) and by batched
+  FFTs (N <= 2^15), and a mixed odd call at N > 2^15, whose one-lattice
+  blocks are chirp convolutions.
 
 The expected digests were recorded with numpy 2.4 on x86-64; ``evaluate.*``
 goes through BLAS matrix products, whose rounding another BLAS may change.
@@ -33,6 +39,7 @@ It takes a few seconds.
 import contextlib
 import hashlib
 import io
+import math
 import pathlib
 import sys
 import tempfile
@@ -41,7 +48,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from medlattice import experiment, index_set, korobov, median_approx, params  # noqa: E402
+from medlattice import experiment, index_set, korobov, lattice, median_approx, params  # noqa: E402
 
 SEEDS = (1, 7919, 2**62 + 3)
 EXPECTED = pathlib.Path(__file__).resolve().with_name("output_digest.expected")
@@ -88,6 +95,39 @@ def approximation_bytes(approx) -> bytes:
     return approx.index_set.H.tobytes() + approx.coefficients.vector.tobytes()
 
 
+def estimator_calls():
+    """(name, f, config, Z, D, targets) of every ``estimate.*`` call."""
+    rng = np.random.Generator(np.random.Philox(20261020))
+
+    def real(pts):
+        return np.cos(2 * np.pi * pts.sum(axis=1) + 0.3) + pts[:, 0] * (1 - pts[:, -1])
+
+    def complex_(pts):
+        return real(pts) * np.exp(2j * np.pi * pts[:, -1])
+
+    def mixed(pts):
+        # node 0 is the lattice's shift: complex where its first component
+        # is below 1/2
+        return complex_(pts) if pts[0, 0] < 0.5 else real(pts)
+
+    for N, d, count in ((10903, 2, 13), (1009, 3, 9), (32771, 2, 5)):
+        config = lattice.LatticeConfig(N, d)
+        Z, D = rng.integers(1, N, (count, d)), rng.random((count, d))
+        assert 0 < np.count_nonzero(D[:, 0] < 0.5) < count
+        h = rng.integers(-4, 5, (3, d))
+        # h, -h, h = 0, a residue twin of -h, and repeats
+        few = np.array([h[0], -h[0], 0 * h[0], h[1], -h[1], h[0], h[2],
+                        [N - h[2, 0], *-h[2, 1:]], -h[0]])[:math.ceil(math.log2(N)) - 1]
+        many = np.vstack([few, rng.integers(-2 * N, 2 * N, (2 * len(few), d))])
+        assert len(few) < math.log2(N) <= len(many)
+        paths = (("fft", many),) if N > 2**15 else (("chirp", few), ("fft", many))
+        for path, targets in paths:
+            fs = (("mixed-odd", mixed),) if N > 2**15 else (
+                ("real", real), ("complex", complex_), ("mixed-odd", mixed))
+            for kind, f in fs:
+                yield f"estimate.{path}.{kind}.d{d}.N{N}", f, config, Z, D, targets
+
+
 def main() -> int:
     for name, argv in (
         ("cli.f1.d2", ["--function", "f1", "--dim", "2"]),
@@ -122,6 +162,9 @@ def main() -> int:
     median = median_approx.verify_median_amplification(f, ap, problem, weights, trials=6)
     digest("harness.concentration.f2.d1.2^18", repr(single).encode())
     digest("harness.median.f2.d1.2^18", repr(median).encode())
+
+    for name, f, config, Z, D, targets in estimator_calls():
+        digest(name, lattice.estimate_coefficients(f, config, Z, D, targets).tobytes())
 
     lines = EXPECTED.read_text().splitlines()
     expected = {name: value for value, name in (line.split("  ", 1) for line in lines)}
