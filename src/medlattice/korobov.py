@@ -97,13 +97,13 @@ class SmoothnessParams:
 
 def _integer_tuple(values, what: str) -> tuple:
     """``values`` as Python ints; ValueError rather than truncation for one
-    that is not integral, NaN and infinities included."""
+    that is not integral, NaN and infinities included, and for a bool."""
     values = tuple(values)
     try:
         ints = tuple(map(int, values))
     except (OverflowError, ValueError):
         ints = None
-    if ints != values:
+    if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return ints
 

@@ -31,6 +31,14 @@ the estimate at -h is the conjugate of the one at h and the one at h = 0 is
 the mean of the values, so such a call takes one sum per pair {h, -h} of
 targets and none for h = 0.
 
+Per lattice the estimator does only what needs that lattice's values: its
+nodes, the one call of f, the sum of the values (which is both the check
+that they are finite and, for real f, the h = 0 mean) and the input to the
+transform or the chirp sums.  Everything indexed by target runs once per
+FFT block or once per call on (lattices x targets) arrays: the residues
+h.z mod N, the gathers and the unpacking of the spectra, the shift phases
+and the pairing of h with -h.
+
 A call's n lattices are two arrays, from the draw to the estimates: the
 generating vectors are the rows of an (n, d) int64 array Z and the shifts
 the rows of an (n, d) float64 array D.  All randomness flows through
@@ -102,8 +110,6 @@ def _stream_key(key) -> tuple:
     if not key:
         raise ValueError("stream key must have at least one component")
     ints = _integer_tuple(key, "stream key components")
-    if not {bool, np.bool_}.isdisjoint(map(type, key)):
-        raise ValueError(f"stream key components must be integers, got {tuple(key)}")
     if min(ints) < 0:
         raise ValueError("stream key components must be non-negative")
     return ints
@@ -252,7 +258,10 @@ def _draw_lattices(config: LatticeConfig, keys, genvec_purpose: int, shift_purpo
     for z, delta in zip(Z, D):
         state["state"]["key"] = next(philox_keys)
         bits.state = state
-        z[:] = generator.integers(1, N, size=d)
+        # d scalar draws give the values of integers(1, N, size=d) at a
+        # quarter of its cost: the sized call takes np.prod(size) each time
+        for j in range(d):
+            z[j] = generator.integers(1, N)
         state["state"]["key"] = next(philox_keys)
         bits.state = state
         generator.random(out=delta)
@@ -274,11 +283,12 @@ class NonFiniteValueError(ValueError):
         self.row = row
 
 
-def _lattice_nodes(config: LatticeConfig, z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _lattice_nodes(config: LatticeConfig, z: np.ndarray, delta: np.ndarray,
+                   k: np.ndarray) -> np.ndarray:
     """The N shifted nodes {k*z/N + Delta} of the lattice with generating
-    vector ``z`` and shift ``delta`` (rows of Z and D) as the (N, d)
-    transpose of a new coordinate-major (d, N) array, so every column is
-    contiguous."""
+    vector ``z`` and shift ``delta`` (rows of Z and D), with ``k`` the int64
+    ``np.arange(N)`` of the call, as the (N, d) transpose of a new
+    coordinate-major (d, N) array, so every column is contiguous."""
     # one coordinate at a time, in place: this runs while a whole FFT block
     # is held, so it keeps at most two length-N temporaries alive at once
     N = config.N
@@ -290,8 +300,7 @@ def _lattice_nodes(config: LatticeConfig, z: np.ndarray, delta: np.ndarray) -> n
         # those of %, and the float steps (convert, / N, + Delta_j, minus the
         # floor) act elementwise: every node is bitwise equal to the
         # point-major outer-product formula that the tests keep as reference
-        idx = np.arange(N, dtype=np.int64)
-        idx *= zj
+        idx = k * zj
         quot = idx // N
         quot *= N
         idx -= quot
@@ -303,33 +312,51 @@ def _lattice_nodes(config: LatticeConfig, z: np.ndarray, delta: np.ndarray) -> n
     return nodes.T
 
 
-def _node_values(f_eval, config: LatticeConfig, z, delta, row: int) -> np.ndarray:
+def _node_values(f_eval, config: LatticeConfig, z, delta, k, row: int) -> tuple:
     """f on the N shifted nodes of the lattice (z, delta), which is row
-    ``row`` of the call: exactly N finite values, or ValueError."""
+    ``row`` of the call, and their sum: exactly N finite values, or
+    ValueError.
+
+    A sum of values that holds an infinity or a NaN is not finite, so the
+    values are counted only when the sum is not: finite values whose sum
+    overflows pass.  The sum is taken without numpy's overflow and
+    invalid-value warnings, so +inf beside -inf raises only
+    NonFiniteValueError.
+    """
     N = config.N
-    vals = np.asarray(f_eval(_lattice_nodes(config, z, delta)))
+    vals = np.asarray(f_eval(_lattice_nodes(config, z, delta, k)))
     if vals.shape != (N,):
         raise ValueError(f"f_eval returned shape {vals.shape}, expected ({N},)")
-    bad = N - np.count_nonzero(np.isfinite(vals))
-    if bad:
-        raise NonFiniteValueError(bad, row)
-    return vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(vals)
+    if not np.isfinite(total):
+        bad = N - np.count_nonzero(np.isfinite(vals))
+        if bad:
+            raise NonFiniteValueError(bad, row)
+    return vals, total
 
 
-def _residues(H_mod: np.ndarray, z: np.ndarray, N: int) -> np.ndarray:
-    """m = h.z mod N per target, reduced after every coordinate, so each
-    term (h_j mod N) * z_j and each partial sum stays below N^2 <= 2^62."""
-    m = np.zeros(len(H_mod), dtype=np.int64)
-    for j, zj in enumerate(z):
-        m = (m + H_mod[:, j] * zj) % N
-    return m
+def _residues(H_mod: np.ndarray, Z: np.ndarray, N: int) -> np.ndarray:
+    """M[i, t] = h_t.z_i mod N for the targets H_mod = H % N and the
+    generating vectors, the rows of Z, reduced after every coordinate, so
+    each term (h_j mod N) * z_j and each partial sum stays below
+    N^2 <= 2^62."""
+    M = np.zeros((len(Z), len(H_mod)), dtype=np.int64)
+    for hj, zj in zip(H_mod.T, Z.T):
+        M += np.multiply.outer(zj, hj)
+        M %= N
+    return M
 
 
-def _shifted(Y: np.ndarray, H_float: np.ndarray, delta: np.ndarray, N: int) -> np.ndarray:
+def _shifted(Y: np.ndarray, H_float: np.ndarray, D: np.ndarray, N: int) -> np.ndarray:
     """The estimates exp(-2*pi*i*h.Delta) * Y / N from the DFT values Y at
-    m, with h.Delta taken per lattice, not for all lattices in one product,
-    so a row's rounding does not depend on the rest of the call."""
-    phase = np.exp(-2j * np.pi * (H_float @ delta))
+    the residues of the lattices with shifts D, a row of Y per row of D.
+    h.Delta is taken per lattice, not for all lattices in one product, so a
+    row's rounding does not depend on the rest of the call."""
+    theta = np.empty(Y.shape)
+    for row, delta in zip(theta, D):
+        row[:] = H_float @ delta
+    phase = np.exp(-2j * np.pi * theta)
     return phase * (Y / N)
 
 
@@ -360,7 +387,11 @@ def estimate_coefficients(
 
     Either way a row depends only on its own lattice (on its pair
     (2k, 2k+1) when the transforms pack two real lattices into one row),
-    never on the rest of the call.
+    never on the rest of the call.  Per lattice only the nodes, f, the sum
+    of the values and the sums or the transform input are computed; the
+    residues, gathers and shift phases run per block or per call, over all
+    its lattices at once, elementwise, so a row's values do not depend on
+    how many lattices share the block or the call.
 
     Parameters
     ----------
@@ -447,6 +478,18 @@ def _negatives(H: np.ndarray) -> tuple:
     return row[:n], np.where((row[n:] < n) & negatable, row[n:], -1)
 
 
+@functools.lru_cache(maxsize=1)
+def _chirp_window(N: int) -> tuple:
+    """The chirp w and the window of ``_chirp`` at N, for the chirp sums:
+    built once per N and kept for the last N only, read-only, so every
+    call and thread may share them."""
+    window = np.empty(2 * N - 1, dtype=np.complex128)
+    w = _chirp(N, window)
+    for table in (w, window):
+        table.flags.writeable = False
+    return w, window
+
+
 def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
     """Fill ``out`` from direct length-N sums, one per lattice and target,
     or one per lattice and pair {h, -h} of targets when f is real.
@@ -464,14 +507,18 @@ def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
     phase of -h is the conjugate of that of h, so the estimate at -h is
     exactly ``np.conj`` of the one at h: each pair {h, -h} among the
     targets takes one sum, at the pair's first row, and h = 0, whose
-    estimate is the mean of the values, takes ``np.add.reduce`` and no sum.
+    estimate is the mean of the values, takes their sum and no chirp sum.
     Duplicate targets read the same sum.  A lattice with complex values
     takes one sum per target.
+
+    Per lattice only the values and their sums are computed; the residues
+    come from one (lattices x targets) matrix, and the factors w_m, the
+    shift phases, the pairing and the means are applied once per call.
     """
     N = config.N
     H_mod, H_float = H % N, H.astype(float)
-    window = np.empty(2 * N - 1, dtype=np.complex128)
-    w = _chirp(N, window)
+    w, window = _chirp_window(N)
+    k = np.arange(N, dtype=np.int64)
     xw = np.empty(N, dtype=np.complex128)
     # each nonzero row reads the sum of its pair's first row (own[reads]),
     # conjugated where it is -h of that row
@@ -481,27 +528,42 @@ def _chirp_sums(f_eval, config, Z, D, H, out) -> None:
     own = np.flatnonzero((source == np.arange(len(H))) & nonzero)
     paired, zeros = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
     reads = np.searchsorted(own, source[paired])
-    own_mod, own_float = H_mod[own], H_float[own]
-
-    def estimates(vals, targets_mod, targets_float, z, delta):
-        np.multiply(vals, w, out=xw)
-        m = _residues(targets_mod, z, N)
-        sums = np.empty(len(m), dtype=np.complex128)
-        for j, start in enumerate((N - 1 - m).tolist()):
-            sums[j] = np.einsum("i,i->", xw, window[start:start + N])
-        return _shifted(w[m] * sums, targets_float, delta, N)
-
+    # the window slice of every lattice and target: k - m from -m on
+    M = _residues(H_mod, Z, N)
+    starts = (N - 1 - M).tolist()
+    # a real lattice fills the columns ``own`` of its row, a complex one all
+    sums = np.empty(M.shape, dtype=np.complex128)
+    real, totals = np.empty(len(Z), dtype=bool), []
+    own_columns, all_columns = own.tolist(), range(len(H))
     for i, (z, delta) in enumerate(zip(Z, D)):
-        vals = _node_values(f_eval, config, z, delta, i)
-        if np.iscomplexobj(vals):
-            out[i] = estimates(vals, H_mod, H_float, z, delta)
-            continue
-        row = out[i]
-        if len(own):
-            row[paired] = estimates(vals, own_mod, own_float, z, delta)[reads]
-            np.conjugate(row, out=row, where=conj)
-        if len(zeros):
-            row[zeros] = np.add.reduce(vals) / N
+        vals, total = _node_values(f_eval, config, z, delta, k, i)
+        real[i] = is_real = not np.iscomplexobj(vals)
+        if is_real:
+            totals.append(total)
+        columns = own_columns if is_real else all_columns
+        if columns:
+            np.multiply(vals, w, out=xw)
+        row, row_starts = sums[i], starts[i]
+        for j in columns:
+            start = row_starts[j]
+            row[j] = np.einsum("i,i->", xw, window[start:start + N])
+        del vals
+
+    lone = np.flatnonzero(~real)
+    if len(lone):
+        out[lone] = _shifted(w[M[lone]] * sums[lone], H_float, D[lone], N)
+    if not totals:
+        return
+    rows = np.flatnonzero(real)
+    estimates = np.empty((len(rows), len(H)), dtype=np.complex128)
+    if len(own):
+        cells = np.ix_(rows, own)
+        firsts = _shifted(w[M[cells]] * sums[cells], H_float[own], D[rows], N)
+        estimates[:, paired] = firsts[:, reads]
+        np.conjugate(estimates, out=estimates, where=conj)
+    if len(zeros):
+        estimates[:, zeros] = (np.array(totals) / N)[:, np.newaxis]
+    out[rows] = estimates
 
 
 def _smooth_at_least(n: int) -> int:
@@ -526,9 +588,9 @@ class _FFTBlock:
         spectra = self.rows[:count]
         np.fft.fft(spectra, axis=-1, out=spectra)  # out= needs numpy >= 2.0
 
-    def spectrum(self, row: int, idx: np.ndarray) -> np.ndarray:
-        """Y[idx] of the transformed ``rows[row]``."""
-        return self.rows[row, idx]
+    def spectrum(self, rows: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Y[r, M[i, t]] of the transformed rows r = ``rows[i]``."""
+        return self.rows[rows[:, np.newaxis], M]
 
 
 class _ChirpPlan(NamedTuple):
@@ -632,11 +694,12 @@ class _ChirpBlock:
         x *= self.twiddles
         np.fft.fft(x, axis=1, out=x)
 
-    def spectrum(self, row: int, idx: np.ndarray) -> np.ndarray:
-        """Y[idx] = w[idx] * (convolution at idx + N - 1) of the transformed
-        ``rows[row]``."""
-        conv = self.buffer[row].reshape(-1)[idx + (self.N - 1)]
-        return self.w[idx] * np.conjugate(conv, out=conv)
+    def spectrum(self, rows: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Y[r, M[i, t]] = w[M[i, t]] * (convolution at M[i, t] + N - 1) of
+        the transformed rows r = ``rows[i]``."""
+        flat = self.buffer.reshape(len(self.buffer), -1)
+        conv = flat[rows[:, np.newaxis], M + (self.N - 1)]
+        return self.w[M] * np.conjugate(conv, out=conv)
 
 
 def _batched_ffts(f_eval, config, Z, D, H, out) -> None:
@@ -660,63 +723,67 @@ def _batched_ffts(f_eval, config, Z, D, H, out) -> None:
     unpacked as U[m] = (Y[m] + conj(Y[-m]))/2 for the first lattice and
     V[m] = (Y[m] - conj(Y[-m]))/(2i) for the second.  Every row of a batched
     transform equals the one-row transform bit for bit, so a lattice's
-    estimates depend only on its own pair, never on the block.
+    estimates depend only on its own pair, never on the block.  The
+    residues, the reads, the unpacking and the shift phases are done once
+    per block, on (lattices x targets) arrays, so memory stays bounded by
+    the block, not the call.
     """
     N = config.N
     H_mod, H_float = H % N, H.astype(float)
+    k = np.arange(N, dtype=np.int64)
     per_block = _BLOCK_BYTES // (16 * N)
     transforms = (
         _FFTBlock(N, min(len(Z), per_block)) if per_block >= 2 else _ChirpBlock(N)
     )
     block = transforms.rows
-    rows = len(block)
-    # per filled row of the block: its first lattice, and whether that
-    # lattice's real values share the row with the next one's as u + i*v
-    firsts, packed = [], []
+    # the block row of each lattice of the block, in call order from
+    # lattice ``start``: the two lattices of a shared row are adjacent
+    start, rows = 0, []
     # whether the last row holds only the real first lattice of a pair, so
     # that the next lattice may take its imaginary half
     waiting = False
 
     def transform_and_gather():
-        transforms.transform(len(firsts))
-        for row, (first, pair) in enumerate(zip(firsts, packed)):
-            for part in range(1 + pair):
-                i = first + part
-                m = _residues(H_mod, Z[i], N)
-                Y = transforms.spectrum(row, m)
-                if pair:
-                    # Y = U + i*V for the spectra U, V of the two real
-                    # sequences; U[m] = (Y[m] + conj(Y[-m]))/2 and
-                    # V[m] = (Y[m] - conj(Y[-m]))/(2i)
-                    mirror = np.conj(transforms.spectrum(row, (N - m) % N))
-                    Y = (Y + mirror) * 0.5 if part == 0 else (Y - mirror) * -0.5j
-                out[i] = _shifted(Y, H_float, D[i], N)
-        firsts.clear()
-        packed.clear()
+        transforms.transform(rows[-1] + 1)
+        at = np.array(rows)
+        stop = start + len(at)
+        M = _residues(H_mod, Z[start:stop], N)
+        Y = transforms.spectrum(at, M)
+        # the second lattice of each shared row; the first is the one before
+        second = np.flatnonzero(at[1:] == at[:-1]) + 1
+        if len(second):
+            # Y = U + i*V for the spectra U, V of the two real sequences;
+            # U[m] = (Y[m] + conj(Y[-m]))/2 and V[m] = (Y[m] - conj(Y[-m]))/(2i)
+            pair = np.concatenate([second - 1, second])
+            mirror = np.conj(transforms.spectrum(at[pair], (N - M[pair]) % N))
+            firsts, seconds = np.split(mirror, 2)
+            Y[second - 1] = (Y[second - 1] + firsts) * 0.5
+            Y[second] = (Y[second] - seconds) * -0.5j
+        out[start:stop] = _shifted(Y, H_float, D[start:stop], N)
 
     for i, (z, delta) in enumerate(zip(Z, D)):
-        vals = _node_values(f_eval, config, z, delta, i)
+        vals, _ = _node_values(f_eval, config, z, delta, k, i)
         real = not np.iscomplexobj(vals)
         if real and waiting:
             # the second real lattice of a pair: the imaginary half of the
             # row its partner opened
-            block[len(firsts) - 1].imag = vals
-            packed[-1] = True
+            block[rows[-1]].imag = vals
+            rows.append(rows[-1])
         else:
-            if len(firsts) == rows:
+            filled = rows[-1] + 1 if rows else 0
+            if filled == len(block):
                 transform_and_gather()
-            row = block[len(firsts)]
+                start, rows, filled = i, [], 0
+            row = block[filled]
             if real:
                 row.real = vals
                 row.imag = 0.0
             else:
                 row[:] = vals
-            firsts.append(i)
-            packed.append(False)
+            rows.append(filled)
         waiting = real and i % 2 == 0
         del vals
-    if firsts:
-        transform_and_gather()
+    transform_and_gather()
 
 
 def dual_membership(ell, config: LatticeConfig, z) -> bool:

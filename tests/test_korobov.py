@@ -332,7 +332,7 @@ class TestInPlaceEvaluation:
         return [
             rng.random((1000, d)),
             np.repeat(edges[:, None], d, axis=1),
-            _lattice_nodes(config, z, delta),  # coordinate-major, as the estimator passes them
+            _lattice_nodes(config, z, delta, np.arange(config.N)),  # coordinate-major, as the estimator passes them
         ]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -607,3 +607,12 @@ def test_non_integral_components_rejected():
     assert f.coefficient((0.0, 1.0)) == f.coefficient((0, 1))
     assert dual_membership((2, -3), config, (np.int64(3), 2.0))
     assert estimate([[3.0, 2.0]]).tobytes() == estimate(np.array([[3, 2]])).tobytes()
+
+
+def test_bool_frequency_components_rejected():
+    """True is refused, not read as the frequency component 1, as stream
+    keys and every count refuse it."""
+    for components in ((True, 0), (0, np.True_), (np.False_,)):
+        with pytest.raises(ValueError, match="frequencies must be integers"):
+            FrequencyIndex(components)
+    assert FrequencyIndex((1, np.int64(0))).components == (1, 0)

@@ -499,6 +499,49 @@ class TestFFTAgainstDirectSum:
             estimate_coefficients(f, config, Z, D, targets)
         assert (info.value.count, info.value.row) == (2, 13)
 
+    @pytest.mark.parametrize("count", [3, 14])
+    def test_opposite_infinities_name_their_row(self, count):
+        """+inf and -inf on one lattice sum to NaN, not to a finite number:
+        the lattice's row and its two values are named, by chirp sums
+        (3 targets) and by FFT (14)."""
+        N = 10903
+        config = LatticeConfig(N, 2)
+        Z, D = _lattices(config, 10, 5)
+        bad_shift = tuple(D[2])
+
+        def f(pts):
+            vals = np.cos(2 * np.pi * pts[:, 0])
+            if tuple(pts[0]) == bad_shift:
+                vals[3], vals[4000] = np.inf, -np.inf
+            return vals
+
+        targets = _freqs(*([a, 1] for a in range(count)))
+        with pytest.raises(NonFiniteValueError, match="2 non-finite values on lattice row 2$") as info:
+            estimate_coefficients(f, config, Z, D, targets)
+        assert (info.value.count, info.value.row) == (2, 2)
+
+    @pytest.mark.parametrize("count", [3, 14])
+    @pytest.mark.parametrize("sign", ["+", "-", "+-"])
+    def test_finite_values_whose_sum_overflows_pass(self, count, sign):
+        """Values of +-1e308 are finite, though their sum overflows: no
+        NonFiniteValueError, by chirp sums and by FFT.  The estimates
+        overflow, and numpy's warnings of it are silenced here."""
+        N = 10903
+        config = LatticeConfig(N, 2)
+        lattices = _lattices(config, 11, 3)
+
+        def f(pts):
+            if sign == "+-":
+                return np.where(pts[:, 0] < 0.5, 1e308, -1e308)
+            return np.full(len(pts), float(sign + "1e308"))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z, delta in zip(*lattices):
+                vals = f(_lattice_nodes(config, z, delta, np.arange(N)))
+                assert np.all(np.isfinite(vals)) and not np.isfinite(np.add.reduce(vals))
+            out = estimate_coefficients(f, config, *lattices, _freqs(*([a, 1] for a in range(count))))
+        assert out.shape == (3, count)
+
     def test_rejects_oversized_N_before_evaluating(self):
         """N above 2^31 raises ValueError without evaluating f."""
         calls = []
@@ -668,36 +711,93 @@ class TestChirpSums:
     @example(_freqs([_INT64_MIN]))
     def test_pairing_matches_the_dict_reference(self, targets):
         """For real f, the targets that take a sum, the estimate each target
-        reads and whether it conjugates it are those of the dict loop."""
+        reads and whether it conjugates it are those of the dict loop.  The
+        call reduces one residue matrix for all its lattices and targets,
+        and each lattice sums at the residues of ``targets[own]`` only."""
         config = LatticeConfig(_PAIRING_N, targets.shape[1])
+        N = config.N
         Z, D = _lattices(config, 3, 2)
         mode = np.arange(1.0, config.dim + 1)
 
         def f(pts):
             return np.cos(2 * np.pi * (pts @ mode) + 0.3) + pts[:, 0]
 
-        summed = []
-        residues = lattice._residues
+        matrices, summed = [], []
+        residues, einsum = lattice._residues, np.einsum
+        window = lattice._chirp_window(N)[1]
 
-        def recording(H_mod, z, N):
-            summed.append(H_mod.copy())
-            return residues(H_mod, z, N)
+        def recording(H_mod, Z, N):
+            matrices.append((H_mod.copy(), Z.copy()))
+            return residues(H_mod, Z, N)
 
-        with mock.patch.object(lattice, "_residues", recording):
+        def located(subscripts, xw, part):
+            # the sum at residue m reads the window from entry N - 1 - m on
+            offset = part.__array_interface__["data"][0] - window.__array_interface__["data"][0]
+            summed.append(N - 1 - offset // window.itemsize)
+            return einsum(subscripts, xw, part)
+
+        with mock.patch.object(lattice, "_residues", recording), \
+                mock.patch.object(np, "einsum", located):
             out = estimate_coefficients(f, config, Z, D, targets)
         own, source, conj = _reference_pairs(targets)
-        # one sum per lattice and pair, at the pair's first row
-        assert len(summed) == (len(Z) if own else 0)
-        for H_mod in summed:
-            assert H_mod.tobytes() == (targets[own] % config.N).tobytes()
+        # one residue matrix for the call: every target on every lattice
+        assert len(matrices) == 1
+        H_mod, Z_seen = matrices[0]
+        assert H_mod.tobytes() == (targets % N).tobytes() and Z_seen.tobytes() == Z.tobytes()
+        # one sum per lattice and pair, at the residue of the pair's first row
+        assert summed == [sum(h * z for h, z in zip(row, map(int, z_row))) % N
+                          for z_row in Z for row in targets[own].tolist()]
         for j, (k, flip) in enumerate(zip(source, conj)):
             if k < 0:
-                means = [np.add.reduce(f(_lattice_nodes(config, z, delta))) / config.N
+                means = [np.add.reduce(f(_lattice_nodes(config, z, delta, np.arange(N)))) / N
                          for z, delta in zip(Z, D)]
                 want = np.array(means, dtype=np.complex128)
             else:
                 want = np.conj(out[:, own[k]]) if flip else out[:, own[k]]
             assert out[:, j].tobytes() == want.tobytes()
+
+    def test_second_call_at_the_same_N_builds_no_table(self, monkeypatch):
+        """The chirp and its window are built once per N, read-only."""
+        lattice._chirp_window.cache_clear()
+        counted = []
+
+        def counting(N, window):
+            counted.append(N)
+            return _chirp(N, window)
+
+        monkeypatch.setattr("medlattice.lattice._chirp", counting)
+        config, lattices = self._case(count=2)
+        first = estimate_coefficients(self._f, config, *lattices, self.TARGETS)
+        second = estimate_coefficients(self._f, config, *lattices, self.TARGETS)
+        assert counted == [self.N]
+        assert first.tobytes() == second.tobytes()
+        for table in lattice._chirp_window(self.N):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
+
+class TestResidues:
+    """``_residues`` reduces mod N after every coordinate, so each entry of
+    the (lattices x targets) matrix is the exact h.z mod N, the same as the
+    one-lattice reduction."""
+
+    EXTREMES = [2**62, -(2**62), _INT64_MIN, -_INT64_MIN - 1, 0, 1, -1]
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("N", [2, 3, 10903, 39409, 2**31 - 1])
+    def test_matrix_equals_the_per_row_reduction(self, N, d):
+        rng = np.random.default_rng(N + d)
+        Z = rng.integers(1, N, (6, d)) if N > 2 else np.ones((6, d), dtype=np.int64)
+        Z[0] = N - 1
+        comps = self.EXTREMES + rng.integers(_INT64_MIN, -_INT64_MIN - 1, 8).tolist()
+        H = np.array([[comps[(t + j) % len(comps)] for j in range(d)]
+                      for t in range(len(comps))], dtype=np.int64)
+        M = lattice._residues(H % N, Z, N)
+        assert M.shape == (len(Z), len(H)) and M.dtype == np.int64
+        for i, z in enumerate(Z):
+            assert M[i].tobytes() == lattice._residues(H % N, Z[i:i + 1], N)[0].tobytes()
+            exact = [sum(h * int(zj) for h, zj in zip(row, z)) % N for row in H.tolist()]
+            assert M[i].tolist() == exact
 
 
 class TestCostModel:
@@ -796,7 +896,7 @@ class TestChirpConvolution:
         block = _ChirpBlock(N)
         block.rows[0] = x
         block.transform(1)
-        return block.spectrum(0, np.arange(N))
+        return block.spectrum(np.array([0]), np.arange(N)[np.newaxis])[0]
 
     @pytest.mark.parametrize("N", PRIMES)
     def test_agrees_with_numpy_fft(self, N):
@@ -808,7 +908,7 @@ class TestChirpConvolution:
         assert _BLOCK_BYTES // (16 * N) < 2
         config = LatticeConfig(N, 2)
         Z, D = _lattices(config, 5, 2)
-        u, v = (self._f(_lattice_nodes(config, z, delta)) for z, delta in zip(Z, D))
+        u, v = (self._f(_lattice_nodes(config, z, delta, np.arange(N))) for z, delta in zip(Z, D))
         rng = np.random.default_rng(N)
         noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         for x in (u + 1j * v, noise):
@@ -926,7 +1026,7 @@ class TestLatticeNodes:
     def test_equal_to_the_outer_product_formula(self, N, d):
         config = LatticeConfig(N, d)
         for z, delta in self._cases(N, d, seed=N + d):
-            nodes = _lattice_nodes(config, z, delta)
+            nodes = _lattice_nodes(config, z, delta, np.arange(N))
             expected = _outer_product_nodes(config, z, delta)
             assert nodes.shape == (N, d)
             assert np.array_equal(nodes, expected)
@@ -937,7 +1037,7 @@ class TestLatticeNodes:
     def test_new_array_on_every_call(self):
         config = LatticeConfig(101, 3)
         lattice = next(self._cases(101, 3, seed=1))
-        first, second = (_lattice_nodes(config, *lattice) for _ in range(2))
+        first, second = (_lattice_nodes(config, *lattice, np.arange(101)) for _ in range(2))
         assert not np.shares_memory(first, second)
 
     @pytest.mark.parametrize("count", [3, 14])
@@ -1073,6 +1173,14 @@ class TestDualMembership:
         hits = sum(dual_membership(ell, config, z) for z in Z)
         p = 1.0 / (N - 1)
         assert hits / 10_000 <= p + 3.0 * math.sqrt(p * (1 - p) / 10_000)
+
+    def test_rejects_bool_generating_vector_components(self):
+        """(True, 2) is refused, not read as the generating vector (1, 2)."""
+        config = LatticeConfig(5, 2)
+        for z in ((True, 2), (1, np.True_), np.array([True, False])):
+            with pytest.raises(ValueError, match="generating vector components must be integers"):
+                dual_membership([3, 1], config, z)
+        assert dual_membership([3, 1], config, (1, 2))
 
     def test_rejects_a_z_of_another_dimension(self):
         with pytest.raises(ValueError, match="lattice dimension"):
