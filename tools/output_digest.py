@@ -21,9 +21,15 @@ an output on purpose replaces the file with the new lines.  The outputs are:
   ``taskset -c 0``, on one CPU, against the same expected digests;
 - ``save.*`` and ``indices.*``: the bytes that ``save_approximation``
   writes for the f2, d=2, 2^18 approximation and that ``write_indices_csv``
-  writes for its index set;
+  writes for its index set; ``load.*`` and ``read_indices.*``: what
+  ``load_approximation`` and ``read_indices_csv`` read back from them;
 - ``harness.*``: the reports of both verification harnesses on f2, d=1,
   M_max=2^18;
+- ``epsilon.*`` and ``coefficients.*``: ``epsilon_bound`` on explicit
+  probes given as nested lists, numpy integers and integral floats, for f2
+  and for cos(2*pi*(x_1 + x_2)), whose norm sums its modes, at d=2,
+  M_max=2^18, f2's exact ``coefficients`` on a nested list, and the
+  single-lattice harness on those probes as integral floats;
 - ``estimate.*``: ``estimate_coefficients`` on what the keys above never
   reach: f complex on every lattice, f complex on some lattices and real
   on the others over an odd count, d=3, and targets that repeat and hold
@@ -91,6 +97,14 @@ def written_bytes(write, obj) -> bytes:
         return path.read_bytes()
 
 
+def read_back(write, read, obj):
+    """What ``read(path)`` gives for the file ``write(obj, path)`` wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "out.csv"
+        write(obj, path)
+        return read(path)
+
+
 def approximation_bytes(approx) -> bytes:
     return approx.index_set.H.tobytes() + approx.coefficients.vector.tobytes()
 
@@ -156,6 +170,23 @@ def main() -> int:
     saved = approximations["f2.d2.2^18"]
     digest("save.f2.d2.2^18", written_bytes(median_approx.save_approximation, saved))
     digest("indices.f2.d2.2^18", written_bytes(index_set.write_indices_csv, saved.index_set))
+    digest("load.f2.d2.2^18", approximation_bytes(
+        read_back(median_approx.save_approximation, median_approx.load_approximation, saved)))
+    digest("read_indices.f2.d2.2^18", read_back(
+        index_set.write_indices_csv, index_set.read_indices_csv, saved.index_set).tobytes())
+
+    f, problem, weights, ap = problem_of("f2", 2, 2.5, 2**18, SEEDS[0])
+    probes = [[0, 0], [1, 1], [-2, 3], [1, 0], [7, -1]]
+    for label, oracle in (("f2", f), ("cos11", korobov.cosine_pair_oracle((1, 1)))):
+        for form, cast in (("lists", list), ("numpy", lambda h: [np.int32(c) for c in h]),
+                           ("floats", lambda h: [float(c) for c in h])):
+            eps = [median_approx.epsilon_bound(cast(h), oracle, ap, problem, weights)
+                   for h in probes]
+            digest(f"epsilon.{label}.d2.2^18.{form}", np.array(eps).tobytes())
+    digest("coefficients.f2.d2.lists", f.coefficients(probes).tobytes())
+    floats = [[float(c) for c in h] for h in probes]
+    report = median_approx.verify_concentration(f, ap, problem, weights, trials=20, indices=floats)
+    digest("harness.concentration.f2.d2.2^18.floats", repr(report).encode())
 
     f, problem, weights, ap = problem_of("f2", 1, 2.5, 2**18, SEEDS[0])
     single = median_approx.verify_concentration(f, ap, problem, weights, trials=200)
