@@ -33,7 +33,7 @@ from .korobov import (
     test_function_f1,
     test_function_f2,
 )
-from .index_set import _check_cap, _read_table, _write_table
+from .index_set import _check_cap, _parsed_rows, _read_table, _write_table
 from .median_approx import MedianApproximation, run
 from .params import (
     BudgetSpec,
@@ -318,14 +318,12 @@ def parse_csv(text: str) -> List[ExperimentRecord]:
     """Inverse of emit_csv (comment header ignored, wall_time not stored)."""
     try:
         _, columns, rows = _read_table(text.splitlines())
+        if rows and columns != list(_CSV_COLUMNS):
+            raise ValueError(f"column line {','.join(columns)!r}")
+        rows = _parsed_rows(rows, _CSV_COLUMNS.values())
     except ValueError as err:
         raise ValueError(f"malformed {err}") from err
-    if rows and columns != list(_CSV_COLUMNS):
-        raise ValueError(f"malformed column line {','.join(columns)!r}")
-    return [
-        ExperimentRecord(**{c: parse(t) for (c, parse), t in zip(_CSV_COLUMNS.items(), parts)})
-        for parts in rows
-    ]
+    return [ExperimentRecord(**dict(zip(_CSV_COLUMNS, values))) for values in rows]
 
 
 @dataclass(frozen=True)

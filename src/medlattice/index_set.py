@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .korobov import FrequencyIndex, ProductWeights, SmoothnessParams, riemann_zeta
+from .korobov import FrequencyIndex, ProductWeights, SmoothnessParams, _frequency_rows, riemann_zeta
 from .params import _bisect_increasing, is_prime, log_PN
 
 __all__ = [
@@ -418,6 +418,18 @@ def _read_table(lines) -> tuple:
     return header, columns or [], rows
 
 
+def _parsed_rows(rows, parsers) -> list:
+    """Each of the table ``rows`` with its fields parsed by ``parsers``, one
+    per field; a field that does not parse raises ValueError naming its row."""
+    parsed = []
+    for row in rows:
+        try:
+            parsed.append([parse(v) for parse, v in zip(parsers, row)])
+        except ValueError as err:
+            raise ValueError(f"row {','.join(row)!r}: {err}") from None
+    return parsed
+
+
 def write_indices_csv(cross: HyperbolicCross, path) -> None:
     """Write one row per index, columns h_1..h_d, lexicographic order."""
     columns = [f"h_{j + 1}" for j in range(cross.params.dim)]
@@ -429,10 +441,11 @@ def read_indices_csv(path) -> np.ndarray:
     """Read back the (n, d) int64 array of write_indices_csv output.
 
     A file without an h_1..h_d header raises ValueError("not an index-set
-    CSV"); a row without d fields raises ValueError naming the row.
+    CSV"); a row without d fields, with a field that is not an integer or
+    with a frequency outside int64 raises ValueError naming the row.
     """
     with open(path, newline="") as fh:
         _, columns, rows = _read_table(fh)
     if not columns or not all(name.startswith("h_") for name in columns):
         raise ValueError("not an index-set CSV")
-    return np.array(rows, dtype=np.int64).reshape(-1, len(columns))
+    return _frequency_rows(_parsed_rows(rows, [int] * len(columns)), len(columns), "frequency")

@@ -97,15 +97,33 @@ class SmoothnessParams:
 
 def _integer_tuple(values, what: str) -> tuple:
     """``values`` as Python ints; ValueError rather than truncation for one
-    that is not integral, NaN and infinities included, and for a bool."""
-    values = tuple(values)
+    that is not integral, NaN and infinities included, for a bool, and for
+    ``values`` that is not a sequence."""
     try:
+        values = tuple(values)
         ints = tuple(map(int, values))
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         ints = None
     if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return ints
+
+
+def _frequency_rows(values, d: int, what: str) -> np.ndarray:
+    """``values`` as an (n, d) int64 array of frequency rows: a 2-D integer
+    ndarray by vectorized checks, other rows through ``_integer_tuple``; a
+    row of another length or outside int64 raises ValueError naming it."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 2:
+        if values.shape[1] == d and (values.dtype.kind == "i" or values.max(initial=0) < 2**63):
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()   # the row path names the offending row
+    rows = [_integer_tuple(h, "frequencies") for h in values]
+    for h in rows:
+        if len(h) != d:
+            raise ValueError(f"{what} {h} has {len(h)} components, not d = {d}")
+        if min(h) < -(2**63) or max(h) >= 2**63:
+            raise ValueError(f"{what} {h} must lie inside int64")
+    return np.array(rows, dtype=np.int64).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -147,10 +165,15 @@ def riemann_zeta(q: float) -> float:
     terms directly and replaces the rest by the integral, half-term and
     Bernoulli corrections up to B_14; the first neglected correction is
     below 1e-19 relative for every q > 1.  Tests pin it against the closed
-    forms zeta(2) and zeta(4) and against scipy.special.zeta.
+    forms zeta(2) and zeta(4) and against scipy.special.zeta.  Above
+    q = 64, infinity included, it is 1.0.
     """
     if not q > 1.0:
         raise ValueError("zeta(q) requires q > 1")
+    if q > 64.0:
+        # the terms past the first sum to below 2^-63, under half an ulp of
+        # 1; the steps below would meet 0*inf from q ~ 1e154 on
+        return 1.0
     n = _ZETA_TERMS
     terms = [k ** -q for k in range(1, n)]
     terms.append(n ** (1.0 - q) / (q - 1.0))
@@ -164,7 +187,7 @@ def riemann_zeta(q: float) -> float:
     return fsum(terms)
 
 
-def r_weight(h: FrequencyIndex, params: SmoothnessParams, weights: ProductWeights) -> float:
+def r_weight(h, params: SmoothnessParams, weights: ProductWeights) -> float:
     """Evaluate r_{2*alpha,gamma}(h) = prod_j max(|h_j|^(2*alpha)/gamma_j, 1).
 
     Returns ``math.inf`` when a factor overflows double precision; callers
@@ -172,7 +195,8 @@ def r_weight(h: FrequencyIndex, params: SmoothnessParams, weights: ProductWeight
 
     Parameters
     ----------
-    h : FrequencyIndex
+    h : sequence of int
+        Components of any size; a non-integral one raises ValueError.
     params : SmoothnessParams
     weights : ProductWeights
         Must supply at least ``params.dim`` weights.
@@ -182,6 +206,7 @@ def r_weight(h: FrequencyIndex, params: SmoothnessParams, weights: ProductWeight
     float
         The weight-function value, always >= 1.
     """
+    h = _integer_tuple(h, "frequencies")
     if len(h) != params.dim:
         raise ValueError(f"index has length {len(h)}, expected {params.dim}")
     gammas = weights.require(params.dim)
@@ -247,11 +272,9 @@ class SpectralOracle:
         self.label = label
 
     def coefficients(self, H) -> np.ndarray:
-        """Exact Fourier coefficients at the rows of the (n, dim) integer
-        array H, as a complex128 vector."""
-        H = np.asarray(H)
-        if H.ndim != 2 or H.shape[1] != self.dim or H.dtype.kind not in "iu":
-            raise ValueError(f"frequencies {H.dtype}{H.shape}, expected integers (n, {self.dim})")
+        """Exact Fourier coefficients at the rows of H, integer frequencies
+        of dim components inside int64, as a complex128 vector."""
+        H = _frequency_rows(H, self.dim, "frequency")
         if self.factor_coefficient is not None:
             # the running product starts at 1 and takes the coordinates in
             # order; each takes one table over the values that occur in it
@@ -271,7 +294,7 @@ class SpectralOracle:
     def coefficient(self, h) -> complex:
         """Exact Fourier coefficient at the frequency index h, the one-row
         case of ``coefficients``."""
-        return complex(self.coefficients([FrequencyIndex(h).components])[0])
+        return complex(self.coefficients([h])[0])
 
     def evaluate(self, x) -> np.ndarray:
         """Pointwise values; accepts a single point (d,) or a batch (n, d)."""
@@ -468,7 +491,7 @@ def korobov_norm_sq_truncated(
 
     if f.modes is not None:
         terms = [
-            abs(c) ** 2 * r_weight(FrequencyIndex(h), params, weights)
+            abs(c) ** 2 * r_weight(h, params, weights)
             for h, c in f.modes.items()
             if max(abs(x) for x in h) <= box_radius
         ]
@@ -483,5 +506,5 @@ def korobov_norm_sq_truncated(
     for comps in itertools.product(rng, repeat=params.dim):
         c = f.coefficient(comps)
         if c != 0:
-            terms.append(abs(c) ** 2 * r_weight(FrequencyIndex(comps), params, weights))
+            terms.append(abs(c) ** 2 * r_weight(comps, params, weights))
     return fsum(terms)

@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .korobov import FrequencyIndex, _integer, _integer_tuple
+from .korobov import _frequency_rows, _integer, _integer_tuple
 from .params import is_prime
 
 __all__ = [
@@ -410,9 +410,9 @@ def estimate_coefficients(
         components in {1, ..., N-1}.  Integral floats are accepted.
     D : (n, d) float array
         Row i is the shift of lattice i, with finite components in [0, 1).
-    targets : (m, d) integer array
+    targets : (m, d) integer array or sequence of m frequencies
         Nonempty: one frequency per row, such as ``HyperbolicCross.H``,
-        every component inside int64.
+        every component inside int64.  Integral floats are accepted.
 
     Returns
     -------
@@ -420,12 +420,13 @@ def estimate_coefficients(
         complex128 of shape (n, m); entry [i, j] is the estimate at
         ``targets[j]`` from lattice i.
     """
-    Z, D, H = np.asarray(Z), np.asarray(D, dtype=float), np.asarray(targets)
+    N, d = config.N, config.dim
+    Z, D = np.asarray(Z), np.asarray(D, dtype=float)
     if not Z.size:
         raise ValueError("lattices must be nonempty")
-    if not H.size:
+    H = _frequency_rows(targets, d, "target")
+    if not len(H):
         raise ValueError("targets must be nonempty")
-    N, d = config.N, config.dim
     if N > _MAX_N:
         raise ValueError(f"N = {N} exceeds the supported lattice size 2^31")
     if Z.ndim != 2 or Z.shape[1] != d or D.shape != Z.shape:
@@ -437,17 +438,13 @@ def estimate_coefficients(
     # a NaN fails both comparisons, an infinity one of them
     if not np.all((D >= 0.0) & (D < 1.0)):
         raise ValueError("shift components must lie in [0, 1)")
-    if H.ndim != 2 or H.shape[1] != d or H.dtype.kind not in "iu":
-        raise ValueError("targets must be integer frequencies of the lattice dimension")
-    if H.dtype.kind == "u" and H.max() > np.iinfo(np.int64).max:
-        raise ValueError("targets must lie inside int64")
     Z, D = np.ascontiguousarray(Z, dtype=np.int64), np.ascontiguousarray(D)
     out = np.empty((len(Z), len(H)), dtype=np.complex128)
     # log2(N) sits below the measured break-even (about 17 targets at
     # N=10903, 36 at N=39409 on a 2-core machine), so the chirp sums are
     # only taken where they clearly win; retune it only from new measurements
     estimate = _chirp_sums if len(H) < math.log2(N) else _batched_ffts
-    estimate(f_eval, config, Z, D, H.astype(np.int64), out)
+    estimate(f_eval, config, Z, D, H, out)
     return out
 
 
@@ -793,7 +790,7 @@ def dual_membership(ell, config: LatticeConfig, z) -> bool:
     Uses Python integers throughout, so arbitrarily large components are
     handled exactly.
     """
-    comps = FrequencyIndex(ell).components
+    comps = _integer_tuple(ell, "frequencies")
     z = _integer_tuple(z, "generating vector components")
     if len(comps) != config.dim or len(z) != config.dim:
         raise ValueError("ell and z must match the lattice dimension")

@@ -27,12 +27,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .index_set import HyperbolicCross, _read_table, _write_table, enumerate_hyperbolic_cross
+from .index_set import (HyperbolicCross, _parsed_rows, _read_table, _write_table,
+                        enumerate_hyperbolic_cross)
 from .korobov import (
     FrequencyIndex,
     ProductWeights,
     SmoothnessParams,
     SpectralOracle,
+    _frequency_rows,
     _integer,
     korobov_norm_sq_truncated,
 )
@@ -643,19 +645,9 @@ def epsilon_bound(
     ``tail_radius`` that is not an integer >= 0 raises ValueError.
     """
     tail_radius = _integer(tail_radius, 0, "tail_radius")
-    H = _probe_rows([h], problem.dim)
+    H = _frequency_rows([h], problem.dim, "probe")
     norm_sq = korobov_norm_sq_truncated(f, problem, weights, _NORM_RADIUS)
     return _epsilons(H, f, params, problem, norm_sq, tail_radius, stacklevel=3)[0]
-
-
-def _probe_rows(indices, d: int) -> np.ndarray:
-    """The probe frequencies ``indices`` as the rows of an int64 array; a
-    probe without d components raises ValueError naming it."""
-    rows = [FrequencyIndex(h).components for h in indices]
-    for h in rows:
-        if len(h) != d:
-            raise ValueError(f"probe {h} has {len(h)} components, not d = {d}")
-    return np.array(rows, dtype=np.int64).reshape(-1, d)
 
 
 def _epsilons(
@@ -761,7 +753,7 @@ def _verify(f, params, problem, weights, trials, indices, tail_radius, median: b
     trials = _integer(trials, 1, "trials")
     tail_radius = _integer(tail_radius, 0, "tail_radius")
     if indices is not None:
-        H = _probe_rows(indices, problem.dim)
+        H = _frequency_rows(indices, problem.dim, "probe")
         if not len(H):
             raise ValueError("indices must name at least one probe")
     else:
@@ -866,8 +858,9 @@ def load_approximation(path) -> MedianApproximation:
     A header without one of the keys that save_approximation writes, or
     with a value that does not parse, raises ValueError naming the key.  A
     NaN or infinite coefficient raises ValueError naming how many there
-    are; a row without d + 2 fields, or repeating an earlier row's
-    frequency, raises ValueError naming the row.
+    are; a row without d + 2 fields, with a field that does not parse or a
+    frequency outside int64, or repeating an earlier row's frequency,
+    raises ValueError naming the row.
     """
     with open(path, newline="") as fh:
         header, columns, rows = _read_table(fh)
@@ -897,7 +890,9 @@ def load_approximation(path) -> MedianApproximation:
     expected = [f"h_{j + 1}" for j in range(d)] + ["re", "im"]
     if columns != expected:
         raise ValueError(f"columns {','.join(columns)!r}, expected {','.join(expected)!r}")
-    keys = [[int(v) for v in row[:d]] for row in rows]
+    fields = _parsed_rows(rows, [int] * d + [float, float])
+    keys = [row[:d] for row in fields]
+    H = _frequency_rows(keys, d, "frequency")
     # a stable sort puts each repeat after an earlier row of its frequency;
     # the repeat that comes first in the file is the least of them
     order = sorted(range(len(rows)), key=keys.__getitem__)
@@ -905,9 +900,8 @@ def load_approximation(path) -> MedianApproximation:
     if repeats:
         b = min(repeats)
         raise ValueError(f"row {','.join(rows[b])!r} repeats frequency {tuple(keys[b])}")
-    H = np.array([keys[i] for i in order], dtype=np.int64).reshape(-1, d)
-    vector = np.array([complex(float(rows[i][d]), float(rows[i][d + 1])) for i in order],
-                      dtype=np.complex128)
+    H = H[order]
+    vector = np.array([complex(*fields[i][d:]) for i in order], dtype=np.complex128)
     _check_finite_coefficients(vector)
     if not np.array_equal(H, cross.H):
         raise ValueError("stored rows do not match the index set implied by the header")

@@ -2,10 +2,11 @@
 Tests for the package's public surface: the exports are a fixed list, every
 exported name resolves, once, and every library name the benchmark's tracer
 wraps exists, so a renamed function fails here instead of leaving a traced
-benchmark run without spans.  One source check keeps the integer rule in
-one module.
+benchmark run without spans.  Two source checks keep the integer rule and
+the frequency rule in one module.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -121,3 +122,68 @@ def test_one_integer_rule():
         if INTEGER_IDIOMS.search(line)
     ]
     assert found == []
+
+
+# where src may build a FrequencyIndex: its own class, the cross's member
+# objects and the harness reports' probes
+FREQUENCY_INDEX_BUILDERS = {
+    ("korobov.py", "FrequencyIndex.__neg__"),
+    ("index_set.py", "HyperbolicCross.indices"),
+    ("index_set.py", "HyperbolicCross.__contains__"),
+    ("median_approx.py", "_verify"),
+}
+# every entry point that takes a caller's frequencies as rows
+FREQUENCY_ENTRIES = {
+    ("lattice.py", "estimate_coefficients"),
+    ("korobov.py", "SpectralOracle.coefficients"),
+    ("median_approx.py", "epsilon_bound"),
+    ("median_approx.py", "_verify"),
+    ("median_approx.py", "load_approximation"),
+    ("index_set.py", "read_indices_csv"),
+}
+
+
+def _calls(tree):
+    """(qualified name of the enclosing function, called name) of every call
+    of a plain name in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                found.append((".".join(scope), child.func.id))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_frequency_rule():
+    """Only korobov's ``_frequency_rows`` turns a caller's frequency rows
+    into int64: each entry point calls it, no per-module probe helper or
+    dtype check comes back beside it, and FrequencyIndex objects are built
+    only where the API hands them out."""
+    builders, entries, defined, dtype_checks = set(), set(), set(), []
+    for path in sorted(SOURCES.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        for scope, name in _calls(tree):
+            if name == "FrequencyIndex":
+                builders.add((path.name, scope))
+            elif name == "_frequency_rows":
+                entries.add((path.name, scope))
+        if path.name != "korobov.py":
+            imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                        for a in n.names]
+            assert path.name != "lattice.py" or "FrequencyIndex" not in imported
+            dtype_checks += [f"{path.name}: {line.strip()}" for line in text.splitlines()
+                             if re.search(r"\.dtype\.kind|np\.iinfo\(np\.int64\)\.max", line)]
+    assert builders == FREQUENCY_INDEX_BUILDERS
+    assert entries == FREQUENCY_ENTRIES
+    assert "_probe_rows" not in defined
+    # the one dtype check left outside korobov is the generating vectors'
+    assert [c for c in dtype_checks if not c.startswith("lattice.py: if Z.dtype.kind")] == []

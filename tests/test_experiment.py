@@ -216,6 +216,15 @@ class TestCsvFormat:
         with pytest.raises(ValueError, match="malformed"):
             parse_csv(broken)
 
+    def test_unparsable_field_names_its_row(self):
+        cfg = ExperimentConfig(function="exp", dim=2, budgets=(2**14,))
+        lines = emit_csv(cfg, run_experiment(cfg)).splitlines()
+        fields = lines[-1].split(",")
+        fields[2] = "x"   # the N column
+        broken = "\n".join(lines[:-1] + [",".join(fields)]) + "\n"
+        with pytest.raises(ValueError, match=f"^malformed row '{','.join(fields)}': invalid literal"):
+            parse_csv(broken)
+
     def test_other_columns_rejected(self):
         """A --fig 3 table is not an error CSV, though its rows have as many
         fields as its column line."""

@@ -387,3 +387,16 @@ class TestIndexCsv:
         path.write_text("h_1,h_2\n0,0\n1\n")
         with pytest.raises(ValueError, match=r"^row '1' has 1 fields, expected 2$"):
             read_indices_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,0", r"^row '1.5,0': invalid literal for int"),
+        ("x,0", r"^row 'x,0': invalid literal for int"),
+        ("99999999999999999999,0", r"^frequency \(99999999999999999999, 0\) must lie inside int64$"),
+    ])
+    def test_bad_field_names_its_row(self, tmp_path, row, message):
+        """A field that is not an integer, or a frequency outside int64, is
+        refused by name, not by a bare ValueError or numpy's OverflowError."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"h_1,h_2\n0,0\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            read_indices_csv(path)

@@ -88,6 +88,12 @@ class TestRiemannZeta:
         """Euler-Maclaurin matches scipy.special.zeta on (1, 300]."""
         assert abs(riemann_zeta(q) - scipy_zeta(q, 1)) <= 4e-15 * scipy_zeta(q, 1)
 
+    @pytest.mark.parametrize("q", [64.0, 65.0, 1e10, 1.3e154, 2e154, 1e300, math.inf])
+    def test_large_q(self, q):
+        """From q ~ 2e154 on, and at infinity, the correction steps met
+        0*inf and gave NaN; every term past the first is below one ulp."""
+        assert riemann_zeta(q) == scipy_zeta(q, 1) == 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             riemann_zeta(1.0)
@@ -589,6 +595,7 @@ def test_non_integral_components_rejected():
     estimate = lambda Z: estimate_coefficients(
         f.evaluate, config, Z, [[0.25, 0.5]], np.zeros((1, 2), dtype=np.int64)
     )
+    estimate_at = lambda H: estimate_coefficients(f.evaluate, config, [[3, 2]], [[0.25, 0.5]], H)
     calls = [
         lambda: (0.5, 1) in cross,
         lambda: f.coefficient((0.5, 1)),
@@ -598,6 +605,9 @@ def test_non_integral_components_rejected():
         lambda: estimate([[1.5, 2]]),
         lambda: estimate(np.array([[3.0, np.float64(2.5)]])),
         lambda: FrequencyIndex((0, np.float64(2.5))),
+        lambda: f.coefficients([[0.5, 1]]),
+        lambda: estimate_at([[1, 2], [1.5, 2]]),
+        lambda: r_weight((0.5, 1), SmoothnessParams(1.5, 2), ProductWeights([1.0, 1.0])),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="must be integers"):
@@ -607,6 +617,11 @@ def test_non_integral_components_rejected():
     assert f.coefficient((0.0, 1.0)) == f.coefficient((0, 1))
     assert dual_membership((2, -3), config, (np.int64(3), 2.0))
     assert estimate([[3.0, 2.0]]).tobytes() == estimate(np.array([[3, 2]])).tobytes()
+    # ... and as frequency rows, which the estimator and coefficients refused
+    H = np.array([[1, 2], [0, -1]])
+    for rows in ([[1.0, 2.0], [0.0, -1.0]], [(np.int32(1), 2), [0, np.float64(-1)]]):
+        assert f.coefficients(rows).tobytes() == f.coefficients(H).tobytes()
+        assert estimate_at(rows).tobytes() == estimate_at(H).tobytes()
 
 
 def test_bool_frequency_components_rejected():
@@ -616,3 +631,38 @@ def test_bool_frequency_components_rejected():
         with pytest.raises(ValueError, match="frequencies must be integers"):
             FrequencyIndex(components)
     assert FrequencyIndex((1, np.int64(0))).components == (1, 0)
+
+
+class TestFrequencyRule:
+    """Every frequency entry point turns a caller's rows into int64 by one
+    rule: integral floats pass, anything outside int64 or of another length
+    is refused by name."""
+
+    def test_coefficients_refuse_uint64_above_int64(self):
+        """2^64 - 1 used to pass and be read as its own exact coefficient;
+        the estimator refused it."""
+        f = function_f2(2)
+        for h in (2**64 - 1, 2**63):
+            with pytest.raises(ValueError, match=rf"^frequency \({h}, 0\) must lie inside int64$"):
+                f.coefficients(np.array([[h, 0]], dtype=np.uint64))
+        top = np.array([[2**63 - 1, 0]], dtype=np.uint64)
+        assert f.coefficients(top).tobytes() == f.coefficients(top.astype(np.int64)).tobytes()
+
+    @pytest.mark.parametrize("H, message", [
+        ([[1, 2, 3]], r"^frequency \(1, 2, 3\) has 3 components, not d = 2$"),
+        (np.array([[1, 2, 3]]), r"^frequency \(1, 2, 3\) has 3 components, not d = 2$"),
+        ([[1, 2], [-(2**63) - 1, 0]], r"must lie inside int64$"),
+        ([[True, 0]], r"^frequencies must be integers"),
+    ])
+    def test_coefficients_name_the_refused_row(self, H, message):
+        with pytest.raises(ValueError, match=message):
+            function_f2(2).coefficients(H)
+
+    def test_non_sequence_frequency_is_a_value_error(self):
+        """A frequency that is not a sequence used to end in tuple()'s
+        TypeError."""
+        config = LatticeConfig(101, 2)
+        for call in (lambda: FrequencyIndex(5), lambda: dual_membership(5, config, (1, 2)),
+                     lambda: function_f2(2).coefficients([1, 2])):
+            with pytest.raises(ValueError, match="^frequencies must be integers, got [15]$"):
+                call()

@@ -346,6 +346,20 @@ class TestEstimator:
             f, config, Z, D, top.astype(np.int64)
         ).tobytes()
 
+    def test_target_rows_refused_by_name(self):
+        """A target list row outside int64 or of another length is refused
+        naming it, not by numpy's OverflowError or a message naming none."""
+        config = LatticeConfig(101, 2)
+        Z, D = np.array([[3, 7]]), np.array([[0.25, 0.5]])
+        f = lambda pts: np.exp(-2j * np.pi * pts[:, 0])
+        for targets, message in (
+            ([[0, 0], [2**64, 1]], r"^target \(18446744073709551616, 1\) must lie inside int64$"),
+            ([[True, 2]], "^frequencies must be integers"),
+            ([[0, 0, 0]], r"^target \(0, 0, 0\) has 3 components, not d = 2$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                estimate_coefficients(f, config, Z, D, targets)
+
 
 _SMALL_PRIMES = [p for p in range(2, 128) if all(p % q for q in range(2, p))]
 

@@ -612,6 +612,12 @@ def test_array_path_builds_no_frequency_index(monkeypatch, tmp_path):
 
 
 class TestErrorAgainstTheoremBound:
+    """Theorem 1's bound as an empirical yardstick.  No runnable budget meets
+    the theorem's hypotheses (at d=2 they first all hold at 2^41, with N
+    above the 2^31 lattice limit; here, at 2^14, the contraction ratio
+    exceeds one), so a pass shows the bound holding in practice, not the
+    theorem."""
+
     def test_twenty_seeded_runs(self):
         """Exact squared error below the error-bound value on >= 19/20 runs."""
         f = function_f2(2)
@@ -1130,6 +1136,19 @@ class TestEpsilonBound:
         with pytest.raises(ValueError, match=f"{len(h)} components, not d = 2"):
             verify_concentration(f, ap, D2, W2, trials=1, indices=[h])
 
+    @pytest.mark.parametrize("h", [[2**63, 0], [0, -(2**63) - 1], [2.0**64, 1]])
+    def test_rejects_probe_outside_int64(self, h):
+        """A probe outside int64 is refused by name, not by numpy's
+        OverflowError, by epsilon_bound and by both harnesses."""
+        ap = params_for(14, D2, W2, R=3)
+        f = function_f2(2)
+        message = rf"^probe \({int(h[0])}, {h[1]}\) must lie inside int64$"
+        with pytest.raises(ValueError, match=message):
+            epsilon_bound(h, f, ap, D2, W2)
+        for harness in (verify_concentration, verify_median_amplification):
+            with pytest.raises(ValueError, match=message):
+                harness(f, ap, D2, W2, trials=1, indices=[[1, 0], h])
+
     @pytest.mark.parametrize("harness", [verify_concentration, verify_median_amplification])
     @pytest.mark.parametrize(
         "indices, message",
@@ -1463,6 +1482,29 @@ class TestSerialization:
         with open(path, "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(ValueError, match=f"row '{row}' has .* fields, expected 3"):
+            load_approximation(path)
+
+    @pytest.mark.parametrize("row, why", [
+        ("1.5,0.5,0", "invalid literal for int"),
+        ("x,0.5,0", "invalid literal for int"),
+        ("7,x,0", "could not convert string to float"),
+    ])
+    def test_unparsable_field_names_its_row(self, tmp_path, row, why):
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=f"^row '{row}': {why}"):
+            load_approximation(path)
+
+    def test_frequency_outside_int64_named(self, tmp_path):
+        approx = run(function_f2(1).evaluate, params_for(12, D1, W1), D1, W1)
+        path = tmp_path / "approx.csv"
+        save_approximation(approx, path)
+        with open(path, "a") as fh:
+            fh.write(f"{2**63},0.5,0\n")
+        with pytest.raises(ValueError, match=rf"^frequency \({2**63},\) must lie inside int64$"):
             load_approximation(path)
 
     @pytest.mark.parametrize("key", ["N", "R", "tau", "N_star", "seed", "d", "alpha", "gamma"])

@@ -529,10 +529,11 @@ class TestCheckConditions:
         assert len(list(report)) == 4
 
     def test_feasible_case_holds(self):
-        """At tau_star = tau1 everything except the knife-edge prime-size
-        condition holds; at tau0 that one holds too."""
+        """At tau_star = tau1 everything holds, the prime-size condition
+        with equality up to tau1's bisection; at tau0 that one holds too."""
         sel = select_params(BudgetSpec(FEASIBLE_MMAX, 0.01), FEASIBLE_PARAMS, FEASIBLE_WEIGHTS)
         report = check_conditions(sel, FEASIBLE_PARAMS, FEASIBLE_WEIGHTS, R=sel.R, delta=0.01)
+        assert report.all_hold()
         assert report["Nstar_at_least_one"].holds
         assert report["Nstar_below_half_N"].holds
         assert report["contraction_below_one"].holds
@@ -574,6 +575,48 @@ class TestCheckConditions:
             "cond_repetitions_sufficient",
             "cond_prime_large_enough_at_c_einv",
         ]
+
+
+    @pytest.mark.parametrize("d, exponents", [(1, (32, 38, 39, 41, 42)), (2, (41, 44))])
+    def test_prime_size_verdict_not_decided_by_rounding(self, d, exponents):
+        """At a feasible selection tau_star = tau1 meets the prime-size
+        condition with equality up to its bisection; compared exactly, the
+        verdict followed tau1's last bits (False at these budgets)."""
+        params, weights = SmoothnessParams(2.5, d), ProductWeights([1.0] * d)
+        for k in exponents:
+            sel = select_params(BudgetSpec(2**k, 0.01), params, weights)
+            prime = check_conditions(sel, params, weights)["prime_large_enough_at_c_einv"]
+            assert abs(prime.lhs / prime.rhs - 1.0) < 1e-9
+            assert prime.holds, k
+
+
+# the first budget exponent k at which each condition holds for unit weights
+# and delta = 0.01, alpha 2.5 and 1.5 alike, and N there once all five hold;
+# the README's "What the theory covers" table
+FIRST_HOLDS = {
+    1: ({"Nstar_at_least_one": 10, "Nstar_below_half_N": 10, "contraction_below_one": 21,
+         "repetitions_sufficient": 32, "prime_large_enough_at_c_einv": 32}, 101_513_869),
+    2: ({"Nstar_at_least_one": 14, "Nstar_below_half_N": 10, "contraction_below_one": 31,
+         "repetitions_sufficient": 41, "prime_large_enough_at_c_einv": 41}, 40_507_183_187),
+}
+
+
+class TestWhereTheTheoryApplies:
+    @pytest.mark.parametrize("alpha", [2.5, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_budgets(self, d, alpha):
+        """Each condition first holds at its pinned budget 2^k and holds at
+        every budget from there up to 2^45; all five first hold at a lattice
+        size this package cannot run (d=2: above 2^31)."""
+        params, weights = SmoothnessParams(alpha, d), ProductWeights([1.0] * d)
+        first, N_all = FIRST_HOLDS[d]
+        for k in range(10, 46):
+            sel = select_params(BudgetSpec(2**k, 0.01), params, weights)
+            report = check_conditions(sel, params, weights, R=sel.R, delta=0.01)
+            assert {c.name: c.holds for c in report} == {
+                name: k >= k0 for name, k0 in first.items()}, k
+            if k == max(first.values()):
+                assert sel.N_max == N_all
 
 
 class TestTractability:

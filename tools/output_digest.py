@@ -89,20 +89,17 @@ def problem_of(function: str, dim: int, alpha: float, M_max: int, seed: int):
     return f, problem, weights, ap
 
 
-def written_bytes(write, obj) -> bytes:
-    """The bytes ``write(obj, path)`` puts in a file."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "out.csv"
-        write(obj, path)
-        return path.read_bytes()
-
-
 def read_back(write, read, obj):
     """What ``read(path)`` gives for the file ``write(obj, path)`` wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "out.csv"
         write(obj, path)
         return read(path)
+
+
+def written_bytes(write, obj) -> bytes:
+    """The bytes ``write(obj, path)`` puts in a file."""
+    return read_back(write, pathlib.Path.read_bytes, obj)
 
 
 def approximation_bytes(approx) -> bytes:
