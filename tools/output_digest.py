@@ -35,7 +35,13 @@ an output on purpose replaces the file with the new lines.  The outputs are:
   on the others over an odd count, d=3, and targets that repeat and hold
   h = 0, each by chirp sums (fewer than log2 N targets) and by batched
   FFTs (N <= 2^15), and a mixed odd call at N > 2^15, whose one-lattice
-  blocks are chirp convolutions.
+  blocks are chirp convolutions;
+- ``norm.*``: ``korobov_norm_sq_truncated`` as ``float.hex`` at radius
+  4096 for f1 (alpha 3/2) and f2 (alpha 5/2) at d = 1, 2 and 3 with unit
+  and ``poly:2`` weights, for cos(2*pi*(x_1 + x_2)) and, at radius 100,
+  for a generic d=2 oracle known only by its coefficient function; and
+  ``r_weight`` on fixed rows holding 0, +-1, -2^63 and components beyond
+  int64.
 
 The expected digests were recorded with numpy 2.4 on x86-64; ``evaluate.*``
 goes through BLAS matrix products, whose rounding another BLAS may change.
@@ -139,6 +145,35 @@ def estimator_calls():
                 yield f"estimate.{path}.{kind}.d{d}.N{N}", f, config, Z, D, targets
 
 
+def generic_coefficient(h) -> complex:
+    """A d=2 coefficient function with zeros and |c(-h)| != |c(h)|."""
+    h1, h2 = h
+    if (h1 + 2 * h2) % 3 == 0:
+        return 0j
+    return complex(1.0 / (1.0 + h1 * h1 + 2.0 * h2 * h2) ** 1.5, h1 / (7.0 + h1**4 + h2**4))
+
+
+def norms():
+    """(name, norm) of every ``norm.*`` key but ``norm.r_weight``."""
+    for label, factory, alpha in (("f1", korobov.test_function_f1, 1.5),
+                                  ("f2", korobov.test_function_f2, 2.5)):
+        for d in (1, 2, 3):
+            problem = korobov.SmoothnessParams(alpha=alpha, dim=d)
+            for weighting, gammas in (("unit", [1.0] * d),
+                                      ("poly2", [j**-2.0 for j in range(1, d + 1)])):
+                weights = korobov.ProductWeights(gammas)
+                yield (f"norm.{label}.d{d}.{weighting}.r4096",
+                       korobov.korobov_norm_sq_truncated(factory(d), problem, weights, 4096))
+    problem = korobov.SmoothnessParams(alpha=1.5, dim=2)
+    weights = korobov.ProductWeights([1.0, 0.25])
+    yield "norm.cos11.d2.poly2.r4096", korobov.korobov_norm_sq_truncated(
+        korobov.cosine_pair_oracle((1, 1)), problem, weights, 4096)
+    generic = korobov.SpectralOracle(dim=2, coefficient=generic_coefficient, l2_norm_sq=1.0,
+                                     evaluate=lambda pts: np.zeros(len(pts)), label="generic")
+    yield "norm.generic.d2.poly2.r100", korobov.korobov_norm_sq_truncated(
+        generic, problem, weights, 100)
+
+
 def main() -> int:
     for name, argv in (
         ("cli.f1.d2", ["--function", "f1", "--dim", "2"]),
@@ -193,6 +228,15 @@ def main() -> int:
 
     for name, f, config, Z, D, targets in estimator_calls():
         digest(name, lattice.estimate_coefficients(f, config, Z, D, targets).tobytes())
+
+    for name, norm in norms():
+        digest(name, norm.hex().encode())
+    problem = korobov.SmoothnessParams(alpha=1.5, dim=2)
+    weights = korobov.ProductWeights([1.0, 0.25])
+    rows = [(0, 0), (1, -1), (-1, 1), (3, -7), (0, 2**40), (-2**63, 1), (2**63, -2),
+            (2**64 + 1, 0), (10**200, 1)]
+    digest("norm.r_weight.d2.poly2", " ".join(
+        korobov.r_weight(h, problem, weights).hex() for h in rows).encode())
 
     lines = EXPECTED.read_text().splitlines()
     expected = {name: value for value, name in (line.split("  ", 1) for line in lines)}
