@@ -446,6 +446,6 @@ def read_indices_csv(path) -> np.ndarray:
     """
     with open(path, newline="") as fh:
         _, columns, rows = _read_table(fh)
-    if not columns or not all(name.startswith("h_") for name in columns):
+    if not columns or columns != [f"h_{j + 1}" for j in range(len(columns))]:
         raise ValueError("not an index-set CSV")
     return _frequency_rows(_parsed_rows(rows, [int] * len(columns)), len(columns), "frequency")

@@ -187,42 +187,50 @@ def riemann_zeta(q: float) -> float:
     return fsum(terms)
 
 
+def _r_factor(m: int, two_alpha: float, gamma: float) -> float:
+    """max(|m|^(2*alpha)/gamma, 1), one coordinate's factor of r and the only
+    place r is computed: 1.0 at m = 0, ``math.inf`` where it overflows."""
+    if m == 0:
+        return 1.0
+    try:
+        return max(math.pow(abs(m), two_alpha) / gamma, 1.0)
+    except OverflowError:
+        return math.inf
+
+
+def _column_product(H: np.ndarray, factors, dtype) -> np.ndarray:
+    """prod_j factors[j](H[i, j]) at each row i of H (int64, or Python ints
+    in an object array), from 1 in coordinate order; each factor is called
+    once per value its column holds, with a Python int."""
+    out = np.ones(len(H), dtype=dtype)
+    for column, factor in zip(H.T, factors):
+        values, where = np.unique(column, return_inverse=True)
+        out *= np.array([factor(v) for v in values.tolist()], dtype=dtype)[where]
+    return out
+
+
+def _r_rows(H: np.ndarray, params: SmoothnessParams, weights: ProductWeights) -> np.ndarray:
+    """r_{2*alpha,gamma} at each row of H; inf where it overflows."""
+    factors = [functools.partial(_r_factor, two_alpha=2.0 * params.alpha, gamma=g)
+               for g in weights.require(params.dim)]
+    with np.errstate(over="ignore"):
+        return _column_product(H, factors, np.float64)
+
+
 def r_weight(h, params: SmoothnessParams, weights: ProductWeights) -> float:
-    """Evaluate r_{2*alpha,gamma}(h) = prod_j max(|h_j|^(2*alpha)/gamma_j, 1).
+    """Evaluate r_{2*alpha,gamma}(h) = prod_j max(|h_j|^(2*alpha)/gamma_j, 1),
+    always >= 1, at one frequency h of ``params.dim`` integer components of
+    any size (a non-integral one raises ValueError); ``weights`` must supply
+    at least ``params.dim`` weights.  The one-row case of the r that the
+    truncated norm and the harnesses' default probes take at int64 rows.
 
-    Returns ``math.inf`` when a factor overflows double precision; callers
-    treat the sentinel as "outside every index set".
-
-    Parameters
-    ----------
-    h : sequence of int
-        Components of any size; a non-integral one raises ValueError.
-    params : SmoothnessParams
-    weights : ProductWeights
-        Must supply at least ``params.dim`` weights.
-
-    Returns
-    -------
-    float
-        The weight-function value, always >= 1.
+    Returns ``math.inf`` when r overflows double precision; callers treat
+    the sentinel as "outside every index set".
     """
     h = _integer_tuple(h, "frequencies")
     if len(h) != params.dim:
         raise ValueError(f"index has length {len(h)}, expected {params.dim}")
-    gammas = weights.require(params.dim)
-    two_alpha = 2.0 * params.alpha
-    out = 1.0
-    for hj, gj in zip(h, gammas):
-        if hj == 0:
-            continue
-        try:
-            p = math.pow(abs(hj), two_alpha)
-        except OverflowError:
-            return math.inf
-        out *= max(p / gj, 1.0)
-        if math.isinf(out):
-            return math.inf
-    return out
+    return float(_r_rows(np.array([h], dtype=object), params, weights)[0])
 
 
 # --------------------------------------------------------------------------
@@ -240,15 +248,16 @@ class SpectralOracle:
         The exact squared L2 norm, equal to the sum of |coefficient(h)|^2.
     factor_coefficient : callable or None
         For coordinate-product functions f(x) = prod_j g(x_j), the 1-D
-        coefficient of the factor g; ``coefficients`` and truncated norms
-        use it factor by factor.
+        coefficient of the factor g at every integer m, negative m included:
+        nothing assumes |g_hat(-m)| = |g_hat(m)|.  ``coefficients`` and
+        truncated norms use it factor by factor.
     modes : dict or None
         For finite Fourier sums, the exact {index tuple: coefficient} map.
 
     The ``coefficient`` argument, a map from a tuple of ints to the
     coefficient there, may be None when either of these gives them all.
-    An oracle has at most one of ``factor_coefficient`` and ``modes``;
-    both raise ValueError.
+    An oracle takes exactly one of the three sources; none, or both of
+    ``factor_coefficient`` and ``modes``, raise ValueError.
     """
 
     def __init__(
@@ -263,6 +272,8 @@ class SpectralOracle:
     ):
         if factor_coefficient is not None and modes is not None:
             raise ValueError("give factor_coefficient or modes, not both")
+        if coefficient is None and factor_coefficient is None and modes is None:
+            raise ValueError("give coefficient, factor_coefficient or modes")
         self.dim = _integer(dim, 1, "dim")
         self._coefficient = coefficient
         self.l2_norm_sq = float(l2_norm_sq)
@@ -276,19 +287,10 @@ class SpectralOracle:
         of dim components inside int64, as a complex128 vector."""
         H = _frequency_rows(H, self.dim, "frequency")
         if self.factor_coefficient is not None:
-            # the running product starts at 1 and takes the coordinates in
-            # order; each takes one table over the values that occur in it
-            out = np.ones(len(H), dtype=np.complex128)
-            for column in H.T:
-                values, where = np.unique(column, return_inverse=True)
-                table = [self.factor_coefficient(v) for v in values.tolist()]
-                out *= np.array(table, dtype=np.complex128)[where]
-            return out
+            return _column_product(H, [self.factor_coefficient] * self.dim, np.complex128)
         if self.modes is not None:
-            out = np.zeros(len(H), dtype=np.complex128)
-            for h, c in self.modes.items():
-                out[(H == h).all(axis=1)] = c
-            return out
+            rows = map(tuple, H.tolist())
+            return np.array([self.modes.get(h, 0j) for h in rows], dtype=np.complex128)
         return np.array([self._coefficient(h) for h in map(tuple, H.tolist())], dtype=np.complex128)
 
     def coefficient(self, h) -> complex:
@@ -439,24 +441,24 @@ def cosine_pair_oracle(h0: Sequence[int]) -> SpectralOracle:
 # --------------------------------------------------------------------------
 
 _BOX_SCAN_LIMIT = 20_000_000
+_SLAB_ROWS = 2**14   # box points per slab of a generic oracle's scan
 
 
 @functools.lru_cache(maxsize=64)
 def _factor_norm_sq(coeff, box_radius: int, two_alpha: float, gamma: float) -> float:
-    """sum over |m| <= box_radius of |coeff(m)|^2 * max(|m|^(2*alpha)/gamma, 1),
-    the squared norm of one factor of a coordinate-product oracle.
+    """sum over m = -box_radius..box_radius of |coeff(m)|^2 * r(m), the
+    squared norm of one factor of a coordinate-product oracle; coeff(-m) is
+    called, not assumed to match coeff(m) in magnitude.
 
     Memoised on (factor function, radius, 2*alpha, gamma): the harnesses and
     every ``epsilon_bound`` call ask for the same norm, which takes
-    box_radius + 1 Python coefficient calls (1.3 ms at the default 4096).
-    The key holds the function itself, so distinct factor functions never
-    share an entry, and a factor function must be pure and hashable.
+    2*box_radius + 1 Python coefficient calls (about 10 ms at the default
+    4096 on a 2-core Xeon).  The key holds the function itself, so distinct
+    factor functions never share an entry, and a factor function must be
+    pure and hashable.
     """
-    sq = [abs(coeff(m)) ** 2 for m in range(box_radius + 1)]
-    terms = [sq[0]]
-    for m in range(1, box_radius + 1):
-        terms.append(2.0 * sq[m] * max(m**two_alpha / gamma, 1.0))
-    return fsum(terms)
+    return fsum(abs(coeff(m)) ** 2 * _r_factor(m, two_alpha, gamma)
+                for m in range(-box_radius, box_radius + 1))
 
 
 def korobov_norm_sq_truncated(
@@ -472,39 +474,29 @@ def korobov_norm_sq_truncated(
     made: functions of limited smoothness have divergent sums at their
     critical alpha, and the truncation radius is part of the reported value.
 
-    Coordinate-product oracles and finite-mode oracles use exact factorized
-    or mode-restricted sums, a product oracle's per-factor sums memoised
-    (``_factor_norm_sq``); generic oracles fall back to a direct box scan,
-    which is refused above ~2e7 points.
+    Two paths: a coordinate-product oracle multiplies its factor's memoised
+    sums over -box_radius..box_radius (``_factor_norm_sq``); any other
+    oracle sums the nonzero terms at its rows in the box (its modes there,
+    or the whole box, ~2e7 points at most, in slabs) with one ``fsum``.
     """
     box_radius = _integer(box_radius, 0, "box_radius")
     if f.dim != params.dim:
         raise ValueError("oracle dimension does not match params")
     gammas = weights.require(params.dim)
-    two_alpha = 2.0 * params.alpha
-
     if f.factor_coefficient is not None:
-        out = 1.0
-        for gj in gammas:
-            out *= _factor_norm_sq(f.factor_coefficient, box_radius, two_alpha, gj)
-        return out
-
+        return math.prod((_factor_norm_sq(f.factor_coefficient, box_radius, 2.0 * params.alpha, g)
+                          for g in gammas), start=1.0)
     if f.modes is not None:
-        terms = [
-            abs(c) ** 2 * r_weight(h, params, weights)
-            for h, c in f.modes.items()
-            if max(abs(x) for x in h) <= box_radius
-        ]
-        return fsum(terms)
-
-    if (2 * box_radius + 1) ** params.dim > _BOX_SCAN_LIMIT:
-        raise ValueError("box scan too large for a generic oracle; reduce box_radius")
-    rng = range(-box_radius, box_radius + 1)
-    terms = []
-    import itertools
-
-    for comps in itertools.product(rng, repeat=params.dim):
-        c = f.coefficient(comps)
-        if c != 0:
-            terms.append(abs(c) ** 2 * r_weight(comps, params, weights))
-    return fsum(terms)
+        inside = [h for h in f.modes if max(map(abs, h)) <= box_radius]
+        slabs = [_frequency_rows(inside, f.dim, "mode")]
+    else:
+        shape = (2 * box_radius + 1,) * f.dim
+        size = math.prod(shape)
+        if size > _BOX_SCAN_LIMIT:
+            raise ValueError("box scan too large for a generic oracle; reduce box_radius")
+        slabs = (np.stack(np.unravel_index(np.arange(i, min(i + _SLAB_ROWS, size)), shape), axis=1)
+                 - box_radius for i in range(0, size, _SLAB_ROWS))
+    return fsum(abs(c) ** 2 * r
+                for H in slabs
+                for c, r in zip(f.coefficients(H).tolist(), _r_rows(H, params, weights).tolist())
+                if c)

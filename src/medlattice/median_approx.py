@@ -36,6 +36,7 @@ from .korobov import (
     SpectralOracle,
     _frequency_rows,
     _integer,
+    _r_rows,
     korobov_norm_sq_truncated,
 )
 from .lattice import (
@@ -698,8 +699,7 @@ def _default_probe_indices(
     """h = 0 plus every member of minimal positive weight-function value, as
     the rows of an int64 array."""
     H = cross.H[np.any(cross.H != 0, axis=1)]
-    r = np.maximum(np.abs(H) ** (2.0 * problem.alpha) / weights.require(problem.dim), 1.0)
-    r = np.prod(r, axis=1)
+    r = _r_rows(H, problem, weights)
     small = H[r <= r.min(initial=np.inf) * (1.0 + 1e-12)]
     return np.concatenate([np.zeros((1, problem.dim), dtype=np.int64), small])
 

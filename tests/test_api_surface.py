@@ -2,8 +2,8 @@
 Tests for the package's public surface: the exports are a fixed list, every
 exported name resolves, once, and every library name the benchmark's tracer
 wraps exists, so a renamed function fails here instead of leaving a traced
-benchmark run without spans.  Two source checks keep the integer rule and
-the frequency rule in one module.
+benchmark run without spans.  Three source checks keep the integer rule, the
+frequency rule and the weight rule in one module.
 """
 
 import ast
@@ -132,10 +132,12 @@ FREQUENCY_INDEX_BUILDERS = {
     ("index_set.py", "HyperbolicCross.__contains__"),
     ("median_approx.py", "_verify"),
 }
-# every entry point that takes a caller's frequencies as rows
+# every entry point that takes a caller's frequencies as rows (a finite-mode
+# oracle's modes become rows in the truncated norm)
 FREQUENCY_ENTRIES = {
     ("lattice.py", "estimate_coefficients"),
     ("korobov.py", "SpectralOracle.coefficients"),
+    ("korobov.py", "korobov_norm_sq_truncated"),
     ("median_approx.py", "epsilon_bound"),
     ("median_approx.py", "_verify"),
     ("median_approx.py", "load_approximation"),
@@ -143,9 +145,9 @@ FREQUENCY_ENTRIES = {
 }
 
 
-def _calls(tree):
-    """(qualified name of the enclosing function, called name) of every call
-    of a plain name in ``tree``."""
+def _nodes(tree):
+    """(qualified name of the enclosing function, node) of every node in
+    ``tree`` but the function and class definitions."""
     found = []
 
     def visit(node, scope):
@@ -153,12 +155,18 @@ def _calls(tree):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
-                found.append((".".join(scope), child.func.id))
+            found.append((".".join(scope), child))
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _calls(tree):
+    """(qualified name of the enclosing function, called name) of every call
+    of a plain name in ``tree``."""
+    return [(scope, node.func.id) for scope, node in _nodes(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
 
 
 def test_one_frequency_rule():
@@ -187,3 +195,43 @@ def test_one_frequency_rule():
     assert "_probe_rows" not in defined
     # the one dtype check left outside korobov is the generating vectors'
     assert [c for c in dtype_checks if not c.startswith("lattice.py: if Z.dtype.kind")] == []
+
+
+# every function in src that raises something to a power whose exponent
+# holds alpha: korobov's r factor, whose base is a frequency, and the other
+# quantities, N_star^(2 alpha), gamma^(1/(2 alpha)) and the constants of
+# the bounds
+ALPHA_POWERS = {
+    ("korobov.py", "_r_factor"),
+    ("median_approx.py", "_epsilons"),
+    ("params.py", "_root_gammas"),
+    ("params.py", "theorem1_bound"),
+    ("params.py", "corollary2_constant"),
+    ("params.py", "_G_d"),
+    ("params.py", "tractability_diagnostics"),
+}
+
+
+def _exponents(tree):
+    """(enclosing function, exponent) of every ``**``, ``pow``, ``math.pow``
+    and ``np.power`` in ``tree``."""
+    found = []
+    for scope, node in _nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            found.append((scope, node.right))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("pow", "math.pow", "np.power"):
+            found.append((scope, node.args[1]))
+    return found
+
+
+def test_one_weight_rule():
+    """Only korobov's ``_r_factor`` raises a frequency to the power 2*alpha,
+    and median_approx takes r from korobov: r was once computed by three
+    formulas, one of them ``np.power`` in the harnesses' default probes."""
+    found = set()
+    for path in sorted(SOURCES.glob("*.py")):
+        found |= {(path.name, scope) for scope, exponent in _exponents(ast.parse(path.read_text()))
+                  if "alpha" in ast.unparse(exponent)}
+    assert found == ALPHA_POWERS
+    median_approx = ast.parse((SOURCES / "median_approx.py").read_text())
+    assert ("_default_probe_indices", "_r_rows") in _calls(median_approx)

@@ -374,6 +374,15 @@ class TestIndexCsv:
         with pytest.raises(ValueError):
             read_indices_csv(path)
 
+    @pytest.mark.parametrize("header", ["h_2,h_1", "h_x,h_", "h_1,h_2,h_4"])
+    def test_rejects_other_frequency_columns(self, tmp_path, header):
+        """Columns other than h_1..h_d used to read back as if they were
+        those, the coordinates swapped or unnamed."""
+        path = tmp_path / "other.csv"
+        path.write_text(f"{header}\n1,2{',3' * (header.count(',') - 1)}\n")
+        with pytest.raises(ValueError, match="^not an index-set CSV$"):
+            read_indices_csv(path)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

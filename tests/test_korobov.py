@@ -5,6 +5,7 @@ Every closed-form Fourier coefficient used by the package is validated here
 against adaptive quadrature before anything downstream relies on it.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
 import medlattice
+from medlattice import korobov
 from medlattice import (
     FrequencyIndex,
     LatticeConfig,
@@ -171,6 +173,22 @@ class TestRWeight:
         p = SmoothnessParams(1.5, 1)
         w = ProductWeights([1.0])
         assert r_weight(FrequencyIndex([10**200]), p, w) == math.inf
+
+    def test_overflowing_product_is_inf_without_a_warning(self):
+        """Each factor is finite, 10^300; their product overflows."""
+        p = SmoothnessParams(1.5, 2)
+        w = ProductWeights([1.0, 1.0])
+        assert r_weight([10**100, -(10**100)], p, w) == math.inf
+
+    def test_components_beyond_int64(self):
+        """r_weight raises every component to the power 2*alpha as an exact
+        int, -2^63 and those outside int64 included, as the rows do."""
+        p = SmoothnessParams(1.5, 2)
+        w = ProductWeights([1.0, 0.25])
+        assert r_weight([-(2**63), 1], p, w) == 2.0**189 * 4.0
+        assert r_weight([2**64, 0], p, w) == 2.0**192
+        rows = np.array([[-(2**63), 1], [2**62, -1]])
+        assert korobov._r_rows(rows, p, w).tolist() == [2.0**189 * 4.0, 2.0**186 * 4.0]
 
     def test_length_mismatch(self):
         p = SmoothnessParams(1.0, 2)
@@ -439,6 +457,13 @@ class TestTruncatedNorm:
                 modes={(1,): 0.5, (-1,): 0.5},
             )
 
+    def test_refuses_no_source(self):
+        """An oracle with no coefficient source used to construct, then fail
+        in ``coefficients`` and in the norm with a TypeError."""
+        f = function_f2(1)
+        with pytest.raises(ValueError, match="^give coefficient, factor_coefficient or modes$"):
+            SpectralOracle(dim=1, coefficient=None, l2_norm_sq=1.0, evaluate=f.evaluate)
+
     def test_factorized_matches_direct_sum_1d(self):
         f = function_f1(1)
         p = SmoothnessParams(1.25, 1)
@@ -530,9 +555,9 @@ class TestMemoisedNorm:
         f = _factor_oracle(counting)
         p, w = SmoothnessParams(1.5, 1), ProductWeights([1.0])
         first = korobov_norm_sq_truncated(f, p, w, 64)
-        assert len(calls) == 65
+        assert len(calls) == 129
         assert korobov_norm_sq_truncated(_factor_oracle(counting), p, w, 64) == first
-        assert len(calls) == 65
+        assert len(calls) == 129
 
     def test_distinct_factor_functions_never_share_an_entry(self):
         """Factor functions with equal code but different values, and with
@@ -548,6 +573,103 @@ class TestMemoisedNorm:
             assert norm == _reference_factorized_norm(f, p, w, 32)
         assert norms[1] == pytest.approx(4.0 * norms[0], rel=1e-14)
         assert norms[2] == pytest.approx(9.0 * norms[0], rel=1e-14)
+
+
+def _unit_at_one(m):
+    """The factor e(x) of a product oracle: coefficient 1 at m = 1 and 0 at
+    every other m, -1 included."""
+    return 1.0 + 0j if m == 1 else 0j
+
+
+def _exponential_oracles(d):
+    """e(x_1 + ... + x_d) as the product oracle of the factor e(x) and as
+    the oracle of its one mode."""
+
+    def evaluate(pts):
+        return np.exp(2j * pi * pts.sum(axis=1))
+
+    product = SpectralOracle(dim=d, coefficient=None, l2_norm_sq=1.0, evaluate=evaluate,
+                             factor_coefficient=_unit_at_one)
+    mode = SpectralOracle(dim=d, coefficient=None, l2_norm_sq=1.0, evaluate=evaluate,
+                          modes={(1,) * d: 1.0 + 0j})
+    return product, mode
+
+
+class TestProductPath:
+    """A product oracle's factor sum runs over m = -r..r: nothing assumes
+    |g_hat(-m)| = |g_hat(m)|, which doubled e(x)'s norm at each coordinate."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("radius", range(9))
+    def test_one_sided_factor(self, d, radius):
+        product, mode = _exponential_oracles(d)
+        p = SmoothnessParams(1.5, d)
+        unit = ProductWeights([1.0] * d)
+        assert korobov_norm_sq_truncated(product, p, unit, radius) == (1.0 if radius else 0.0)
+        for w in (unit, ProductWeights([j**-2.0 for j in range(1, d + 1)])):
+            assert (korobov_norm_sq_truncated(product, p, w, radius)
+                    == korobov_norm_sq_truncated(mode, p, w, radius))
+
+    def test_coefficients_agree(self):
+        product, mode = _exponential_oracles(2)
+        box = np.indices((5, 5)).reshape(2, -1).T - 2
+        assert np.array_equal(product.coefficients(box), mode.coefficients(box))
+
+
+def _asymmetric_coefficient(h):
+    """A generic coefficient in any d, zero on a third of the box and with
+    |c(-h)| != |c(h)| elsewhere."""
+    if sum((j + 1) * c for j, c in enumerate(h)) % 3 == 0:
+        return 0j
+    return complex(1.0 / (1.0 + sum(c * c for c in h)) ** 1.5, h[0] / (7.0 + h[0] ** 4))
+
+
+def _reference_box_scan(f, params, weights, box_radius):
+    """A generic oracle's truncated norm as the per-point loop it was before
+    the box was read in slabs: one ``coefficient`` and one ``r_weight`` call
+    per box point."""
+    terms = []
+    for comps in itertools.product(range(-box_radius, box_radius + 1), repeat=params.dim):
+        c = f.coefficient(comps)
+        if c != 0:
+            terms.append(abs(c) ** 2 * r_weight(comps, params, weights))
+    return math.fsum(terms)
+
+
+def _no_one_row_calls(monkeypatch):
+    def one_row(*args):
+        raise AssertionError("the rows path made a one-row call")
+
+    monkeypatch.setattr(SpectralOracle, "coefficient", one_row)
+    monkeypatch.setattr(korobov, "r_weight", one_row)
+
+
+class TestRowsPath:
+    """Mode and generic oracles share one path: the coefficients and r at
+    int64 rows inside the box, read in slabs, summed with one fsum."""
+
+    CASES = [(1, 0), (1, 3), (1, 50), (2, 4), (2, 70), (3, 1), (3, 4)]
+
+    def test_a_case_spans_several_slabs(self):
+        assert max((2 * r + 1) ** d for d, r in self.CASES) > korobov._SLAB_ROWS
+
+    @pytest.mark.parametrize("d, radius", CASES)
+    def test_generic_equals_the_per_point_loop(self, monkeypatch, d, radius):
+        f = SpectralOracle(dim=d, coefficient=_asymmetric_coefficient, l2_norm_sq=1.0,
+                           evaluate=lambda pts: np.zeros(len(pts)))
+        p = SmoothnessParams(1.25, d)
+        w = ProductWeights([j**-2.0 for j in range(1, d + 1)])
+        expected = _reference_box_scan(f, p, w, radius)
+        _no_one_row_calls(monkeypatch)
+        assert korobov_norm_sq_truncated(f, p, w, radius).hex() == expected.hex()
+
+    def test_modes_make_no_one_row_call(self, monkeypatch):
+        f = cosine_pair_oracle((1, -2))
+        p = SmoothnessParams(1.0, 2)
+        w = ProductWeights([1.0, 0.5])
+        expected = math.fsum(0.25 * r_weight(h, p, w) for h in f.modes)
+        _no_one_row_calls(monkeypatch)
+        assert korobov_norm_sq_truncated(f, p, w, 2).hex() == expected.hex()
 
 
 class TestNormGrowthDiagnostic:

@@ -427,7 +427,7 @@ class TestAlgorithmParamsValidation:
         # build(n) gives back the value n is kept as
         stored = [
             (lambda n: SmoothnessParams(1.5, n).dim, 2),
-            (lambda n: SpectralOracle(n, None, 1.0, f.evaluate).dim, 2),
+            (lambda n: SpectralOracle(n, f.coefficient, 1.0, f.evaluate).dim, 2),
             (lambda n: function_f1(n).dim, 2),
             (lambda n: function_f2(n).dim, 2),
             (lambda n: LatticeConfig(n, 2).N, 101),
