@@ -610,11 +610,6 @@ class TestProductPath:
             assert (korobov_norm_sq_truncated(product, p, w, radius)
                     == korobov_norm_sq_truncated(mode, p, w, radius))
 
-    def test_coefficients_agree(self):
-        product, mode = _exponential_oracles(2)
-        box = np.indices((5, 5)).reshape(2, -1).T - 2
-        assert np.array_equal(product.coefficients(box), mode.coefficients(box))
-
 
 def _asymmetric_coefficient(h):
     """A generic coefficient in any d, zero on a third of the box and with
